@@ -42,6 +42,7 @@ from .residual import (
 from .svg import render_map
 from .taxicab import (
     EnumerationBudgetError,
+    InvariantError,
     SeriationReport,
     TaxicabAxis,
     TcaDecomposition,
@@ -66,6 +67,7 @@ __all__ = [
     "DATASETS",
     "DispersionReport",
     "EnumerationBudgetError",
+    "InvariantError",
     "LabeledMatrix",
     "ResidualMatrix",
     "SeriationReport",

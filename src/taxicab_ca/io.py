@@ -42,27 +42,24 @@ class LabeledMatrix:
         return float(self.values.sum())
 
 
-def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
-    """Parse labeled counts from CSV text; errors carry row/column positions."""
-    rows = [row for row in csv.reader(_io.StringIO(text))]
-    if not rows or not rows[0]:
-        raise ValueError(f"{source}: empty CSV")
-    col_labels = tuple(label.strip() for label in rows[0])
+def _csv_rows(text: str, source: str) -> list[list[str]]:
+    reader = csv.reader(_io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{source}: malformed CSV at line {reader.line_num}: {exc}") from None
+
+
+def _raise_cell_error(data_rows: list[list[str]], col_labels: tuple[str, ...],
+                      source: str) -> None:
+    """Raise the positional error for the first bad row or cell, in reading order."""
     m = len(col_labels)
-    if len(set(col_labels)) != m:
-        raise ValueError(f"{source}: duplicate column labels")
-    data_rows = rows[1:]
-    if not data_rows:
-        raise ValueError(f"{source}: no data rows")
-    row_labels: list[str] = []
-    values = np.zeros((len(data_rows), m))
     for i, row in enumerate(data_rows):
         line = i + 2  # 1-based, after the header
         if len(row) != m + 1:
             raise ValueError(
                 f"{source}: row {line} has {len(row)} cells, expected {m + 1}"
             )
-        row_labels.append(row[0].strip())
         for j, cell in enumerate(row[1:]):
             try:
                 value = float(cell)
@@ -79,11 +76,46 @@ def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
                 raise ValueError(
                     f"{source}: negative cell at row {line}, column {col_labels[j]!r}"
                 )
-            values[i, j] = value
+    raise ValueError(f"{source}: cells numpy rejects but float() accepts")
+
+
+def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
+    """Parse labeled counts from CSV text; errors carry row/column positions.
+
+    A leading UTF-8 byte-order mark and trailing blank lines are ignored, and
+    an empty corner cell before the column labels (R ``write.csv`` output)
+    is dropped.
+    """
+    rows = _csv_rows(text.removeprefix("\ufeff"), source)
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows or not rows[0]:
+        raise ValueError(f"{source}: empty CSV")
+    header, data_rows = rows[0], rows[1:]
+    if not data_rows:
+        raise ValueError(f"{source}: no data rows")
+    if len(header) > 1 and not header[0].strip() and len(data_rows[0]) == len(header):
+        header = header[1:]
+    col_labels = tuple(label.strip() for label in header)
+    m = len(col_labels)
+    if len(set(col_labels)) != m:
+        raise ValueError(f"{source}: duplicate column labels")
+    # numpy converts a whole row of strings as float() would; filling row by
+    # row keeps the peak memory at the result array
+    values = np.empty((len(data_rows), m))
+    try:
+        for row, out in zip(data_rows, values):
+            if len(row) != m + 1:
+                raise ValueError("ragged row")
+            out[:] = row[1:]
+    except ValueError:
+        _raise_cell_error(data_rows, col_labels, source)
+    if not np.isfinite(values).all() or (values < 0).any():
+        _raise_cell_error(data_rows, col_labels, source)
+    row_labels = tuple(row[0].strip() for row in data_rows)
     if len(set(row_labels)) != len(row_labels):
         raise ValueError(f"{source}: duplicate row labels")
-    return LabeledMatrix(values=values, row_labels=tuple(row_labels),
-                         col_labels=tuple(col_labels))
+    return LabeledMatrix(values=values, row_labels=row_labels, col_labels=col_labels)
 
 
 def load_counts_csv(path: str | Path) -> LabeledMatrix:

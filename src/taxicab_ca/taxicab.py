@@ -11,6 +11,15 @@ projections by the row/column masses.
 Exhaustive search is exact up to ``EXACT_ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.
+
+The enumeration kernel, shared with the tensor norm, splits the q
+coordinates into a high prefix and a low suffix of k coordinates.  The
+projections of all 2^k low halves form one n x 2^k table, with k chosen so
+that the table fits ``_ENUM_BLOCK_BYTES`` (1 MiB, inside a per-core L2);
+each high prefix then scores 2^k candidates with one add, one abs and one
+column sum over that table.  Prefix projections are computed by one matmul
+per block of the same byte size, so working memory stays at a few MiB
+whatever q is.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ __all__ = [
     "STOP_TOL",
     "AxisContributions",
     "EnumerationBudgetError",
+    "InvariantError",
     "SeriationReport",
     "TaxicabAxis",
     "TcaDecomposition",
@@ -44,11 +54,15 @@ STOP_TOL = 1e-12          # axis cutoff relative to the first dispersion
 HEAVYWEIGHT_TOL = 1e-10
 INDETERMINATE_TOL = 1e-9  # |projection| below this (relative to delta) has arbitrary sign
 _IDENTITY_TOL = 1e-10
-_ENUM_BATCH = 1 << 14
+_ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
 
 
 class EnumerationBudgetError(ValueError):
     """Requested exhaustive search exceeds the enumeration budget."""
+
+
+class InvariantError(ArithmeticError):
+    """A computed result broke an identity that holds in exact arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -132,31 +146,65 @@ class AxisContributions:
     heavyweight_cells: tuple[tuple[int, int], ...]
 
 
-def _enumerate_best(M: np.ndarray) -> np.ndarray:
+def _sign_grid(width: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the 2^width sign vectors of length ``width``.
+
+    Rows are in lexicographic order with +1 before -1, so row i holds the
+    binary digits of i (most significant first) mapped 0 -> +1, 1 -> -1, and
+    the first half of the grid is exactly the vectors with first entry +1.
+    """
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> shifts) & 1
+    return 1.0 - 2.0 * bits
+
+
+def _enum_split(n: int, q: int) -> tuple[int, int]:
+    """Low-suffix width k and high prefixes per block for an n x q search.
+
+    k is the largest width (at most q - 1) whose table of 2^k columns of
+    length n, with its 2^k x k sign grid, fits ``_ENUM_BLOCK_BYTES``; the
+    prefix projections are computed ``block`` at a time within the same budget.
+    """
+    k = 0
+    while k < q - 1 and (2 << k) * (n + k + 1) * 8 <= _ENUM_BLOCK_BYTES:
+        k += 1
+    return k, max(1, _ENUM_BLOCK_BYTES // (8 * n))
+
+
+def _enumerate_best(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize ||M s||_1 over sign vectors s with s[0] = +1, exhaustively.
 
-    Candidates are scanned in lexicographic order (+1 before -1), so on ties
-    the lexicographically smallest maximizer is returned.
+    Returns the maximum and the maximizer.  Candidates are scanned in
+    lexicographic order (+1 before -1) and only a strict improvement
+    replaces the incumbent, so on ties the lexicographically first maximizer
+    is returned.  Each high prefix h = M_high s_high scores all 2^k low
+    suffixes at once as the column sums of |L + h|, L = M_low S_low' (see
+    the module docstring); working memory is bounded by the byte budget,
+    not by 2^(q-1).
     """
-    q = M.shape[1]
-    total = 1 << (q - 1)
-    shifts = np.arange(q - 2, -1, -1, dtype=np.int64)
+    n, q = M.shape
+    k, block = _enum_split(n, q)
+    table = M[:, q - k:] @ _sign_grid(k, 0, 1 << k).T    # (n, 2^k)
+    buf = np.empty_like(table)
+    scores = np.empty(table.shape[1])
+    m_high = M[:, :q - k]
+    prefixes = 1 << (q - 1 - k)
     best_val = -np.inf
-    best_s: np.ndarray | None = None
-    for start in range(0, total, _ENUM_BATCH):
-        idx = np.arange(start, min(start + _ENUM_BATCH, total), dtype=np.int64)
-        signs = np.empty((idx.size, q), dtype=float)
-        signs[:, 0] = 1.0
-        if q > 1:
-            bits = (idx[:, None] >> shifts[None, :]) & 1
-            signs[:, 1:] = 1.0 - 2.0 * bits
-        vals = np.abs(M @ signs.T).sum(axis=0)
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best_val:
-            best_val = float(vals[j])
-            best_s = signs[j].copy()
-    assert best_s is not None
-    return best_s
+    best_idx = -1
+    for start in range(0, prefixes, block):
+        stop = min(start + block, prefixes)
+        heads = _sign_grid(q - k, start, stop) @ m_high.T  # (stop - start, n)
+        for prefix, h in enumerate(heads, start):
+            np.add(table, h[:, None], out=buf)
+            np.abs(buf, out=buf)
+            np.sum(buf, axis=0, out=scores)
+            j = int(np.argmax(scores))
+            if scores[j] > best_val:
+                best_val = float(scores[j])
+                best_idx = (prefix << k) | j
+    if best_idx < 0:
+        raise InvariantError("sign enumeration scored no candidate (non-finite matrix?)")
+    return best_val, _sign_grid(q, best_idx, best_idx + 1)[0]
 
 
 def _transition_fixed_point(
@@ -175,7 +223,8 @@ def _transition_fixed_point(
         a = x @ u
         v = sign_pm(a)
         delta = float(np.abs(a).sum())
-        assert delta >= delta_prev - 1e-12 * (1.0 + delta), "dispersion decreased"
+        if not delta >= delta_prev - 1e-12 * (1.0 + delta):
+            raise InvariantError(f"dispersion decreased from {delta_prev!r} to {delta!r}")
         delta_prev = delta
         b = x.T @ v
         u_next = sign_pm(b)
@@ -241,9 +290,9 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
         )
     x = X.x
     if m <= n:
-        u0 = _enumerate_best(x)
+        _, u0 = _enumerate_best(x)
     else:
-        v0 = _enumerate_best(x.T)
+        _, v0 = _enumerate_best(x.T)
         u0 = sign_pm(x.T @ v0)
     state = _transition_fixed_point(x, u0)
     return _axis_from_state(_canonical_state(x, state), exact=True)
@@ -267,7 +316,8 @@ def norm_heuristic(X: ResidualMatrix, restarts: str = "columns") -> TaxicabAxis:
         state = _transition_fixed_point(x, u0)
         if best is None or state[4] > best[4]:
             best = state
-    assert best is not None
+    if best is None:
+        raise InvariantError("no restart produced a fixed point")
     return _axis_from_state(_canonical_state(x, best), exact=False)
 
 
@@ -374,7 +424,10 @@ def cut_norm_matrix(X: ResidualMatrix) -> SeriationReport:
     axis = _best_axis(X)
     report = _seriation_from_axis(X, axis)
     slack = _IDENTITY_TOL * (1.0 + axis.delta)
-    assert abs(report.cut_norm - axis.delta / 4.0) <= slack
+    if not abs(report.cut_norm - axis.delta / 4.0) <= slack:
+        raise InvariantError(
+            f"block sum {report.cut_norm!r} is not a quarter of delta {axis.delta!r}"
+        )
     return report
 
 

@@ -15,7 +15,14 @@ import numpy as np
 
 from .dispersion import sign_pm
 from .residual import Tensor3
-from .taxicab import EnumerationBudgetError
+from .taxicab import (
+    _ENUM_BLOCK_BYTES,
+    _IDENTITY_TOL,
+    EnumerationBudgetError,
+    InvariantError,
+    _enumerate_best,
+    _sign_grid,
+)
 
 __all__ = [
     "TENSOR_ENUM_LIMIT",
@@ -27,8 +34,6 @@ __all__ = [
 ]
 
 TENSOR_ENUM_LIMIT = 22  # sum of the two smallest mode sizes
-_IDENTITY_TOL = 1e-10
-_ENUM_BATCH_CELLS = 1 << 22
 
 # octant order: (S,T,W),(S,T,W~),(S,T~,W),(S,T~,W~),(S~,T,W),(S~,T,W~),(S~,T~,W),(S~,T~,W~)
 _OCTANT_SIGNS = (1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
@@ -83,18 +88,6 @@ def _octant_sums(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> 
     return tuple(sums)
 
 
-def _all_signs(q: int) -> np.ndarray:
-    """All sign vectors of length q with first entry +1, in lexicographic order."""
-    count = 1 << (q - 1)
-    signs = np.empty((count, q), dtype=float)
-    signs[:, 0] = 1.0
-    if q > 1:
-        shifts = np.arange(q - 2, -1, -1, dtype=np.int64)
-        bits = (np.arange(count, dtype=np.int64)[:, None] >> shifts[None, :]) & 1
-        signs[:, 1:] = 1.0 - 2.0 * bits
-    return signs
-
-
 def _axis_from_signs(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                      exact: bool) -> TensorAxis:
     delta = float(np.einsum("ijk,i,j,k->", x, u, v, w))
@@ -120,22 +113,20 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
             f"{TENSOR_ENUM_LIMIT}: use tensor_norm_heuristic"
         )
     xp = np.transpose(x, (e1, e2, free))
-    signs1 = _all_signs(q1)
-    signs2 = _all_signs(q2)
-    batch = max(1, _ENUM_BATCH_CELLS // max(1, signs2.shape[0] * q3))
+    flat = xp.reshape(q1, q2 * q3)
+    count = 1 << (q1 - 1)
+    block = max(1, _ENUM_BLOCK_BYTES // (8 * q2 * q3))
     best_val = -np.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    for start in range(0, signs1.shape[0], batch):
-        chunk = signs1[start:start + batch]
-        contracted = np.tensordot(chunk, xp, axes=(1, 0))      # (batch, q2, q3)
-        fibers = np.einsum("cjk,dj->cdk", contracted, signs2)  # (batch, cand2, q3)
-        vals = np.abs(fibers).sum(axis=2)
-        flat = int(np.argmax(vals))
-        c, d = divmod(flat, signs2.shape[0])
-        if float(vals[c, d]) > best_val:
-            best_val = float(vals[c, d])
-            best_pair = (chunk[c].copy(), signs2[d].copy())
-    assert best_pair is not None
+    for start in range(0, count, block):
+        chunk = _sign_grid(q1, start, min(start + block, count))
+        for s1, contracted in zip(chunk, chunk @ flat):
+            val, s2 = _enumerate_best(contracted.reshape(q2, q3).T)
+            if val > best_val:
+                best_val = val
+                best_pair = (s1, s2)
+    if best_pair is None:
+        raise InvariantError("sign enumeration scored no candidate (non-finite tensor?)")
     s1, s2 = best_pair
     fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
     s3 = sign_pm(fiber)
@@ -168,7 +159,8 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
             fiber = np.einsum("ijk,i,j->k", x, u, v)
             w = sign_pm(fiber)
             delta = float(np.abs(fiber).sum())
-            assert delta >= delta_prev - 1e-12 * (1.0 + delta), "value decreased"
+            if not delta >= delta_prev - 1e-12 * (1.0 + delta):
+                raise InvariantError(f"trilinear value decreased from {delta_prev!r} to {delta!r}")
             delta_prev = delta
             key = (u.tobytes(), v.tobytes(), w.tobytes())
             if key in seen:
@@ -176,7 +168,8 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
             seen.add(key)
         if best is None or delta_prev > best[0]:
             best = (delta_prev, u, v, w)
-    assert best is not None
+    if best is None:
+        raise InvariantError("no restart produced a fixed point")
     _, u, v, w = best
     return _axis_from_signs(x, u, v, w, exact=False)
 

@@ -130,3 +130,42 @@ def random_triple_centered(
         + y.mean(axis=(0, 1), keepdims=True)
         - y.mean()
     )
+
+
+def lexicographic_first_max(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """First maximizer of ||M s||_1 over s with s[0] = +1, scanning one sign vector at a time.
+
+    Candidates come in itertools order (+1 before -1 at every position) and
+    only a strictly larger value replaces the incumbent.
+    """
+    m = np.asarray(m, dtype=float)
+    best_val, best_s = -np.inf, None
+    for tail in itertools.product((1.0, -1.0), repeat=m.shape[1] - 1):
+        s = np.array((1.0,) + tail)
+        val = float(np.abs(m @ s).sum())
+        if val > best_val:
+            best_val, best_s = val, s
+    return best_val, best_s
+
+
+def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sign triple of the first maximizing (s1, s2) pair over the two smallest modes.
+
+    The two smallest modes (ties by mode index) are scanned as nested
+    itertools products with the first entry of each pinned to +1; the third
+    mode takes the signs of its fiber sums, with sign(0) = +1.
+    """
+    x = np.asarray(x, dtype=float)
+    e1, e2, free = sorted(range(3), key=lambda ax: (x.shape[ax], ax))
+    xp = np.transpose(x, (e1, e2, free))
+    best_val, best = -np.inf, None
+    for t1 in itertools.product((1.0, -1.0), repeat=xp.shape[0] - 1):
+        s1 = np.array((1.0,) + t1)
+        for t2 in itertools.product((1.0, -1.0), repeat=xp.shape[1] - 1):
+            s2 = np.array((1.0,) + t2)
+            fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
+            val = float(np.abs(fiber).sum())
+            if val > best_val:
+                best_val, best = val, (s1, s2, np.where(fiber >= 0.0, 1.0, -1.0))
+    signs = dict(zip((e1, e2, free), best))
+    return signs[0], signs[1], signs[2]

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxicab_ca.io import (
     format_tensor,
@@ -58,6 +64,95 @@ class TestCountsCsv:
     def test_header_only(self):
         with pytest.raises(ValueError, match="no data rows"):
             parse_counts_csv("a,b\n")
+
+
+    def test_trailing_blank_lines(self):
+        data = parse_counts_csv("a,b\nr1,1,2\nr2,3,4\n\n\n")
+        assert data.row_labels == ("r1", "r2")
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
+
+    def test_inner_blank_line_positional(self):
+        with pytest.raises(ValueError, match="row 3 has 0 cells, expected 3"):
+            parse_counts_csv("a,b\nr1,1,2\n\nr2,3,4\n")
+
+    def test_r_write_csv_corner_cell(self):
+        data = parse_counts_csv('"","a","b"\n"r1",1,2\n"r2",3,4\n')
+        assert data.col_labels == ("a", "b")
+        assert data.row_labels == ("r1", "r2")
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
+
+    def test_utf8_bom_dropped(self, tmp_path):
+        assert parse_counts_csv("\ufeffa,b\nr1,1,2\n").col_labels == ("a", "b")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\r\nr1,1,2\r\n")
+        assert load_counts_csv(path).col_labels == ("a", "b")
+
+    def test_malformed_csv_positional(self):
+        with pytest.raises(ValueError, match="malformed CSV at line 3"):
+            parse_counts_csv("a,b\nr1,1,2\nr2,3,\r4\n")
+
+    def test_first_bad_cell_in_reading_order(self):
+        with pytest.raises(ValueError, match="negative cell at row 2, column 'b'"):
+            parse_counts_csv("a,b\nr1,1,-2\nr2,oops,4")
+        with pytest.raises(ValueError, match="non-finite cell at row 3, column 'a'"):
+            parse_counts_csv("a,b\nr1,1,2\nr2,inf,x")
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_numberish = st.from_regex(
+    r"\A\s?[+-]?(\d{1,4}(_\d)?\.?\d{0,3}|\.\d{1,3})([eE][+-]?\d{1,3})?\s?\Z"
+)
+_cells = st.one_of(
+    st.text(max_size=8),
+    _numberish,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1_000", "0x10", "1e400", "-0", "\u0661",
+                     "\uff11", " 7 ", "1,5", ""]),
+)
+
+
+class TestCountsCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_cells)
+    def test_numpy_conversion_agrees_with_float(self, cell):
+        row = np.empty(1)
+        try:
+            expected = float(cell)
+        except ValueError:
+            with pytest.raises(ValueError):
+                row[:] = [cell]
+            return
+        row[:] = [cell]
+        assert _bits(row[0]) == _bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_cells, min_size=4, max_size=4))
+    def test_parse_or_positional_error(self, cells):
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["a", "b"])
+        writer.writerow(["r1", *cells[:2]])
+        writer.writerow(["r2", *cells[2:]])
+        first_bad = None
+        for index, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not np.isfinite(value) or value < 0:
+                first_bad = index
+                break
+        if first_bad is None:
+            data = parse_counts_csv(out.getvalue())
+            assert [_bits(v) for v in data.values.ravel()] == [_bits(float(c)) for c in cells]
+        else:
+            row, col = divmod(first_bad, 2)
+            with pytest.raises(ValueError, match=f"at row {row + 2}, column '{'ab'[col]}'"):
+                parse_counts_csv(out.getvalue())
 
 
 class TestTensorFormat:

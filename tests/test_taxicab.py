@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import align_sign, assert_match_up_to_sign
-from oracles import brute_cut_norm_matrix, brute_matrix_norm, random_double_centered
+from oracles import (
+    brute_cut_norm_matrix,
+    brute_matrix_norm,
+    lexicographic_first_max,
+    random_double_centered,
+)
+from taxicab_ca import taxicab
 from taxicab_ca.dispersion import sign_pm
 from taxicab_ca.residual import ResidualMatrix, correspondence_residual, from_counts
 from taxicab_ca.taxicab import (
@@ -87,6 +99,120 @@ class TestNormExact:
         X = _rand_residual(rng, 24, 23)
         with pytest.raises(EnumerationBudgetError, match="norm_heuristic"):
             norm_exact(X)
+
+
+class TestEnumerationKernel:
+    """The blocked sign-enumeration kernel against one-at-a-time scans."""
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_matches_oracles(self, q):
+        rng = np.random.default_rng(100 + q)
+        for n in sorted({q, q + 3, 40}):
+            m = rng.normal(size=(n, q))
+            val, s = taxicab._enumerate_best(m)
+            ref_val, ref_s = lexicographic_first_max(m)
+            np.testing.assert_array_equal(s, ref_s)
+            assert val == pytest.approx(ref_val, rel=1e-12)
+            assert val == pytest.approx(brute_matrix_norm(m), rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [64, 1024, 8192])
+    def test_small_budgets_split_and_agree(self, monkeypatch, budget):
+        monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(budget)
+        for q in (1, 2, 5, 9):
+            m = rng.normal(size=(12, q))
+            ref_val, ref_s = lexicographic_first_max(m)
+            val, s = taxicab._enumerate_best(m)
+            np.testing.assert_array_equal(s, ref_s)
+            assert val == pytest.approx(ref_val, rel=1e-12)
+
+    def test_tall_table_splits_into_blocks(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(4000, 12))
+        k, block = taxicab._enum_split(*m.shape)
+        assert k < 11 and (1 << (11 - k)) > block  # several prefix blocks
+        val, s = taxicab._enumerate_best(m)
+        ref_val, ref_s = lexicographic_first_max(m)
+        np.testing.assert_array_equal(s, ref_s)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [64, None])
+    def test_exact_ties_resolve_lexicographically_first(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            q = int(rng.integers(2, 9))
+            m = rng.integers(-3, 4, size=(int(rng.integers(q, 12)), q)).astype(float)
+            m[:, rng.integers(0, q)] = 0.0                  # a zero column
+            m[:, rng.integers(0, q)] = m[:, rng.integers(0, q)]  # a duplicate column
+            val, s = taxicab._enumerate_best(m)
+            ref_val, ref_s = lexicographic_first_max(m)
+            assert val == ref_val
+            np.testing.assert_array_equal(s, ref_s)
+
+    def test_all_ties_pick_first_vector(self):
+        val, s = taxicab._enumerate_best(np.zeros((3, 6)))
+        assert val == 0.0
+        np.testing.assert_array_equal(s, np.ones(6))
+
+    def test_working_memory_is_bounded(self):
+        X = _rand_residual(np.random.default_rng(9), 5000, 14)
+        tracemalloc.start()
+        try:
+            norm_exact(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestInvariantErrors:
+    """Invariant checks raise real exceptions, also with assertions stripped."""
+
+    def test_raised_under_optimize_flag(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from taxicab_ca import taxicab, tensor
+            from taxicab_ca.residual import ResidualMatrix, Tensor3
+
+            assert False, "assertions must be stripped under -O"
+
+            def unchecked(cls, x):
+                obj = object.__new__(cls)
+                object.__setattr__(obj, "x", x)
+                return obj
+
+            nan = np.full((3, 3), np.nan)
+            cases = {
+                "norm_exact": lambda: taxicab.norm_exact(unchecked(ResidualMatrix, nan)),
+                "norm_heuristic": lambda: taxicab.norm_heuristic(unchecked(ResidualMatrix, nan)),
+                "tensor_exact": lambda: tensor.tensor_norm_exact(
+                    unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
+                "tensor_heuristic": lambda: tensor.tensor_norm_heuristic(
+                    unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
+            }
+            real = taxicab._seriation_from_axis
+            def skewed(X, axis):
+                report = real(X, axis)
+                return report.__class__(**{**report.__dict__, "cut_norm": 2 * report.cut_norm})
+            taxicab._seriation_from_axis = skewed
+            X = ResidualMatrix(x=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            cases["cut_norm_matrix"] = lambda: taxicab.cut_norm_matrix(X)
+            for name, call in cases.items():
+                try:
+                    call()
+                except taxicab.InvariantError as exc:
+                    print(name, "raised:", exc)
+                else:
+                    raise SystemExit(f"{name}: no InvariantError")
+        """)
+        src = os.path.dirname(os.path.dirname(taxicab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.count("raised:") == 5
 
 
 class TestNormHeuristic:

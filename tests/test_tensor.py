@@ -3,7 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import brute_tensor_norm, random_triple_centered
+from oracles import (
+    brute_tensor_norm,
+    lexicographic_first_tensor_signs,
+    random_triple_centered,
+)
+from taxicab_ca import tensor
 from taxicab_ca.residual import Tensor3, triple_center
 from taxicab_ca.taxicab import EnumerationBudgetError
 from taxicab_ca.tensor import octant_report, tensor_norm_exact, tensor_norm_heuristic
@@ -57,6 +62,29 @@ class TestTensorNormExact:
         T = _rand_tensor(rng, 12, 12, 12)  # two smallest modes sum to 24 > 22
         with pytest.raises(EnumerationBudgetError, match="tensor_norm_heuristic"):
             tensor_norm_exact(T)
+
+
+    @pytest.mark.parametrize("budget", [64, None])
+    def test_blocked_scan_matches_brute_force(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(tensor, "_ENUM_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(35)
+        for shape in [(5, 4, 3), (2, 6, 3), (4, 4, 4)]:
+            T = _rand_tensor(rng, *shape)
+            axis = tensor_norm_exact(T)
+            assert axis.delta == pytest.approx(brute_tensor_norm(T.x), rel=1e-12)
+
+    def test_exact_ties_resolve_lexicographically_first(self):
+        # integer counts scaled by n*m*t triple-center to exact integers
+        rng = np.random.default_rng(36)
+        for shape in [(3, 4, 5), (4, 3, 3), (2, 2, 6), (3, 3, 3)]:
+            y = rng.integers(0, 3, size=shape).astype(float) * np.prod(shape)
+            y[:, 0, :] = y[:, 1, :]  # duplicate slices make exact ties likely
+            T = triple_center(y)
+            assert np.array_equal(T.x, np.round(T.x))
+            axis = tensor_norm_exact(T)
+            for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(T.x)):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestTensorNormHeuristic:
