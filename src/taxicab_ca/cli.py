@@ -18,7 +18,7 @@ from .ca_classic import ca, compare_ca_tca
 from .clustering import maximize
 from .datasets import DATASETS, dataset_bytes
 from .dispersion import relative_contributions
-from .io import LabeledMatrix, load_tensor, parse_counts_csv
+from .io import LabeledMatrix, parse_counts_csv, parse_tensor
 from .residual import CENTERING_TOL, correspondence_residual, from_counts, triple_center
 from .svg import render_map
 from .taxicab import (
@@ -223,8 +223,9 @@ def _cmd_cluster(args: argparse.Namespace) -> _reports.AnalysisReport:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> _reports.AnalysisReport:
-    raw = Path(args.file).read_bytes()
-    arr = load_tensor(args.file)
+    path = Path(args.file)
+    raw = path.read_bytes()
+    arr = parse_tensor(raw.decode("utf-8"), source=str(path))
     T = triple_center(arr)
     sizes = sorted(T.shape)
     if sizes[0] + sizes[1] <= TENSOR_ENUM_LIMIT:

@@ -9,17 +9,33 @@ At p = 1 with r = c = 2 the optimum equals the taxicab norm of the matrix
 (four times its cut-norm); at p = 2 the objective is the classical maximal
 overall interaction criterion.  Small instances are solved exhaustively over
 set partitions; larger ones by deterministic single-move local search.
+
+Both searches screen, then confirm.  The exhaustive search enumerates row and
+column partitions as restricted growth strings, read off their ranks in
+blocks.  It scores a block of (row, column) pairs at once: the row-block
+aggregates of x times the column indicator stack give every block sum, and
+abs, power and size weights turn them into f_p.  The stack is built once when
+it fits ``_SCREEN_BYTES`` and in chunks otherwise, so working memory is fixed
+whatever S(n, r) S(m, c) is.  Only candidates within a rounding tolerance of
+the block's best are rescored with the reference arithmetic, and the earliest
+of the best rescored candidates wins.  Local search keeps the block sums and
+each line's sums over the other mode's blocks.  From them it screens every
+move of every line in O(r c), and scores with ``_objective_from_assign`` only
+the moves the screen cannot rule out.  Either way the partitions and the
+objective bits are those of scoring every candidate with the reference
+arithmetic; the tolerance (``_screen_tol``) bounds the rounding gap between
+the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from .residual import ResidualMatrix
+from .taxicab import InvariantError
 
 __all__ = [
     "EXHAUSTIVE_SPACE_LIMIT",
@@ -30,6 +46,13 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SPACE_LIMIT = 10**7
+
+# Float working set of one screened block of candidates (block sums, and the
+# column indicator stack, which is built once when it fits and in chunks
+# otherwise); small enough to stay in cache and out of the peak RSS.
+_SCREEN_BYTES = 1 << 18
+# Relative floor of the screen's rounding tolerance (see _screen_tol).
+_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,32 +118,51 @@ class ClusteringResult:
 
 @lru_cache(maxsize=None)
 def _stirling2(n: int, r: int) -> int:
-    if r == 0:
-        return 1 if n == 0 else 0
-    if n == 0 or r > n:
-        return 0
-    return r * _stirling2(n - 1, r) + _stirling2(n - 1, r - 1)
+    """Partitions of n items into r nonempty blocks, by rows of the recurrence."""
+    row = [1] + [0] * r  # S(0, j) for j = 0..r
+    for i in range(1, n + 1):
+        for j in range(min(i, r), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[r]
 
 
-def _rgs_exact(n: int, r: int) -> Iterator[np.ndarray]:
-    """Restricted growth strings on n elements with exactly r blocks, in order."""
-    a = np.zeros(n, dtype=int)
+def _rgs_counts(n: int, r: int) -> np.ndarray:
+    """``counts[u, k]``: ways to finish a restricted growth string that has u
+    labels in use and k entries left so that exactly r labels appear.
 
-    def rec(i: int, used: int) -> Iterator[np.ndarray]:
-        if n - i < r - used:
-            return
-        if i == n:
-            if used == r:
-                yield a.copy()
-            return
-        for b in range(used):
-            a[i] = b
-            yield from rec(i + 1, used)
-        if used < r:
-            a[i] = used
-            yield from rec(i + 1, used + 1)
+    Cells whose count cannot fit are capped; they belong to prefixes no
+    string in an enumerable search space has.
+    """
+    counts = [[0] * n for _ in range(r + 2)]
+    counts[r][0] = 1
+    for k in range(1, n):
+        for u in range(1, r + 1):
+            counts[u][k] = min(u * counts[u][k - 1] + counts[u + 1][k - 1], 1 << 62)
+    return np.array(counts, dtype=np.int64)
 
-    yield from rec(0, 0)
+
+def _rgs_range(counts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Restricted growth strings ``start:stop`` in lexicographic order, one per row.
+
+    Entry i of string number s is read off its rank: the ``u * counts[u, k]``
+    strings that reuse one of the u labels in use come before those that open
+    label u.  These are the set partitions with exactly r blocks, labelled in
+    order of first appearance.
+    """
+    n = counts.shape[1]
+    rank = np.arange(start, stop, dtype=np.int64)
+    labels = np.zeros((rank.size, n), dtype=np.intp)
+    used = np.ones_like(rank)
+    for i in range(1, n):
+        each = counts[used, n - 1 - i]
+        reused = used * each
+        opens = rank >= reused
+        label, rest = np.divmod(rank, np.maximum(each, 1))
+        labels[:, i] = np.where(opens, used, label)
+        rank = np.where(opens, rank - reused, rest)
+        used += opens
+    return labels
 
 
 def _blocks_from_assign(assign: np.ndarray, r: int) -> tuple[tuple[int, ...], ...]:
@@ -138,35 +180,199 @@ def _balanced_starts(size: int, blocks: int) -> list[np.ndarray]:
     return starts
 
 
+def _screen_tol(x: np.ndarray, p: float) -> float:
+    """Bound on |screened - reference| f_p, and on the same for a change of f_p.
+
+    A block sum over cells of mass S, added in any order, is off by at most
+    n*m*eps*S; through the term s (|b|/s)^p that moves f_p by at most p times
+    as much in units of the block's sum of |x|^p (Hoelder), and the terms'
+    own rounding is relative to f_p <= sum |x|^p.  The floor leaves room.
+    """
+    n, m = x.shape
+    rel = max(_SCREEN_RTOL, 32 * p * n * m * np.finfo(float).eps)
+    return rel * float((np.abs(x) ** p).sum())
+
+
+def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
+    """Labels of shape (..., size) -> 0/1 floats of shape (..., k, size)."""
+    return (labels[..., None, :] == np.arange(k)[:, None]).astype(float)
+
+
+def _partition_score(
+    x: np.ndarray, row_assign: np.ndarray, col_assign: np.ndarray,
+    r: int, c: int, p: float,
+) -> float:
+    """f_p of one candidate as the exhaustive search has always summed it."""
+    agg = np.zeros((r, x.shape[1]))
+    np.add.at(agg, row_assign, x)
+    row_sizes = np.bincount(row_assign, minlength=r).astype(float)
+    block = np.zeros((r, c))
+    np.add.at(block.T, col_assign, agg.T)
+    sizes = np.outer(row_sizes, np.bincount(col_assign, minlength=c))
+    return float((sizes * (np.abs(block) / sizes) ** p).sum())
+
+
+def _exhaustive(
+    x: np.ndarray, r: int, c: int, p: float
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """First maximizer of f_p in (row RGS, column RGS) order, or None if none scores.
+
+    A screen scores a block of candidates at once: one matmul of the
+    row-block aggregates with the column indicator stack gives every block
+    sum.  Only candidates within 2 * tol of the block's top that might still
+    beat the incumbent are scored with ``_partition_score``, and the
+    incumbent is the largest score, the earliest candidate on ties, so the
+    winner and its objective bits are those of scoring every candidate with
+    ``_partition_score`` in enumeration order under the strict ``>`` rule.
+    """
+    n, m = x.shape
+    tol = _screen_tol(x, p)
+    row_counts, col_counts = _rgs_counts(n, r), _rgs_counts(m, c)
+    n_rows, n_cols = int(row_counts[1, n - 1]), int(col_counts[1, m - 1])
+    if 8 * m * c * n_cols <= _SCREEN_BYTES:  # the whole column stack is built once
+        cols_per = n_cols
+        rows_per = max(1, _SCREEN_BYTES // (8 * r * c * n_cols))
+    else:  # column chunks; building one costs about what scoring it does
+        cols_per = max(1, _SCREEN_BYTES // (8 * c * max(m, r)))
+        rows_per = max(1, m // r)
+    rows_per = min(rows_per, n_rows)
+    # row partitions are generated and aggregated a budget's worth at a time
+    rows_batch = min(max(rows_per, _SCREEN_BYTES // (8 * r * max(n, m))), n_rows)
+
+    def column_chunk(c0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cols = _rgs_range(col_counts, c0, min(c0 + cols_per, n_cols))
+        hot = _indicators(cols.T, c)                                 # (m, c, K)
+        return cols, hot.reshape(m, -1), hot.sum(axis=0) ** (1 - p)
+
+    whole = column_chunk(0) if cols_per == n_cols else None
+    buf = np.empty(rows_per * r * c * cols_per)
+    best_val, best_idx = -np.inf, n_rows * n_cols
+    best: tuple[np.ndarray, np.ndarray, float] | None = None
+
+    def may_win(score: float, idx: int) -> bool:
+        return score > best_val - tol or (score >= best_val - tol and idx < best_idx)
+
+    for b0 in range(0, n_rows, rows_batch):
+        batch = _rgs_range(row_counts, b0, min(b0 + rows_batch, n_rows))
+        hot = _indicators(batch, r)                                  # (B, r, n)
+        batch_agg = (hot.reshape(-1, n) @ x).reshape(len(batch), r, m)
+        batch_w = hot.sum(axis=2) ** (1 - p)                         # (B, r)
+        del hot
+        for r0 in range(0, len(batch), rows_per):
+            rows = batch[r0:r0 + rows_per]
+            agg = batch_agg[r0:r0 + rows_per].reshape(-1, m)         # (b*r, m)
+            row_w = batch_w[r0:r0 + rows_per]
+            for c0 in range(0, n_cols, cols_per):
+                cols, col_hot, col_w = whole or column_chunk(c0)
+                k = len(cols)
+                out = buf[:agg.shape[0] * c * k].reshape(-1, c * k)
+                np.matmul(agg, col_hot, out=out)   # block sums, column d*K + s
+                np.abs(out, out=out)
+                if p != 1:
+                    np.power(out, p, out=out)
+                    blocks = out.reshape(len(rows), r, c, k)
+                    blocks *= row_w[:, :, None, None]
+                    blocks *= col_w
+                scores = out.reshape(len(rows), r * c, k).sum(axis=1)  # (b, K)
+                first = (b0 + r0) * n_cols + c0
+                top = scores.max()
+                if not may_win(top, first):
+                    continue
+                for flat in np.flatnonzero(scores >= max(top - 2 * tol, best_val - tol)):
+                    b, s = divmod(int(flat), k)
+                    idx = first + b * n_cols + s
+                    if not may_win(scores[b, s], idx):
+                        continue
+                    val = _partition_score(x, rows[b], cols[s], r, c, p)
+                    if val > best_val or (val == best_val and idx < best_idx):
+                        best_val, best_idx = val, idx
+                        best = (rows[b].copy(), cols[s].copy(), val)
+    return best
+
+
+def _move_gains(
+    lines: np.ndarray, assign: np.ndarray, count: int,
+    other: np.ndarray, other_count: int, p: float,
+) -> np.ndarray:
+    """Screened change of f_p when line i moves to block t, as a (lines, count) array.
+
+    ``lines`` holds the lines being moved (rows of x, or rows of x.T for
+    columns); ``other`` labels the other mode.  From the block sums and each
+    line's sums over the other mode's blocks, every move costs O(other_count).
+    """
+    other_hot = _indicators(other, other_count).T                  # (other, oc)
+    g = lines @ other_hot                                          # (L, oc)
+    hot = _indicators(assign, count)                               # (count, L)
+    block = hot @ g                                                # (count, oc)
+    sizes = hot.sum(axis=1)
+    other_sizes = other_hot.sum(axis=0)
+
+    def terms(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+        t = np.abs(b)
+        if p != 1:
+            t = t ** p * (s[..., None] * other_sizes) ** (1 - p)
+        return t.sum(axis=-1)
+
+    base = terms(block, sizes)
+    # a line alone in its block never moves; clamping keeps its (unused) gain finite
+    leave = terms(block[assign] - g, np.maximum(sizes[assign] - 1, 1)) - base[assign]
+    join = terms(block + g[:, None, :], sizes + 1) - base
+    return leave[:, None] + join
+
+
 def _local_search(
     x: np.ndarray, r: int, c: int, p: float,
     row_assign: np.ndarray, col_assign: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Single-element moves in sweep order while ``_objective_from_assign`` rises.
+
+    Lines are swept in order and each line's targets in order, and a move is
+    taken when its ``_objective_from_assign`` value is strictly larger.
+    ``_move_gains`` screens every target of every line at once; a move it
+    shows cannot raise f_p by more than the rounding tolerance is rejected
+    without scoring, as the reference score would reject it, so the
+    trajectory is the same as scoring every move.
+    """
     row_assign = row_assign.copy()
     col_assign = col_assign.copy()
+    tol = _screen_tol(x, p)
     obj = _objective_from_assign(x, row_assign, col_assign, r, c, p)
     moved = True
     while moved:
         moved = False
-        for assign, count, k in ((row_assign, r, 0), (col_assign, c, 1)):
+        for assign, count, lines, other, other_count in (
+            (row_assign, r, x, col_assign, c),
+            (col_assign, c, x.T, row_assign, r),
+        ):
             sizes = np.bincount(assign, minlength=count)
-            for i in range(assign.size):
-                cur = assign[i]
-                if sizes[cur] == 1:
-                    continue  # moving would empty the source block
-                for tgt in range(count):
-                    if tgt == cur:
-                        continue
+            lines_idx = np.arange(assign.size)
+            gains = _move_gains(lines, assign, count, other, other_count, p)
+            i, first = 0, 0  # next line, and its first target still to try
+            while i < assign.size:
+                open_ = gains > -tol
+                open_[lines_idx, assign] = False
+                open_[sizes[assign] == 1] = False  # moving would empty the source block
+                if first == 0:
+                    ahead = np.flatnonzero(open_[i:].any(axis=1))
+                    if not ahead.size:
+                        break
+                    i += int(ahead[0])
+                cur = int(assign[i])
+                for tgt in np.flatnonzero(open_[i, first:]) + first:
+                    tgt = int(tgt)
                     assign[i] = tgt
                     val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
                     if val > obj:
                         obj = val
                         sizes[cur] -= 1
                         sizes[tgt] += 1
-                        cur = tgt
                         moved = True
-                    else:
-                        assign[i] = cur
+                        gains = _move_gains(lines, assign, count, other, other_count, p)
+                        first = tgt + 1  # later targets of this line, from the new block
+                        break
+                    assign[i] = cur
+                else:
+                    i, first = i + 1, 0
     return row_assign, col_assign, obj
 
 
@@ -200,23 +406,10 @@ def maximize(
                 f"search space {space} exceeds exhaustive limit "
                 f"{EXHAUSTIVE_SPACE_LIMIT}: use local_search"
             )
-        best_val = -np.inf
-        best: tuple[np.ndarray, np.ndarray] | None = None
-        for row_assign in _rgs_exact(n, r):
-            agg = np.zeros((r, m))
-            np.add.at(agg, row_assign, x)
-            row_sizes = np.bincount(row_assign, minlength=r).astype(float)
-            for col_assign in _rgs_exact(m, c):
-                block = np.zeros((r, c))
-                np.add.at(block.T, col_assign, agg.T)
-                sizes = np.outer(row_sizes, np.bincount(col_assign, minlength=c))
-                val = float((sizes * (np.abs(block) / sizes) ** p).sum())
-                if val > best_val:
-                    best_val = val
-                    best = (row_assign.copy(), col_assign.copy())
-        assert best is not None
-        row_assign, col_assign = best
-        obj = best_val
+        found = _exhaustive(x, r, c, p)
+        if found is None:
+            raise InvariantError("exhaustive search scored no partition (non-finite matrix?)")
+        row_assign, col_assign, obj = found
     else:
         best_run: tuple[np.ndarray, np.ndarray, float] | None = None
         for rows0 in _balanced_starts(n, r):
@@ -224,8 +417,9 @@ def maximize(
                 run = _local_search(x, r, c, p, rows0, cols0)
                 if best_run is None or run[2] > best_run[2]:
                     best_run = run
-        assert best_run is not None
         row_assign, col_assign, obj = best_run
+        if not np.isfinite(obj):
+            raise InvariantError(f"local search ended at objective {obj!r} (non-finite matrix?)")
 
     partition = TwoModePartition(
         row_blocks=_blocks_from_assign(row_assign, r),

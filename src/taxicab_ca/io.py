@@ -124,45 +124,61 @@ def load_counts_csv(path: str | Path) -> LabeledMatrix:
     return parse_counts_csv(path.read_text(encoding="utf-8"), source=str(path))
 
 
+def _raise_value_error(cells: list[str], lineno: int, source: str) -> None:
+    """Raise the positional error for the first cell of a line that is not a finite number."""
+    for j, cell in enumerate(cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{source}: non-numeric value {cell!r} at line {lineno}, position {j + 1}"
+            ) from None
+        if not np.isfinite(value):
+            raise ValueError(
+                f"{source}: non-finite value {cell!r} at line {lineno}, position {j + 1}"
+            )
+    raise ValueError(f"{source}: values numpy rejects but float() accepts at line {lineno}")
+
+
 def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
-    """Parse a 3-way array: "n m t" then n*t lines of m numbers (slab-major in t)."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse a 3-way array: "n m t" then n*t lines of m numbers (slab-major in t).
+
+    Blank lines are skipped; errors name the line of the text they are on.
+    """
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise ValueError(f"{source}: empty tensor file")
-    dims = lines[0].split()
+    dims_line, dims = lines[0][0], lines[0][1].split()
     if len(dims) != 3:
-        raise ValueError(f"{source}: line 1 must hold three dimensions 'n m t'")
+        raise ValueError(f"{source}: line {dims_line} must hold three dimensions 'n m t'")
     try:
         n, m, t = (int(d) for d in dims)
     except ValueError:
-        raise ValueError(f"{source}: non-integer dimension on line 1") from None
+        raise ValueError(f"{source}: non-integer dimension on line {dims_line}") from None
     if n < 1 or m < 1 or t < 1:
-        raise ValueError(f"{source}: dimensions must be positive")
+        raise ValueError(f"{source}: dimensions on line {dims_line} must be positive")
     expected = n * t
     if len(lines) - 1 != expected:
         raise ValueError(
             f"{source}: expected {expected} data lines, found {len(lines) - 1}"
         )
-    x = np.zeros((n, m, t))
-    for offset, line in enumerate(lines[1:]):
-        lineno = offset + 2
+    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
+    # as float() would
+    slabs = np.empty((t, n, m))
+    for (lineno, line), out in zip(lines[1:], slabs.reshape(expected, m)):
         cells = line.split()
         if len(cells) != m:
             raise ValueError(
                 f"{source}: line {lineno} has {len(cells)} values, expected {m}"
             )
-        k, i = divmod(offset, n)
-        for j, cell in enumerate(cells):
-            try:
-                x[i, j, k] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{source}: non-numeric value {cell!r} at line {lineno}, "
-                    f"position {j + 1}"
-                ) from None
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{source}: non-finite values in tensor")
-    return x
+        try:
+            out[:] = cells
+        except ValueError:
+            _raise_value_error(cells, lineno, source)
+        if not np.isfinite(out).all():
+            _raise_value_error(cells, lineno, source)
+    return np.ascontiguousarray(slabs.transpose(1, 2, 0))
 
 
 def load_tensor(path: str | Path) -> np.ndarray:

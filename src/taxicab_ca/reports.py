@@ -35,6 +35,8 @@ def _plain(obj):
     """Recursively convert numpy containers/scalars into JSON-native values."""
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):

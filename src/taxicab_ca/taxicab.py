@@ -25,6 +25,7 @@ whatever q is.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,6 +159,20 @@ def _sign_grid(width: int, start: int, stop: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+@lru_cache(maxsize=None)
+def _low_sign_grid(width: int) -> np.ndarray:
+    """The whole 2^width sign grid as read-only int8, built once per width.
+
+    The tensor kernel asks for the same width in every one of its calls.
+    Bytes, not floats, keep the cache small (at most 104 KiB for one width,
+    under 200 KiB for all the widths ``_enum_split`` can pick) so that it
+    does not pin heap memory; callers convert it to float.
+    """
+    grid = _sign_grid(width, 0, 1 << width).astype(np.int8)
+    grid.flags.writeable = False
+    return grid
+
+
 def _enum_split(n: int, q: int) -> tuple[int, int]:
     """Low-suffix width k and high prefixes per block for an n x q search.
 
@@ -184,7 +199,7 @@ def _enumerate_best(M: np.ndarray) -> tuple[float, np.ndarray]:
     """
     n, q = M.shape
     k, block = _enum_split(n, q)
-    table = M[:, q - k:] @ _sign_grid(k, 0, 1 << k).T    # (n, 2^k)
+    table = M[:, q - k:] @ _low_sign_grid(k).astype(float).T  # (n, 2^k)
     buf = np.empty_like(table)
     scores = np.empty(table.shape[1])
     m_high = M[:, :q - k]

@@ -3,6 +3,9 @@
 Everything here enumerates exhaustively with its own code paths (itertools
 products of raw sign choices, full subset lattices, recursive partition
 generation) so it shares no logic with the library implementations it checks.
+The two-mode clustering loops at the end are the exception: they are the
+library's own search as it was before its screened rewrite, kept as the
+reference whose partitions and objective bits the rewrite must reproduce.
 """
 
 from __future__ import annotations
@@ -169,3 +172,114 @@ def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
                 best_val, best = val, (s1, s2, np.where(fiber >= 0.0, 1.0, -1.0))
     signs = dict(zip((e1, e2, free), best))
     return signs[0], signs[1], signs[2]
+
+
+# The two-mode clustering search as it was before the screened rewrite: one
+# candidate at a time, each scored with np.add.at.  The library must return
+# the same partitions and the same objective bits.
+
+
+def _rgs_exact(n: int, r: int):
+    """Restricted growth strings on n elements with exactly r blocks, in order."""
+    a = np.zeros(n, dtype=int)
+
+    def rec(i: int, used: int):
+        if n - i < r - used:
+            return
+        if i == n:
+            if used == r:
+                yield a.copy()
+            return
+        for b in range(used):
+            a[i] = b
+            yield from rec(i + 1, used)
+        if used < r:
+            a[i] = used
+            yield from rec(i + 1, used + 1)
+
+    yield from rec(0, 0)
+
+
+def _objective_from_assign(
+    x: np.ndarray, row_assign: np.ndarray, col_assign: np.ndarray,
+    r: int, c: int, p: float,
+) -> float:
+    block = np.zeros((r, c))
+    np.add.at(block, (row_assign[:, None], col_assign[None, :]), x)
+    sizes = np.outer(np.bincount(row_assign, minlength=r),
+                     np.bincount(col_assign, minlength=c)).astype(float)
+    return float((sizes * (np.abs(block) / sizes) ** p).sum())
+
+
+def loop_exhaustive(x: np.ndarray, r: int, c: int, p: float):
+    """First maximizer (row labels, column labels, objective) in RGS order."""
+    n, m = x.shape
+    best_val = -np.inf
+    best = None
+    for row_assign in _rgs_exact(n, r):
+        agg = np.zeros((r, m))
+        np.add.at(agg, row_assign, x)
+        row_sizes = np.bincount(row_assign, minlength=r).astype(float)
+        for col_assign in _rgs_exact(m, c):
+            block = np.zeros((r, c))
+            np.add.at(block.T, col_assign, agg.T)
+            sizes = np.outer(row_sizes, np.bincount(col_assign, minlength=c))
+            val = float((sizes * (np.abs(block) / sizes) ** p).sum())
+            if val > best_val:
+                best_val = val
+                best = (row_assign.copy(), col_assign.copy())
+    row_assign, col_assign = best
+    return row_assign, col_assign, best_val
+
+
+def _local_search(
+    x: np.ndarray, r: int, c: int, p: float,
+    row_assign: np.ndarray, col_assign: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    row_assign = row_assign.copy()
+    col_assign = col_assign.copy()
+    obj = _objective_from_assign(x, row_assign, col_assign, r, c, p)
+    moved = True
+    while moved:
+        moved = False
+        for assign, count, k in ((row_assign, r, 0), (col_assign, c, 1)):
+            sizes = np.bincount(assign, minlength=count)
+            for i in range(assign.size):
+                cur = assign[i]
+                if sizes[cur] == 1:
+                    continue  # moving would empty the source block
+                for tgt in range(count):
+                    if tgt == cur:
+                        continue
+                    assign[i] = tgt
+                    val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
+                    if val > obj:
+                        obj = val
+                        sizes[cur] -= 1
+                        sizes[tgt] += 1
+                        cur = tgt
+                        moved = True
+                    else:
+                        assign[i] = cur
+    return row_assign, col_assign, obj
+
+
+def _balanced_starts(size: int, blocks: int) -> list[np.ndarray]:
+    contiguous = (np.arange(size) * blocks) // size
+    strided = np.arange(size) % blocks
+    starts = [contiguous]
+    if not np.array_equal(contiguous, strided):
+        starts.append(strided)
+    return starts
+
+
+def loop_local_search(x: np.ndarray, r: int, c: int, p: float):
+    """Best (row labels, column labels, objective) over the balanced starts."""
+    n, m = x.shape
+    best_run = None
+    for rows0 in _balanced_starts(n, r):
+        for cols0 in _balanced_starts(m, c):
+            run = _local_search(x, r, c, p, rows0, cols0)
+            if best_run is None or run[2] > best_run[2]:
+                best_run = run
+    return best_run

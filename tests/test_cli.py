@@ -25,6 +25,12 @@ class TestTcaCommand:
         assert len(report.results["axes"]) == 2
         assert report.results["axes"][0]["delta"] == pytest.approx(0.5328, abs=5e-4)
 
+    def test_flags_are_json_booleans(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        run(["tca", "--dataset", "asbestos", "--axes", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert json.loads(out.read_text())["results"]["axes"][0]["exact"] is True
+
     def test_zero_axes(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run(["tca", "--dataset", "asbestos", "--axes", "0", "--out", str(out)])
@@ -124,6 +130,7 @@ class TestDispersionCommand:
         assert report.results["d"] == pytest.approx(
             np.abs(values - values.mean()).sum() / 5
         )
+        assert report.results["degenerate"] is False
 
     def test_missing_column(self, capsys):
         code = run(["dispersion", "--dataset", "asbestos", "--column", "XX"])
@@ -142,6 +149,7 @@ class TestTensorCommand:
         assert code == 0
         report = _read_report(out)
         assert report.results["delta"] == pytest.approx(8.0)
+        assert report.results["exact"] is True
 
     def test_malformed_dims_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.txt"

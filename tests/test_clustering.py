@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_two_mode_best, random_double_centered
+from oracles import (
+    _rgs_exact,
+    brute_two_mode_best,
+    loop_exhaustive,
+    loop_local_search,
+    random_double_centered,
+)
+from taxicab_ca import clustering
 from taxicab_ca.clustering import TwoModePartition, maximize, objective
-from taxicab_ca.residual import ResidualMatrix, correspondence_residual
+from taxicab_ca.residual import ResidualMatrix, correspondence_residual, from_counts
 from taxicab_ca.taxicab import norm_exact
 
 
@@ -111,6 +122,13 @@ class TestMaximize:
                 gap_count += 1
         print(f"local search optimality gaps: {gap_count}/20")
 
+    def test_tall_table_counts_its_search_space(self):
+        # counting the set partitions of 1200 rows must not recurse 1200 calls deep
+        X = _rand_residual(np.random.default_rng(52), 1200, 4)
+        res = maximize(X, 2, 2, p=1.0)
+        assert res.method == "local_search"
+        assert clustering._stirling2(1200, 2) == 2**1199 - 1
+
     def test_local_search_blocks_nonempty(self):
         rng = np.random.default_rng(47)
         X = _rand_residual(rng, 7, 6)
@@ -130,3 +148,117 @@ class TestTaxicabBridge:
             res = maximize(X, 2, 2, p=1.0)
             axis = norm_exact(X)
             assert res.objective == pytest.approx(axis.delta, rel=1e-10, abs=1e-10)
+
+
+def _double_center(y: np.ndarray) -> np.ndarray:
+    return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
+
+
+@st.composite
+def _tie_prone_residuals(draw):
+    """Small double-centered matrices with duplicate and all-zero rows and columns.
+
+    Centering keeps duplicate lines of y duplicate; a zero line inserted into
+    a centered matrix keeps it centered.  Small integers make exact ties common.
+    """
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.integers(-3, 3).map(float) if draw(st.booleans()) else st.floats(-1, 1)
+    y = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m))).reshape(n, m)
+    if m > 1 and draw(st.booleans()):
+        y[:, -1] = y[:, 0]
+    if n > 1 and draw(st.booleans()):
+        y[-1] = y[0]
+    x = _double_center(y)
+    if draw(st.booleans()):
+        x = np.insert(x, draw(st.integers(0, n)), 0.0, axis=0)
+    if draw(st.booleans()):
+        x = np.insert(x, draw(st.integers(0, m)), 0.0, axis=1)
+    return x
+
+
+def _same_as_oracle(res, oracle, r: int, c: int) -> None:
+    rows, cols, obj = oracle
+    assert repr(res.objective) == repr(obj)
+    assert res.partition.row_blocks == clustering._blocks_from_assign(rows, r)
+    assert res.partition.col_blocks == clustering._blocks_from_assign(cols, c)
+
+
+class TestScreenedSearch:
+    """The screened searches return the one-candidate-at-a-time loops' results, bit for bit."""
+
+    def test_rgs_range_matches_recursive_order(self):
+        for n in range(1, 8):
+            for r in range(1, n + 1):
+                counts = clustering._rgs_counts(n, r)
+                total = int(counts[1, n - 1])
+                assert total == clustering._stirling2(n, r)
+                expected = np.array(list(_rgs_exact(n, r)))
+                np.testing.assert_array_equal(clustering._rgs_range(counts, 0, total), expected)
+                mid = total // 2
+                np.testing.assert_array_equal(
+                    clustering._rgs_range(counts, mid, total), expected[mid:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+           p=st.sampled_from([1.0, 1.5, 2.0]))
+    def test_exhaustive_matches_loop(self, x, r, c, p):
+        r, c = min(r, x.shape[0]), min(c, x.shape[1])
+        res = maximize(ResidualMatrix(x=x), r, c, p=p, method="exhaustive")
+        _same_as_oracle(res, loop_exhaustive(x, r, c, p), r, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+           p=st.sampled_from([1.0, 1.5, 2.0]))
+    def test_local_search_matches_loop(self, x, r, c, p):
+        r, c = min(r, x.shape[0]), min(c, x.shape[1])
+        res = maximize(ResidualMatrix(x=x), r, c, p=p, method="local_search")
+        _same_as_oracle(res, loop_local_search(x, r, c, p), r, c)
+
+    @pytest.mark.parametrize("budget", [64, 1024])
+    def test_chunked_screen_matches_loop(self, monkeypatch, budget):
+        # budgets this small split the column stack, screen several row
+        # partitions per column chunk, and regenerate the column labels
+        monkeypatch.setattr(clustering, "_SCREEN_BYTES", budget)
+        rng = np.random.default_rng(49)
+        for k in range(12):
+            n, m = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+            x = random_double_centered(rng, n, m)
+            r, c, p = 2 + k % 2, 3 - k % 2, (1.0, 1.5, 2.0)[k % 3]
+            res = maximize(ResidualMatrix(x=x), r, c, p=p, method="exhaustive")
+            _same_as_oracle(res, loop_exhaustive(x, r, c, p), r, c)
+        # cells in {-1, 0, 1}: many partitions tie exactly, and the earliest
+        # of them must win although the chunks are not screened in that order
+        for _ in range(60):
+            n, m = 3, int(rng.integers(4, 7))
+            x = np.zeros((n, m))
+            x[:-1, :-1] = rng.integers(-1, 2, size=(n - 1, m - 1))
+            x[:-1, -1] = -x[:-1, :-1].sum(axis=1)
+            x[-1] = -x[:-1].sum(axis=0)
+            res = maximize(ResidualMatrix(x=x), 2, 2, p=1.0, method="exhaustive")
+            _same_as_oracle(res, loop_exhaustive(x, 2, 2, 1.0), 2, 2)
+
+    def test_local_search_matches_loop_on_larger_tables(self):
+        rng = np.random.default_rng(50)
+        for p in (1.0, 1.5, 2.0):
+            counts = rng.poisson(3.0, size=(14, 11)).astype(float) + 1.0
+            counts[:, 3] = counts[:, 7]
+            x = correspondence_residual(from_counts(counts)).x
+            res = maximize(ResidualMatrix(x=x), 4, 3, p=p, method="local_search")
+            _same_as_oracle(res, loop_local_search(x, 4, 3, p), 4, 3)
+
+    def test_zero_matrix_keeps_first_partition(self):
+        x = np.zeros((5, 4))
+        for method, oracle in (("exhaustive", loop_exhaustive), ("local_search", loop_local_search)):
+            res = maximize(ResidualMatrix(x=x), 2, 3, p=1.5, method=method)
+            _same_as_oracle(res, oracle(x, 2, 3, 1.5), 2, 3)
+
+    def test_exhaustive_memory_is_bounded(self):
+        # 9330 x 966 = 9.0M candidates; the screen works in fixed-size blocks
+        X = _rand_residual(np.random.default_rng(51), 10, 8)
+        tracemalloc.start()
+        try:
+            maximize(X, 3, 3, p=1.0, method="exhaustive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

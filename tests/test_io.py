@@ -205,6 +205,56 @@ class TestTensorFormat:
             parse_tensor("1 2 1\nx 2\n")
 
 
+_bad_tokens = st.text(min_size=1, max_size=6).filter(
+    lambda s: s.split() == [s] and not _parses(s))
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+class TestTensorFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)), st.data())
+    def test_format_round_trips_bits(self, shape, data):
+        size = shape[0] * shape[1] * shape[2]
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=size, max_size=size))
+        x = np.array(values).reshape(shape)
+        again = parse_tensor(format_tensor(x))
+        assert again.shape == shape
+        assert again.tobytes() == x.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), st.data())
+    def test_malformed_line_is_named(self, shape, data):
+        n, m, t = shape
+        lines = format_tensor(np.arange(n * m * t, dtype=float).reshape(shape)).splitlines()
+        broken = data.draw(st.integers(1, n * t))
+        cells = lines[broken].split()
+        kind = data.draw(st.sampled_from(["token", "non-finite", "extra", "missing"]))
+        if kind == "missing" and m > 1:
+            del cells[data.draw(st.integers(0, m - 1))]
+        elif kind in ("token", "non-finite"):
+            bad = _bad_tokens if kind == "token" else st.sampled_from(
+                ["nan", "-inf", "Infinity", "1e400"])
+            cells[data.draw(st.integers(0, m - 1))] = data.draw(bad)
+        else:
+            cells.append("1.0")
+        lines[broken] = " ".join(cells)
+        # blank lines do not count as data but do count in the line numbers
+        for at in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)),
+                         reverse=True):
+            lines.insert(at, "  ")
+            broken += at <= broken
+        with pytest.raises(ValueError, match=rf"line {broken + 1}\b"):
+            parse_tensor("\n".join(lines) + "\n")
+
+
 class TestReportRoundTrip:
     def test_identity(self):
         report = AnalysisReport(

@@ -167,13 +167,21 @@ class TestEnumerationKernel:
         assert peak < 32 * 2**20
 
 
+class TestLowSignGrid:
+    def test_built_once_per_width_and_read_only(self):
+        grid = taxicab._low_sign_grid(5)
+        assert taxicab._low_sign_grid(5) is grid
+        assert not grid.flags.writeable
+        np.testing.assert_array_equal(grid, taxicab._sign_grid(5, 0, 32))
+
+
 class TestInvariantErrors:
     """Invariant checks raise real exceptions, also with assertions stripped."""
 
     def test_raised_under_optimize_flag(self):
         script = textwrap.dedent("""
             import numpy as np
-            from taxicab_ca import taxicab, tensor
+            from taxicab_ca import clustering, taxicab, tensor
             from taxicab_ca.residual import ResidualMatrix, Tensor3
 
             assert False, "assertions must be stripped under -O"
@@ -191,6 +199,10 @@ class TestInvariantErrors:
                     unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
                 "tensor_heuristic": lambda: tensor.tensor_norm_heuristic(
                     unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
+                "cluster_exhaustive": lambda: clustering.maximize(
+                    unchecked(ResidualMatrix, nan), 2, 2, method="exhaustive"),
+                "cluster_local_search": lambda: clustering.maximize(
+                    unchecked(ResidualMatrix, nan), 2, 2, method="local_search"),
             }
             real = taxicab._seriation_from_axis
             def skewed(X, axis):
@@ -212,7 +224,7 @@ class TestInvariantErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("raised:") == 5
+        assert proc.stdout.count("raised:") == 7
 
 
 class TestNormHeuristic:
