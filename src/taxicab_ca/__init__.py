@@ -9,7 +9,6 @@ correspondence analysis, and maximal-interaction two-mode clustering.
 from .ca_classic import (
     CaDecomposition,
     CaTcaComparison,
-    SvdConvergenceError,
     ca,
     compare_ca_tca,
     jacobi_svd,
@@ -21,7 +20,6 @@ from .dispersion import (
     center,
     cut_norm_vec,
     gain_d,
-    gain_lad,
     gain_s,
     lad,
     mad_mean,
@@ -71,7 +69,6 @@ __all__ = [
     "LabeledMatrix",
     "ResidualMatrix",
     "SeriationReport",
-    "SvdConvergenceError",
     "TaxicabAxis",
     "TcaDecomposition",
     "Tensor3",
@@ -87,7 +84,6 @@ __all__ = [
     "deflate",
     "from_counts",
     "gain_d",
-    "gain_lad",
     "gain_s",
     "jacobi_svd",
     "lad",

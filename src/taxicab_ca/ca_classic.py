@@ -1,4 +1,4 @@
-"""Classical correspondence analysis via a one-sided Jacobi SVD.
+"""Classical correspondence analysis via LAPACK's SVD.
 
 Standard CA: singular value decomposition of the standardized residuals
 s_ij = (p_ij - p_i* p_*j) / sqrt(p_i* p_*j), factor scores scaled by the
@@ -21,93 +21,33 @@ __all__ = [
     "CaDecomposition",
     "CaTcaComparison",
     "PointComparison",
-    "SvdConvergenceError",
     "ca",
     "compare_ca_tca",
     "jacobi_svd",
 ]
 
-_SVD_TOL = 1e-12
-_MAX_SWEEPS = 60
+# CA singular values are canonical correlations in [0, 1]; below this they are
+# rounding noise, whatever the first one is
 _RANK_TOL = 1e-12
 
 
-class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before off-diagonal entries vanished."""
+def jacobi_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact SVD M = U diag(s) V' (k = min(n, m)), singular values descending.
 
-
-def jacobi_svd(
-    M: np.ndarray, tol: float = _SVD_TOL, max_sweeps: int = _MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact SVD M = U diag(s) V' by one-sided Jacobi rotations.
-
-    Columns are rotated pairwise until every off-diagonal Gram entry falls
-    below ``tol`` times the Frobenius norm of M.  Singular values come out
-    descending; U and V have orthonormal columns (k = min(n, m)).
-
-    Raises:
-        SvdConvergenceError: if not converged after ``max_sweeps`` sweeps.
+    The name is historical: the decomposition is LAPACK's ``np.linalg.svd``,
+    which replaced a one-sided Jacobi routine.  Each axis is signed so that the
+    largest |entry| of its column of V is positive (the first one on ties), as
+    ``taxicab._canonical_state`` makes the largest |b| of a TCA axis positive.
+    Raises ValueError on empty, non-2-d or non-finite input.
     """
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("input must be a nonempty 2-d array")
     if not np.all(np.isfinite(A)):
         raise ValueError("input contains non-finite values")
-    n, m = A.shape
-    if n < m:
-        V, s, U = jacobi_svd(A.T, tol=tol, max_sweeps=max_sweeps)
-        return U, s, V
-
-    norm = float(np.linalg.norm(A))
-    thresh = tol * norm
-    V = np.eye(m)
-    converged = norm == 0.0
-    sweeps = 0
-    while not converged:
-        if sweeps >= max_sweeps:
-            raise SvdConvergenceError(f"no convergence after {sweeps} sweeps")
-        sweeps += 1
-        converged = True
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = float(A[:, p] @ A[:, q])
-                if abs(apq) <= thresh:
-                    continue
-                converged = False
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) if zeta != 0 else 1.0
-                t /= abs(zeta) + np.hypot(1.0, zeta)
-                c = 1.0 / np.hypot(1.0, t)
-                s_ = c * t
-                col_p = A[:, p].copy()
-                A[:, p] = c * col_p - s_ * A[:, q]
-                A[:, q] = s_ * col_p + c * A[:, q]
-                col_p = V[:, p].copy()
-                V[:, p] = c * col_p - s_ * V[:, q]
-                V[:, q] = s_ * col_p + c * V[:, q]
-
-    s = np.linalg.norm(A, axis=0)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    A = A[:, order]
-    V = V[:, order]
-    U = np.zeros_like(A)
-    # columns at the numerical-rank floor are noise; rebuild them orthonormally
-    nonzero = s > (_RANK_TOL * s[0] if s.size and s[0] > 0 else 0.0)
-    U[:, nonzero] = A[:, nonzero] / s[nonzero]
-    # orthonormal completion for null columns, deterministic over the standard basis
-    for j in np.flatnonzero(~nonzero):
-        for k in range(n):
-            cand = np.zeros(n)
-            cand[k] = 1.0
-            cand -= U @ (U.T @ cand)
-            norm_c = float(np.linalg.norm(cand))
-            if norm_c > 0.5:
-                U[:, j] = cand / norm_c
-                break
-    return U, s, V
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    signs = np.sign(Vt[np.arange(s.size), np.argmax(np.abs(Vt), axis=1)])
+    return U * signs, s, Vt.T * signs
 
 
 @dataclass(frozen=True)
@@ -142,10 +82,7 @@ def ca(P: CorrespondenceMatrix, max_axes: int | None = None) -> CaDecomposition:
     S = (P.p - expected) / np.sqrt(expected)
     total_inertia = float((S**2).sum())
     U, s, V = jacobi_svd(S)
-    if s.size and s[0] > 0:
-        keep = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    else:
-        keep = 0
+    keep = int(np.count_nonzero(s > _RANK_TOL))
     if max_axes is not None:
         keep = min(keep, max_axes)
     U, s, V = U[:, :keep], s[:keep], V[:, :keep]
@@ -153,9 +90,9 @@ def ca(P: CorrespondenceMatrix, max_axes: int | None = None) -> CaDecomposition:
     inv_sqrt_c = 1.0 / np.sqrt(P.col_masses)
     row_scores = (s[None, :] * U * inv_sqrt_r[:, None]).T
     col_scores = (s[None, :] * V * inv_sqrt_c[:, None]).T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        row_ctr = P.row_masses[None, :] * row_scores**2 / (s**2)[:, None]
-        col_ctr = P.col_masses[None, :] * col_scores**2 / (s**2)[:, None]
+    # every kept axis has s > _RANK_TOL, so the divisions are safe
+    row_ctr = P.row_masses[None, :] * row_scores**2 / (s**2)[:, None]
+    col_ctr = P.col_masses[None, :] * col_scores**2 / (s**2)[:, None]
     return CaDecomposition(
         singular_values=s,
         principal_inertias=s**2,

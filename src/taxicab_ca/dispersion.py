@@ -16,14 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .residual import CENTERING_TOL
+
 __all__ = [
-    "CENTERING_TOL",
     "HEAVYWEIGHT_TOL",
     "DispersionReport",
     "center",
     "cut_norm_vec",
     "gain_d",
-    "gain_lad",
     "gain_s",
     "lad",
     "mad_mean",
@@ -33,7 +33,6 @@ __all__ = [
     "variance_and_std",
 ]
 
-CENTERING_TOL = 1e-10
 HEAVYWEIGHT_TOL = 1e-10
 
 
@@ -77,7 +76,10 @@ def median(values: Sequence[float] | np.ndarray) -> float:
 
 
 def lad(values: Sequence[float] | np.ndarray) -> float:
-    """Mean absolute deviation about the median: sum |y_i - median| / n."""
+    """Mean absolute deviation about the median: sum |y_i - median| / n.
+
+    Also the gain maximum of (y - median 1)'u/n over sign vectors u.
+    """
     y = _as_sample(values)
     return float(np.abs(y - median(y)).sum() / y.size)
 
@@ -129,12 +131,6 @@ def gain_d(
     x = np.asarray(x, dtype=float).reshape(-1)
     value, _ = cut_norm_vec(x, tol)
     return 2.0 * value / x.size, sign_pm(x)
-
-
-def gain_lad(values: Sequence[float] | np.ndarray) -> float:
-    """Maximum of (y - median 1)'u/n over sign vectors u; equals ``lad``."""
-    y = _as_sample(values)
-    return float(np.abs(y - median(y)).sum() / y.size)
 
 
 def gain_s(values: Sequence[float] | np.ndarray) -> float:

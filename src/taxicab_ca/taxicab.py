@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import sign_pm
+from .dispersion import HEAVYWEIGHT_TOL, sign_pm
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 
 EXACT_ENUM_LIMIT = 22
 STOP_TOL = 1e-12          # axis cutoff relative to the first dispersion
-HEAVYWEIGHT_TOL = 1e-10
 INDETERMINATE_TOL = 1e-9  # |projection| below this (relative to delta) has arbitrary sign
 _IDENTITY_TOL = 1e-10
 _ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
