@@ -52,7 +52,13 @@ from .taxicab import (
     seriate,
     tca,
 )
-from .tensor import TensorAxis, octant_report, tensor_norm_exact, tensor_norm_heuristic
+from .tensor import (
+    TensorAxis,
+    octant_report,
+    tensor_norm,
+    tensor_norm_exact,
+    tensor_norm_heuristic,
+)
 
 __version__ = "0.1.0"
 
@@ -101,6 +107,7 @@ __all__ = [
     "render_map",
     "seriate",
     "tca",
+    "tensor_norm",
     "tensor_norm_exact",
     "tensor_norm_heuristic",
     "triple_center",

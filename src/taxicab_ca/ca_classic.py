@@ -142,6 +142,9 @@ def compare_ca_tca(
         row_labels = tuple(f"row{i}" for i in range(n))
     if col_labels is None:
         col_labels = tuple(f"col{j}" for j in range(m))
+    for name, labels, size in (("row", row_labels, n), ("column", col_labels, m)):
+        if len(labels) != size:
+            raise ValueError(f"expected {size} {name} labels, got {len(labels)}")
     ca_dec = ca(P, max_axes=axis)
     tca_dec = tca(P, max_axes=axis)
     if ca_dec.n_axes < axis or len(tca_dec.axes) < axis:

@@ -28,7 +28,7 @@ from .taxicab import (
     seriate,
     tca,
 )
-from .tensor import TENSOR_ENUM_LIMIT, octant_report, tensor_norm_exact, tensor_norm_heuristic
+from .tensor import TENSOR_ENUM_LIMIT, octant_report, tensor_norm
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -227,11 +227,7 @@ def _cmd_tensor(args: argparse.Namespace) -> _reports.AnalysisReport:
     raw = path.read_bytes()
     arr = parse_tensor(raw.decode("utf-8"), source=str(path))
     T = triple_center(arr)
-    sizes = sorted(T.shape)
-    if sizes[0] + sizes[1] <= TENSOR_ENUM_LIMIT:
-        axis = tensor_norm_exact(T)
-    else:
-        axis = tensor_norm_heuristic(T)
+    axis = tensor_norm(T)
     octants = octant_report(T, axis)
     report = _reports.build_tensor_report(
         axis, octants, T.shape, args.file,

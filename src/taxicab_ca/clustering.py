@@ -20,17 +20,17 @@ whatever S(n, r) S(m, c) is.  Only candidates within a rounding tolerance of
 the block's best are rescored with the reference arithmetic, and the earliest
 of the best rescored candidates wins.  Local search keeps the block sums and
 each line's sums over the other mode's blocks.  From them it screens every
-move of every line in O(r c), and scores with ``_objective_from_assign`` only
-the moves the screen cannot rule out.  Either way the partitions and the
-objective bits are those of scoring every candidate with the reference
-arithmetic; the tolerance (``_screen_tol``) bounds the rounding gap between
-the two.
+move of every line in O(r c), and rescores only the moves the screen cannot
+rule out.  The reference arithmetic is ``_objective_from_assign``, the one
+scorer that ``objective()`` also uses, so a result's objective is bit for bit
+the ``objective()`` of its partition.  Either way the partitions and the
+objective bits are those of scoring every candidate with it; the tolerance
+(``_screen_tol``) bounds the rounding gap between the screens and it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,8 +98,8 @@ def _objective_from_assign(
 
 def objective(X: ResidualMatrix, partition: TwoModePartition, p: float = 1.0) -> float:
     """Overall interaction f_p of a partition; at p=1 the sum of |block sums|."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     n, m = X.shape
     row_assign = _assignments(partition.row_blocks, n, "row")
     col_assign = _assignments(partition.col_blocks, m, "column")
@@ -116,23 +116,13 @@ class ClusteringResult:
     method: str
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, r: int) -> int:
-    """Partitions of n items into r nonempty blocks, by rows of the recurrence."""
-    row = [1] + [0] * r  # S(0, j) for j = 0..r
-    for i in range(1, n + 1):
-        for j in range(min(i, r), 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[r]
-
-
 def _rgs_counts(n: int, r: int) -> np.ndarray:
     """``counts[u, k]``: ways to finish a restricted growth string that has u
     labels in use and k entries left so that exactly r labels appear.
 
-    Cells whose count cannot fit are capped; they belong to prefixes no
-    string in an enumerable search space has.
+    Counts are capped at 2**62, so ``counts[1, n - 1]`` is min(S(n, r), 2**62);
+    the other capped cells belong to prefixes no string in an enumerable
+    search space has.
     """
     counts = [[0] * n for _ in range(r + 2)]
     counts[r][0] = 1
@@ -187,9 +177,11 @@ def _screen_tol(x: np.ndarray, p: float) -> float:
     n*m*eps*S; through the term s (|b|/s)^p that moves f_p by at most p times
     as much in units of the block's sum of |x|^p (Hoelder), and the terms'
     own rounding is relative to f_p <= sum |x|^p.  The floor leaves room.
+    Both values lie in [0, sum |x|^p], so a relative bound past 1 (a huge p)
+    is capped there.
     """
     n, m = x.shape
-    rel = max(_SCREEN_RTOL, 32 * p * n * m * np.finfo(float).eps)
+    rel = min(max(_SCREEN_RTOL, 32 * p * n * m * np.finfo(float).eps), 1.0)
     return rel * float((np.abs(x) ** p).sum())
 
 
@@ -198,36 +190,24 @@ def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels[..., None, :] == np.arange(k)[:, None]).astype(float)
 
 
-def _partition_score(
-    x: np.ndarray, row_assign: np.ndarray, col_assign: np.ndarray,
-    r: int, c: int, p: float,
-) -> float:
-    """f_p of one candidate as the exhaustive search has always summed it."""
-    agg = np.zeros((r, x.shape[1]))
-    np.add.at(agg, row_assign, x)
-    row_sizes = np.bincount(row_assign, minlength=r).astype(float)
-    block = np.zeros((r, c))
-    np.add.at(block.T, col_assign, agg.T)
-    sizes = np.outer(row_sizes, np.bincount(col_assign, minlength=c))
-    return float((sizes * (np.abs(block) / sizes) ** p).sum())
-
-
 def _exhaustive(
-    x: np.ndarray, r: int, c: int, p: float
+    x: np.ndarray, r: int, c: int, p: float,
+    row_counts: np.ndarray, col_counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """First maximizer of f_p in (row RGS, column RGS) order, or None if none scores.
 
-    A screen scores a block of candidates at once: one matmul of the
-    row-block aggregates with the column indicator stack gives every block
-    sum.  Only candidates within 2 * tol of the block's top that might still
-    beat the incumbent are scored with ``_partition_score``, and the
-    incumbent is the largest score, the earliest candidate on ties, so the
-    winner and its objective bits are those of scoring every candidate with
-    ``_partition_score`` in enumeration order under the strict ``>`` rule.
+    ``row_counts`` and ``col_counts`` are the ``_rgs_counts`` tables of the
+    two modes.  A screen scores a block of candidates at once: one matmul of
+    the row-block aggregates with the column indicator stack gives every
+    block sum.  Only candidates within 2 * tol of the block's top that might
+    still beat the incumbent are scored with ``_objective_from_assign``, and
+    the incumbent is the largest score, the earliest candidate on ties, so
+    the winner and its objective bits are those of scoring every candidate
+    with ``_objective_from_assign`` in enumeration order under the strict
+    ``>`` rule.
     """
     n, m = x.shape
     tol = _screen_tol(x, p)
-    row_counts, col_counts = _rgs_counts(n, r), _rgs_counts(m, c)
     n_rows, n_cols = int(row_counts[1, n - 1]), int(col_counts[1, m - 1])
     if 8 * m * c * n_cols <= _SCREEN_BYTES:  # the whole column stack is built once
         cols_per = n_cols
@@ -283,7 +263,7 @@ def _exhaustive(
                     idx = first + b * n_cols + s
                     if not may_win(scores[b, s], idx):
                         continue
-                    val = _partition_score(x, rows[b], cols[s], r, c, p)
+                    val = _objective_from_assign(x, rows[b], cols[s], r, c, p)
                     if val > best_val or (val == best_val and idx < best_idx):
                         best_val, best_idx = val, idx
                         best = (rows[b].copy(), cols[s].copy(), val)
@@ -391,9 +371,10 @@ def maximize(
         raise ValueError(f"r must be in [1, {n}]")
     if not 1 <= c <= m:
         raise ValueError(f"c must be in [1, {m}]")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    space = _stirling2(n, r) * _stirling2(m, c)
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    row_counts, col_counts = _rgs_counts(n, r), _rgs_counts(m, c)
+    space = int(row_counts[1, n - 1]) * int(col_counts[1, m - 1])
     if method == "auto":
         method = "exhaustive" if space <= EXHAUSTIVE_SPACE_LIMIT else "local_search"
     if method not in ("exhaustive", "local_search"):
@@ -406,7 +387,7 @@ def maximize(
                 f"search space {space} exceeds exhaustive limit "
                 f"{EXHAUSTIVE_SPACE_LIMIT}: use local_search"
             )
-        found = _exhaustive(x, r, c, p)
+        found = _exhaustive(x, r, c, p, row_counts, col_counts)
         if found is None:
             raise InvariantError("exhaustive search scored no partition (non-finite matrix?)")
         row_assign, col_assign, obj = found

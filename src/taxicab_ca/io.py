@@ -163,15 +163,22 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
         raise ValueError(
             f"{source}: expected {expected} data lines, found {len(lines) - 1}"
         )
-    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
-    # as float() would
-    slabs = np.empty((t, n, m))
-    for (lineno, line), out in zip(lines[1:], slabs.reshape(expected, m)):
+
+    def cells_of(lineno: int, line: str) -> list[str]:
         cells = line.split()
         if len(cells) != m:
             raise ValueError(
                 f"{source}: line {lineno} has {len(cells)} values, expected {m}"
             )
+        return cells
+
+    # one line checked before allocating keeps the array within the file's size
+    cells_of(*lines[1])
+    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
+    # as float() would
+    slabs = np.empty((t, n, m))
+    for (lineno, line), out in zip(lines[1:], slabs.reshape(expected, m)):
+        cells = cells_of(lineno, line)
         try:
             out[:] = cells
         except ValueError:

@@ -10,7 +10,7 @@ to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class ResidualMatrix:
 
     x: np.ndarray
     kind: str = "additive"
-    centering_tolerance: float = CENTERING_TOL
 
     _KINDS = ("multiplicative", "additive", "deflated")
 
@@ -133,8 +132,8 @@ class ResidualMatrix:
         if not np.all(np.isfinite(x)):
             raise ValueError("residual matrix contains non-finite values")
         mass = float(np.abs(x).sum())
-        if mass > self.centering_tolerance:
-            if _max_line_sum(x) > self.centering_tolerance * mass:
+        if mass > CENTERING_TOL:
+            if _max_line_sum(x) > CENTERING_TOL * mass:
                 raise ValueError("matrix is not double-centered")
 
     @property
@@ -164,7 +163,6 @@ class Tensor3:
     """Triple-centered 3-way array: all mode-wise fiber sums are zero."""
 
     x: np.ndarray
-    centering_tolerance: float = CENTERING_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _readonly(self.x))
@@ -174,11 +172,11 @@ class Tensor3:
         if not np.all(np.isfinite(x)):
             raise ValueError("tensor contains non-finite values")
         mass = float(np.abs(x).sum())
-        if mass > self.centering_tolerance:
+        if mass > CENTERING_TOL:
             worst = max(
                 float(np.abs(x.sum(axis=axis)).max()) for axis in range(3)
             )
-            if worst > self.centering_tolerance * mass:
+            if worst > CENTERING_TOL * mass:
                 raise ValueError("tensor is not triple-centered")
 
     @property

@@ -54,6 +54,9 @@ EXACT_ENUM_LIMIT = 22
 STOP_TOL = 1e-12          # axis cutoff relative to the first dispersion
 INDETERMINATE_TOL = 1e-9  # |projection| below this (relative to delta) has arbitrary sign
 _IDENTITY_TOL = 1e-10
+# rounding slack, times 1 + value, within which a sign-ascent step (or an axis
+# flip) counts as not lowering the value
+_ASCENT_SLACK = 1e-12
 _ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
 
 
@@ -237,7 +240,7 @@ def _transition_fixed_point(
         a = x @ u
         v = sign_pm(a)
         delta = float(np.abs(a).sum())
-        if not delta >= delta_prev - 1e-12 * (1.0 + delta):
+        if not delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta):
             raise InvariantError(f"dispersion decreased from {delta_prev!r} to {delta!r}")
         delta_prev = delta
         b = x.T @ v
@@ -264,7 +267,7 @@ def _canonical_state(
         if b[j] >= 0.0:
             break
         flipped = _transition_fixed_point(x, -u)
-        if flipped[4] < delta - 1e-12 * (1.0 + delta):
+        if flipped[4] < delta - _ASCENT_SLACK * (1.0 + delta):
             break
         u, v, a, b, delta = flipped
     return u, v, a, b, delta
@@ -352,8 +355,7 @@ def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
     if axis.delta <= 0.0:
         raise ValueError("cannot deflate null axis")
     x = X.x - np.outer(axis.a, axis.b) / axis.delta
-    return ResidualMatrix(x=x, kind="deflated",
-                          centering_tolerance=X.centering_tolerance)
+    return ResidualMatrix(x=x, kind="deflated")
 
 
 def tca(

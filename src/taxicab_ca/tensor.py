@@ -16,6 +16,7 @@ import numpy as np
 from .dispersion import sign_pm
 from .residual import Tensor3
 from .taxicab import (
+    _ASCENT_SLACK,
     _ENUM_BLOCK_BYTES,
     _IDENTITY_TOL,
     EnumerationBudgetError,
@@ -29,6 +30,7 @@ __all__ = [
     "OctantReport",
     "TensorAxis",
     "octant_report",
+    "tensor_norm",
     "tensor_norm_exact",
     "tensor_norm_heuristic",
 ]
@@ -159,7 +161,7 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
             fiber = np.einsum("ijk,i,j->k", x, u, v)
             w = sign_pm(fiber)
             delta = float(np.abs(fiber).sum())
-            if not delta >= delta_prev - 1e-12 * (1.0 + delta):
+            if not delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta):
                 raise InvariantError(f"trilinear value decreased from {delta_prev!r} to {delta!r}")
             delta_prev = delta
             key = (u.tobytes(), v.tobytes(), w.tobytes())
@@ -172,6 +174,15 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
         raise InvariantError("no restart produced a fixed point")
     _, u, v, w = best
     return _axis_from_signs(x, u, v, w, exact=False)
+
+
+def tensor_norm(X: Tensor3) -> TensorAxis:
+    """Tensor sign norm, exact when the two smallest mode sizes sum to at most
+    ``TENSOR_ENUM_LIMIT`` and the heuristic lower bound otherwise."""
+    q1, q2, _ = sorted(X.shape)
+    if q1 + q2 <= TENSOR_ENUM_LIMIT:
+        return tensor_norm_exact(X)
+    return tensor_norm_heuristic(X)
 
 
 def octant_report(X: Tensor3, axis: TensorAxis) -> OctantReport:

@@ -175,8 +175,9 @@ def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # The two-mode clustering search as it was before the screened rewrite: one
-# candidate at a time, each scored with np.add.at.  The library must return
-# the same partitions and the same objective bits.
+# candidate at a time, each scored with one row-major np.add.at pass, the
+# order in which objective() sums a partition.  The library must return the
+# same partitions and the same objective bits.
 
 
 def _rgs_exact(n: int, r: int):
@@ -217,14 +218,8 @@ def loop_exhaustive(x: np.ndarray, r: int, c: int, p: float):
     best_val = -np.inf
     best = None
     for row_assign in _rgs_exact(n, r):
-        agg = np.zeros((r, m))
-        np.add.at(agg, row_assign, x)
-        row_sizes = np.bincount(row_assign, minlength=r).astype(float)
         for col_assign in _rgs_exact(m, c):
-            block = np.zeros((r, c))
-            np.add.at(block.T, col_assign, agg.T)
-            sizes = np.outer(row_sizes, np.bincount(col_assign, minlength=c))
-            val = float((sizes * (np.abs(block) / sizes) ** p).sum())
+            val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
             if val > best_val:
                 best_val = val
                 best = (row_assign.copy(), col_assign.copy())

@@ -212,3 +212,13 @@ class TestCompareCaTca:
         c = np.array([0.5, 0.5])
         cmp = compare_ca_tca(from_counts(np.outer(r, c) * 10), 1)
         assert cmp.empty
+
+    @pytest.mark.parametrize("row_labels, col_labels, message", [
+        (("a", "b"), ("x",), "expected 5 row labels, got 2"),
+        (tuple("abcde"), ("x",), "expected 4 column labels, got 1"),
+        (tuple("abcdefg"), tuple("wxyz"), "expected 5 row labels, got 7"),
+        (tuple("abcde"), tuple("vwxyz"), "expected 4 column labels, got 5"),
+    ])
+    def test_labels_must_match_the_table(self, asbestos_P, row_labels, col_labels, message):
+        with pytest.raises(ValueError, match=message):
+            compare_ca_tca(asbestos_P, 1, row_labels, col_labels)

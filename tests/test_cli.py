@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import taxicab_ca
 from taxicab_ca.cli import run
+from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
 
 
@@ -201,3 +213,104 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert code == 0
         assert "taxicab" in out
+
+
+@st.composite
+def _count_tables(draw):
+    """Small count tables with zero lines, single rows or columns, and ties."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m)),
+                      dtype=np.int64).reshape(n, m)
+    if draw(st.integers(0, 4)) == 0:  # rare, since from_counts rejects the table
+        counts[draw(st.integers(0, n - 1))] = 0
+    if draw(st.integers(0, 4)) == 0:
+        counts[:, draw(st.integers(0, m - 1))] = 0
+    if m > 1 and draw(st.booleans()):
+        counts[:, -1] = counts[:, 0]
+    if n > 1 and draw(st.booleans()):
+        counts[-1] = counts[0]
+    return counts
+
+
+@st.composite
+def _small_tensors(draw):
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    size = int(np.prod(shape))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+def _csv_text(counts: np.ndarray) -> str:
+    lines = [",".join(f"c{j + 1}" for j in range(counts.shape[1]))]
+    lines += [f"r{i + 1}," + ",".join(map(str, row)) for i, row in enumerate(counts.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _session(csv_path: Path, tensor_path: Path, out: Path, axis: int,
+             r: int, c: int, p: float) -> list[list[str]]:
+    """One call of each of the seven subcommands."""
+    src, dump = [str(csv_path)], ["--out", str(out)]
+    return [
+        ["dispersion", *src, "--column", "c1", *dump],
+        ["tca", *src, *dump],
+        ["ca", *src, "--map", str(out.with_suffix(".svg")), *dump],
+        ["compare", *src, "--axis", str(axis), *dump],
+        ["seriate", *src, "--axis", str(axis), *dump],
+        ["cluster", *src, "--r", str(r), "--c", str(c), "--p", str(p), *dump],
+        ["tensor", str(tensor_path), *dump],
+    ]
+
+
+class TestFuzz:
+    """Every subcommand on odd small inputs exits 0, 2 or 3 without a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=_count_tables(), tensor=_small_tensors(),
+           axis=st.integers(1, 3), r=st.integers(1, 3), c=st.integers(1, 3),
+           p=st.sampled_from([1.0, 1.5, 2.0, 0.5, 1e308, float("inf"), float("nan")]))
+    def test_subcommands_on_small_tables(self, counts, tensor, axis, r, c, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, tensor_path = Path(tmp) / "t.csv", Path(tmp) / "t.txt"
+            csv_path.write_text(_csv_text(counts))
+            tensor_path.write_text(format_tensor(tensor))
+            for argv in _session(csv_path, tensor_path, Path(tmp) / "r.json", axis, r, c, p):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 2, 3), (argv, code, err.getvalue())
+                assert "Traceback" not in err.getvalue(), argv
+
+    def test_fixed_cases_under_optimize_flag(self, tmp_path):
+        # (table, tensor, p): a zero row, 1 x k, k x 1, independence, ties
+        cases = [
+            ([[1, 2], [0, 0], [3, 1]], np.zeros((1, 1, 1)), 1.0),
+            ([[1, 2, 3]], np.ones((2, 3, 2)), 1.5),
+            ([[1], [2], [3]], np.zeros((1, 1, 1)), 2.0),
+            ([[2, 4], [1, 2]], np.ones((2, 3, 2)), float("inf")),
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 2]], np.arange(8.0).reshape(2, 2, 2), 1e308),
+        ]
+        calls = []
+        for k, (table, tensor, p) in enumerate(cases):
+            csv_path, tensor_path = tmp_path / f"{k}.csv", tmp_path / f"{k}.txt"
+            csv_path.write_text(_csv_text(np.array(table)))
+            tensor_path.write_text(format_tensor(tensor))
+            calls += _session(csv_path, tensor_path, tmp_path / "r.json", 2, 2, 2, p)
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from taxicab_ca.cli import run
+
+            assert False, "assertions must be stripped under -O"
+            for argv in json.loads(sys.argv[1]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                print(code, "Traceback" in err.getvalue())
+        """)
+        src = os.path.dirname(os.path.dirname(taxicab_ca.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(calls)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        results = [line.split() for line in proc.stdout.splitlines()]
+        assert len(results) == len(calls)
+        assert all(code in ("0", "2", "3") and tb == "False" for code, tb in results), results

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,7 +16,12 @@ from oracles import (
 )
 from taxicab_ca import clustering
 from taxicab_ca.clustering import TwoModePartition, maximize, objective
-from taxicab_ca.residual import ResidualMatrix, correspondence_residual, from_counts
+from taxicab_ca.residual import (
+    ResidualMatrix,
+    additive_double_center,
+    correspondence_residual,
+    from_counts,
+)
 from taxicab_ca.taxicab import norm_exact
 
 
@@ -110,6 +115,22 @@ class TestMaximize:
         with pytest.raises(ValueError, match=r"c must be"):
             maximize(X, 2, 0)
 
+    @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+    def test_p_must_be_finite_and_at_least_one(self, p):
+        X = _rand_residual(np.random.default_rng(53), 4, 4)
+        part = TwoModePartition(row_blocks=((0, 1), (2, 3)), col_blocks=((0,), (1, 2, 3)))
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            objective(X, part, p)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            maximize(X, 2, 2, p=p)
+
+    def test_huge_p_still_scores(self):
+        # |x| < 1 makes every |x|^p underflow; the screen's tolerance stays finite
+        X = correspondence_residual(from_counts(np.arange(1.0, 21.0).reshape(5, 4)))
+        for method in ("exhaustive", "local_search"):
+            res = maximize(X, 2, 2, p=1e308, method=method)
+            assert res.objective == objective(X, res.partition, 1e308) == 0.0
+
     def test_local_search_close_to_exhaustive(self):
         rng = np.random.default_rng(46)
         gap_count = 0
@@ -127,7 +148,7 @@ class TestMaximize:
         X = _rand_residual(np.random.default_rng(52), 1200, 4)
         res = maximize(X, 2, 2, p=1.0)
         assert res.method == "local_search"
-        assert clustering._stirling2(1200, 2) == 2**1199 - 1
+        assert clustering._rgs_counts(1200, 2)[1, 1199] >= clustering.EXHAUSTIVE_SPACE_LIMIT
 
     def test_local_search_blocks_nonempty(self):
         rng = np.random.default_rng(47)
@@ -191,7 +212,6 @@ class TestScreenedSearch:
             for r in range(1, n + 1):
                 counts = clustering._rgs_counts(n, r)
                 total = int(counts[1, n - 1])
-                assert total == clustering._stirling2(n, r)
                 expected = np.array(list(_rgs_exact(n, r)))
                 np.testing.assert_array_equal(clustering._rgs_range(counts, 0, total), expected)
                 mid = total // 2
@@ -213,6 +233,18 @@ class TestScreenedSearch:
         r, c = min(r, x.shape[0]), min(c, x.shape[1])
         res = maximize(ResidualMatrix(x=x), r, c, p=p, method="local_search")
         _same_as_oracle(res, loop_local_search(x, r, c, p), r, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+           p=st.sampled_from([1.0, 1.5, 2.0]),
+           method=st.sampled_from(["exhaustive", "local_search"]))
+    @example(x=additive_double_center(np.random.default_rng(4).normal(size=(6, 5))).x,
+             r=3, c=2, p=1.5, method="exhaustive")
+    def test_objective_of_result_partition_is_result_objective(self, x, r, c, p, method):
+        r, c = min(r, x.shape[0]), min(c, x.shape[1])
+        X = ResidualMatrix(x=x)
+        res = maximize(X, r, c, p=p, method=method)
+        assert repr(objective(X, res.partition, p)) == repr(res.objective)
 
     @pytest.mark.parametrize("budget", [64, 1024])
     def test_chunked_screen_matches_loop(self, monkeypatch, budget):

@@ -200,6 +200,11 @@ class TestTensorFormat:
         with pytest.raises(ValueError, match="line 3 has 1 values, expected 2"):
             parse_tensor("2 2 1\n1 2\n3\n")
 
+    def test_huge_dimension_fails_before_allocating(self):
+        # 10^15 float64 cells would be 7 PiB; the file holds one value
+        with pytest.raises(ValueError, match="line 2 has 1 values, expected 1000000000000000"):
+            parse_tensor("1 1000000000000000 1\n1\n")
+
     def test_non_numeric(self):
         with pytest.raises(ValueError, match="non-numeric value 'x' at line 2"):
             parse_tensor("1 2 1\nx 2\n")

@@ -9,9 +9,17 @@ from oracles import (
     random_triple_centered,
 )
 from taxicab_ca import tensor
+from taxicab_ca.cli import run
+from taxicab_ca.io import format_tensor
+from taxicab_ca.reports import AnalysisReport
 from taxicab_ca.residual import Tensor3, triple_center
 from taxicab_ca.taxicab import EnumerationBudgetError
-from taxicab_ca.tensor import octant_report, tensor_norm_exact, tensor_norm_heuristic
+from taxicab_ca.tensor import (
+    octant_report,
+    tensor_norm,
+    tensor_norm_exact,
+    tensor_norm_heuristic,
+)
 
 
 def _sign_tensor() -> Tensor3:
@@ -108,6 +116,30 @@ class TestTensorNormHeuristic:
                 hits += 1
         print(f"tensor heuristic equality rate: {hits}/50")
         assert hits >= 30
+
+
+class TestTensorNorm:
+    @pytest.mark.parametrize("shape, exact", [
+        ((11, 11, 12), True),   # two smallest modes sum to 22, the limit
+        ((12, 11, 11), True),
+        ((11, 12, 12), False),  # 23: over the limit
+        ((12, 12, 11), False),
+    ])
+    def test_solver_boundary_in_library_and_cli(self, tmp_path, capsys, shape, exact):
+        y = np.random.default_rng(39).poisson(3.0, size=shape).astype(float)
+        T = triple_center(y)
+        axis = tensor_norm(T)
+        assert axis.exact is exact
+        solver = tensor_norm_exact if exact else tensor_norm_heuristic
+        assert repr(axis.delta) == repr(solver(T).delta)
+        path, out = tmp_path / "t.txt", tmp_path / "r.json"
+        path.write_text(format_tensor(y))
+        assert run(["tensor", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = AnalysisReport.from_json(out.read_text())
+        assert report.results["exact"] is exact
+        assert report.provenance["solver"] == ("exact" if exact else "heuristic")
+        assert report.results["delta"] == axis.delta
 
 
 class TestOctantReport:
