@@ -116,10 +116,13 @@ def _provenance(raw: bytes, solver: str) -> dict:
 
 
 def _finish(report: _reports.AnalysisReport, args: argparse.Namespace) -> None:
+    # render the map before writing anything, so that a run whose map
+    # fails (a table of rank below 2) leaves no report behind
+    svg = render_map(report) if getattr(args, "map", None) else None
     if getattr(args, "out", None):
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
-    if getattr(args, "map", None):
-        Path(args.map).write_text(render_map(report), encoding="utf-8")
+    if svg is not None:
+        Path(args.map).write_text(svg, encoding="utf-8")
 
 
 def _cmd_dispersion(args: argparse.Namespace) -> _reports.AnalysisReport:

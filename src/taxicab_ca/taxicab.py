@@ -12,18 +12,26 @@ Exhaustive search is exact up to ``EXACT_ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.
 
-The enumeration kernel, shared with the tensor norm, splits the q
-coordinates into a high prefix and a low suffix of k coordinates.  The
-projections of all 2^k low halves form one n x 2^k table, with k chosen so
-that the table fits ``_ENUM_BLOCK_BYTES`` (1 MiB, inside a per-core L2);
-each high prefix then scores 2^k candidates with one add, one abs and one
-column sum over that table.  Prefix projections are computed by one matmul
-per block of the same byte size, so working memory stays at a few MiB
-whatever q is.
+The enumeration kernel, shared with the tensor norm, searches a stack of
+matrices in two phases.  The screen scores every sign candidate in float32,
+after scaling the stack by a power of two so that nothing overflows: one
+table row per candidate, so that adding a high-prefix projection to the
+table of low-suffix projections is a contiguous add, and the whole sign
+grid in a single matmul when all candidates fit ``_ENUM_BLOCK_BYTES``
+(1 MiB, inside a per-core L2).  It keeps only the best screened score of
+each matrix and float64 prefix.  The confirmation then rescores in float64,
+in lexicographic order and with the reference arithmetic (a column-per-
+candidate table of the 2^k low suffixes plus one prefix at a time), only
+those (matrix, prefix) pairs whose screened best lies within twice the
+proven rounding margin (``_screen_margin``) of the best screened score.
+Every pair that could hold the float64 maximum is among them, so the
+maximizer, ties included, is the one a full float64 scan returns.  Working
+memory stays at a few MiB whatever q is.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -165,7 +173,7 @@ def _sign_grid(width: int, start: int, stop: int) -> np.ndarray:
 def _low_sign_grid(width: int) -> np.ndarray:
     """The whole 2^width sign grid as read-only int8, built once per width.
 
-    The tensor kernel asks for the same width in every one of its calls.
+    The kernel asks for the same widths for every matrix of a stack.
     Bytes, not floats, keep the cache small (at most 104 KiB for one width,
     under 200 KiB for all the widths ``_enum_split`` can pick) so that it
     does not pin heap memory; callers convert it to float.
@@ -175,29 +183,158 @@ def _low_sign_grid(width: int) -> np.ndarray:
     return grid
 
 
-def _enum_split(n: int, q: int) -> tuple[int, int]:
+def _enum_split(n: int, q: int, itemsize: int = 8) -> tuple[int, int]:
     """Low-suffix width k and high prefixes per block for an n x q search.
 
-    k is the largest width (at most q - 1) whose table of 2^k columns of
-    length n, with its 2^k x k sign grid, fits ``_ENUM_BLOCK_BYTES``; the
-    prefix projections are computed ``block`` at a time within the same budget.
+    k is the largest width (at most q - 1) whose table of 2^k lines of
+    length n, with its 2^k x k sign grid, fits ``_ENUM_BLOCK_BYTES`` at
+    ``itemsize`` bytes a value; the prefix projections are computed
+    ``block`` at a time within the same budget.  The float32 screen gets a
+    k at least as large as the float64 reference, so each screened table
+    covers whole reference prefixes.
     """
     k = 0
-    while k < q - 1 and (2 << k) * (n + k + 1) * 8 <= _ENUM_BLOCK_BYTES:
+    while k < q - 1 and (2 << k) * (n + k + 1) * itemsize <= _ENUM_BLOCK_BYTES:
         k += 1
-    return k, max(1, _ENUM_BLOCK_BYTES // (8 * n))
+    return k, max(1, _ENUM_BLOCK_BYTES // (itemsize * n))
 
 
-def _enumerate_best(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize ||M s||_1 over sign vectors s with s[0] = +1, exhaustively.
+def _screen_margin(n: int, q: int, abs_sum: float) -> float:
+    """Bound on |screened - reference| score of any candidate of an n x q matrix.
 
-    Returns the maximum and the maximizer.  Candidates are scanned in
-    lexicographic order (+1 before -1) and only a strict improvement
-    replaces the incumbent, so on ties the lexicographically first maximizer
-    is returned.  Each high prefix h = M_high s_high scores all 2^k low
-    suffixes at once as the column sums of |L + h|, L = M_low S_low' (see
-    the module docstring); working memory is bounded by the byte budget,
-    not by 2^(q-1).
+    Both scores add up the same terms +-M_ij of the float64 matrix: q - 1
+    additions for each row projection, in whatever order, and n - 1 for the
+    sum of the |projections|.  Each addition is off by at most the unit
+    roundoff times the magnitudes of its terms, which sum to at most
+    ``abs_sum`` = sum |M_ij|, and the screen first rounds each entry to
+    float32.  So the screened score lies within (n + q - 1) float32 unit
+    roundoffs times ``abs_sum`` of the exact one, and the reference within
+    (n + q - 2) float64 ones.  The bound doubles that (eps is two unit
+    roundoffs) and adds four eps, which covers the second-order terms and
+    the entries that the scaling or the cast made subnormal.
+    """
+    return (n + q + 4) * float(np.finfo(np.float32).eps) * abs_sum
+
+
+def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
+    """Float32 screen of a stack of B x n x q matrices.
+
+    Returns the screened maximum over each reference prefix (the 2^k_ref
+    candidates the float64 scan scores in one step), B x 2^(q-1-k_ref) in
+    the input's units, and the stack's ``_screen_margin``.  The stack is
+    scaled by a power of two to a largest magnitude in [1/2, 1) before the
+    cast, so no float32 value overflows and the scaling itself is exact.
+    Scores are the row sums of |table|, the table holding one candidate per
+    row: the whole sign grid times M' when all candidates fit the budget,
+    else the low-suffix table plus one high-prefix projection at a time.
+    """
+    count, n, q = stack.shape
+    peak = float(np.maximum(stack.max(), -stack.min()))  # nan stays nan
+    shift = -int(np.frexp(peak)[1])
+    k, block = _enum_split(n, q, itemsize=4)
+    prefixes = 1 << (q - 1 - k)
+    maxima = np.empty((count, 1 << (q - 1 - k_ref)), dtype=np.float32)
+    per_table = maxima.shape[1] // prefixes  # reference prefixes per screened table
+    ones = np.ones(n, dtype=np.float32)
+    abs_sum = 0.0
+
+    def cast(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Matrices start:stop, transposed, scaled and rounded to float32."""
+        nonlocal abs_sum
+        np.ldexp(stack[start:stop].transpose(0, 2, 1), shift, out=out, casting="same_kind")
+        abs_sum = np.maximum(abs_sum, np.abs(out).sum(axis=(1, 2), dtype=float).max())
+        return out
+
+    if prefixes == 1:
+        grid = _low_sign_grid(q)[: 1 << (q - 1)].astype(np.float32)
+        step = min(count, max(1, _ENUM_BLOCK_BYTES // (4 * grid.shape[0] * n)))
+        parts = np.empty((step, q, n), dtype=np.float32)
+        tables = np.empty((step, grid.shape[0], n), dtype=np.float32)
+        scores = np.empty((step, grid.shape[0]), dtype=np.float32)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            table, score = tables[:stop - start], scores[:stop - start]
+            np.matmul(grid, cast(start, stop, parts[:stop - start]), out=table)
+            np.abs(table, out=table)
+            np.matmul(table, ones, out=score)
+            maxima[start:stop] = score.reshape(stop - start, per_table, -1).max(axis=2)
+    else:
+        grid = _low_sign_grid(k).astype(np.float32)
+        part = np.empty((1, q, n), dtype=np.float32)
+        buf = np.empty((1 << k, n), dtype=np.float32)
+        scores = np.empty(1 << k, dtype=np.float32)
+        for b in range(count):
+            m = cast(b, b + 1, part)[0]
+            table = grid @ m[q - k:]  # (2^k, n)
+            for start in range(0, prefixes, block):
+                stop = min(start + block, prefixes)
+                heads = _sign_grid(q - k, start, stop).astype(np.float32) @ m[:q - k]
+                for prefix, h in enumerate(heads, start):
+                    np.add(table, h, out=buf)
+                    np.abs(buf, out=buf)
+                    np.matmul(buf, ones, out=scores)
+                    maxima[b, prefix * per_table:(prefix + 1) * per_table] = (
+                        scores.reshape(per_table, -1).max(axis=1))
+    margin = _screen_margin(n, q, float(abs_sum))
+    return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
+
+
+def _enumerate_best(stacks: Callable[[], Iterable[np.ndarray]]) -> tuple[float, int, np.ndarray]:
+    """Maximize ||M s||_1 over sign vectors s with s[0] = +1 and over matrices M.
+
+    ``stacks()`` yields B x n x q stacks of float64 matrices; it is called
+    once per phase and must yield the same values both times.  Returns the
+    maximum, the index of its matrix counted over all stacks, and the
+    maximizer.  Candidates are ordered by matrix, then lexicographically
+    (+1 before -1), and only a strict improvement replaces the incumbent,
+    so on ties the first maximizer is returned.
+
+    Phase 1 screens every candidate in float32 (``_screen``) and keeps the
+    screened maximum of each (matrix, reference prefix).  Phase 2 rescores
+    in float64, with the reference scan, every pair whose screened maximum
+    lies within twice the margin of the best screened score: the reference
+    winner's screened score is at least its reference score minus one
+    margin, which is at least the screened best minus two.  The reference
+    scan splits q into the high prefix and the low suffix of
+    ``_enum_split`` and scores each prefix h = M_high s_high over all 2^k
+    suffixes at once as the column sums of |L + h|, L = M_low S_low'.
+    """
+    screened = []
+    margin = 0.0
+    for stack in stacks():
+        k_ref, _ = _enum_split(*stack.shape[1:])
+        maxima, stack_margin = _screen(stack, k_ref)
+        screened.append(maxima)
+        margin = np.maximum(margin, stack_margin)  # a nan margin stays nan
+        del stack  # let the next stack take its memory
+    floor = np.max([m.max() for m in screened]) - 2.0 * margin  # nan propagates
+    best_val = -np.inf
+    best: tuple[int, int] | None = None
+    offset = 0
+    pending = iter(screened)  # not zip(): its reused tuple would keep the last stack alive
+    for stack in stacks():
+        maxima = next(pending)
+        q = stack.shape[2]
+        for b in np.flatnonzero((maxima >= floor).any(axis=1)).tolist():
+            found = _rescore(stack[b], np.flatnonzero(maxima[b] >= floor).tolist(), best_val)
+            if found is not None:
+                best_val, candidate = found
+                best = (offset + b, candidate)
+        offset += len(stack)
+        del stack
+    if best is None:
+        raise InvariantError("sign enumeration confirmed no candidate (non-finite input?)")
+    index, candidate = best
+    return best_val, index, _sign_grid(q, candidate, candidate + 1)[0]
+
+
+def _rescore(M: np.ndarray, prefixes: list[int], best_val: float) -> tuple[float, int] | None:
+    """Reference float64 scan of the given prefixes of M, in ascending order.
+
+    Returns the value and index of the best of their candidates (the first
+    of equals) if it beats ``best_val``, else None.  The table and the
+    prefix projections are computed in the blocks of a full scan, so every
+    score has the bits that a scan of all prefixes gives it.
     """
     n, q = M.shape
     k, block = _enum_split(n, q)
@@ -205,23 +342,22 @@ def _enumerate_best(M: np.ndarray) -> tuple[float, np.ndarray]:
     buf = np.empty_like(table)
     scores = np.empty(table.shape[1])
     m_high = M[:, :q - k]
-    prefixes = 1 << (q - 1 - k)
-    best_val = -np.inf
-    best_idx = -1
-    for start in range(0, prefixes, block):
-        stop = min(start + block, prefixes)
-        heads = _sign_grid(q - k, start, stop) @ m_high.T  # (stop - start, n)
-        for prefix, h in enumerate(heads, start):
-            np.add(table, h[:, None], out=buf)
-            np.abs(buf, out=buf)
-            np.sum(buf, axis=0, out=scores)
-            j = int(np.argmax(scores))
-            if scores[j] > best_val:
-                best_val = float(scores[j])
-                best_idx = (prefix << k) | j
-    if best_idx < 0:
-        raise InvariantError("sign enumeration scored no candidate (non-finite matrix?)")
-    return best_val, _sign_grid(q, best_idx, best_idx + 1)[0]
+    found = None
+    heads_block = -1
+    for prefix in prefixes:
+        if prefix // block != heads_block:
+            heads_block = prefix // block
+            start = heads_block * block
+            stop = min(start + block, 1 << (q - 1 - k))
+            heads = _sign_grid(q - k, start, stop) @ m_high.T  # (stop - start, n)
+        np.add(table, heads[prefix - start][:, None], out=buf)
+        np.abs(buf, out=buf)
+        np.sum(buf, axis=0, out=scores)
+        j = int(np.argmax(scores))
+        if scores[j] > best_val:
+            best_val = float(scores[j])
+            found = (best_val, (prefix << k) | j)
+    return found
 
 
 def _transition_fixed_point(
@@ -307,9 +443,9 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
         )
     x = X.x
     if m <= n:
-        _, u0 = _enumerate_best(x)
+        _, _, u0 = _enumerate_best(lambda: [x[None]])
     else:
-        _, v0 = _enumerate_best(x.T)
+        _, _, v0 = _enumerate_best(lambda: [x.T[None]])
         u0 = sign_pm(x.T @ v0)
     state = _transition_fixed_point(x, u0)
     return _axis_from_state(_canonical_state(x, state), exact=True)

@@ -5,6 +5,17 @@ vectors on all three modes.  For a triple-centered array the optimum splits
 the index cube into eight octants whose block sums all have magnitude
 delta/8, the sign given by the parity of complemented subsets.  Only the
 single-axis norm is defined for tensors; there is no deflation.
+
+The exact norm contracts the first enumerated mode with each of its sign
+vectors, ``_ENUM_BLOCK_BYTES`` of contracted matrices at a time, and hands
+those stacks to the matrix kernel ``taxicab._enumerate_best``.  The kernel
+screens every (first-mode, second-mode) sign pair of a stack in float32,
+keeps only the best screened score of each matrix and prefix, and then
+rescores in float64, with the matrix search's own arithmetic, only the
+matrices and prefixes within the proven rounding margin of the screened
+best (``taxicab._screen_margin``).  The contractions are recomputed for
+that step with the same chunks, so the signs, and every report byte, are
+those of scanning all pairs in float64.
 """
 
 from __future__ import annotations
@@ -101,8 +112,9 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     """Globally optimal tensor sign norm by enumerating the two smallest modes.
 
     Sign symmetry pins the first entry of both enumerated vectors to +1; the
-    third mode's optimal signs follow from the contracted fiber sums.  The
-    two smallest mode sizes must sum to at most ``TENSOR_ENUM_LIMIT``.
+    third mode's optimal signs follow from the contracted fiber sums.  On
+    ties the lexicographically first (first-mode, second-mode) pair wins.
+    The two smallest mode sizes must sum to at most ``TENSOR_ENUM_LIMIT``.
     """
     x = X.x
     dims = x.shape
@@ -118,18 +130,14 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     flat = xp.reshape(q1, q2 * q3)
     count = 1 << (q1 - 1)
     block = max(1, _ENUM_BLOCK_BYTES // (8 * q2 * q3))
-    best_val = -np.inf
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    for start in range(0, count, block):
-        chunk = _sign_grid(q1, start, min(start + block, count))
-        for s1, contracted in zip(chunk, chunk @ flat):
-            val, s2 = _enumerate_best(contracted.reshape(q2, q3).T)
-            if val > best_val:
-                best_val = val
-                best_pair = (s1, s2)
-    if best_pair is None:
-        raise InvariantError("sign enumeration scored no candidate (non-finite tensor?)")
-    s1, s2 = best_pair
+
+    def contractions():
+        for start in range(0, count, block):
+            chunk = _sign_grid(q1, start, min(start + block, count))
+            yield (chunk @ flat).reshape(-1, q2, q3).transpose(0, 2, 1)
+
+    _, index, s2 = _enumerate_best(contractions)
+    s1 = _sign_grid(q1, index, index + 1)[0]
     fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
     s3 = sign_pm(fiber)
     by_mode: dict[int, np.ndarray] = {e1: s1, e2: s2, free: s3}

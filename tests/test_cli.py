@@ -93,6 +93,30 @@ class TestCaCommand:
         assert sigmas == sorted(sigmas, reverse=True)
 
 
+class TestMapOutput:
+    """``--map`` is rendered before any file is written."""
+
+    @pytest.mark.parametrize("command", ["tca", "ca"])
+    def test_failed_map_leaves_no_file(self, tmp_path, capsys, command):
+        src = tmp_path / "rank1.csv"
+        src.write_text("a,b\nr1,1,2\nr2,3,1\n")  # 2 x 2: one axis only
+        out, svg = tmp_path / "o.json", tmp_path / "m.svg"
+        code = run([command, str(src), "--out", str(out), "--map", str(svg)])
+        assert code == 2
+        assert "no axis 2" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
+
+    @pytest.mark.parametrize("command", ["tca", "ca"])
+    @pytest.mark.parametrize("dataset", ["asbestos", "americas"])
+    def test_map_leaves_report_bytes_unchanged(self, tmp_path, capsys, command, dataset):
+        plain, mapped, svg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.svg"
+        assert run([command, "--dataset", dataset, "--out", str(plain)]) == 0
+        assert run([command, "--dataset", dataset, "--out", str(mapped), "--map", str(svg)]) == 0
+        capsys.readouterr()
+        assert mapped.read_bytes() == plain.read_bytes()
+        assert "<svg" in svg.read_text()
+
+
 class TestCompareCommand:
     def test_americas_axis2(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -5,9 +5,13 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import align_sign, assert_match_up_to_sign
 from oracles import (
@@ -18,7 +22,12 @@ from oracles import (
 )
 from taxicab_ca import taxicab
 from taxicab_ca.dispersion import sign_pm
-from taxicab_ca.residual import ResidualMatrix, correspondence_residual, from_counts
+from taxicab_ca.residual import (
+    ResidualMatrix,
+    correspondence_residual,
+    from_counts,
+    triple_center,
+)
 from taxicab_ca.taxicab import (
     EnumerationBudgetError,
     cut_norm_matrix,
@@ -29,6 +38,7 @@ from taxicab_ca.taxicab import (
     seriate,
     tca,
 )
+from taxicab_ca.tensor import tensor_norm_exact
 
 # first and second axes of the asbestos table
 U1 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -49,6 +59,59 @@ def _rand_residual(rng, n, m) -> ResidualMatrix:
 
 def _zero_residual(n, m) -> ResidualMatrix:
     return ResidualMatrix(x=np.zeros((n, m)))
+
+
+def _kernel(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximum and first maximizer of ||m s||_1 from the kernel, m as a stack of one."""
+    val, index, s = taxicab._enumerate_best(lambda: [m[None]])
+    assert index == 0
+    return val, s
+
+
+def _budget(budget: int | None):
+    """Shrink the kernel's working-set budget, or leave it as it is."""
+    if budget is None:
+        return nullcontext()
+    return mock.patch.object(taxicab, "_ENUM_BLOCK_BYTES", budget)
+
+
+# 2^-30 (about 1e-9) is below float32 resolution, so the screen cannot
+# separate the candidates it splits, while float64 holds every sum exactly.
+NEAR_TIE = 1.0 + 2.0**-30
+
+
+def _fine(ints) -> np.ndarray:
+    """Integers up to 1024 times 2^-31: float32 rounds them, float64 adds them exactly."""
+    return np.asarray(ints, dtype=float) * 2.0**-31
+
+
+@st.composite
+def _tie_prone_matrices(draw):
+    """Small integer matrices with duplicate and zero lines, and near ties.
+
+    One column may be scaled by ``NEAR_TIE``, or every entry moved by a few
+    float32 units (``_fine``): either splits exact ties by less than the
+    screen's rounding, and every sum stays exact in float64, so the oracle
+    and the kernel see the same values.
+    """
+    n, q = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * q, max_size=n * q))
+    m = np.array(cells, dtype=float).reshape(n, q)
+    col, row = st.integers(0, q - 1), st.integers(0, n - 1)
+    if draw(st.booleans()):
+        m[:, draw(col)] = m[:, draw(col)]
+    if draw(st.booleans()):
+        m[draw(row)] = m[draw(row)]
+    if draw(st.booleans()):
+        m[:, draw(col)] = 0.0
+    if draw(st.booleans()):
+        m[draw(row)] = 0.0
+    if draw(st.booleans()):
+        m[:, draw(col)] *= NEAR_TIE
+    elif draw(st.booleans()):
+        fine = draw(st.lists(st.integers(-1024, 1024), min_size=n * q, max_size=n * q))
+        m += _fine(fine).reshape(n, q)
+    return m
 
 
 class TestNormExact:
@@ -109,7 +172,7 @@ class TestEnumerationKernel:
         rng = np.random.default_rng(100 + q)
         for n in sorted({q, q + 3, 40}):
             m = rng.normal(size=(n, q))
-            val, s = taxicab._enumerate_best(m)
+            val, s = _kernel(m)
             ref_val, ref_s = lexicographic_first_max(m)
             np.testing.assert_array_equal(s, ref_s)
             assert val == pytest.approx(ref_val, rel=1e-12)
@@ -122,7 +185,7 @@ class TestEnumerationKernel:
         for q in (1, 2, 5, 9):
             m = rng.normal(size=(12, q))
             ref_val, ref_s = lexicographic_first_max(m)
-            val, s = taxicab._enumerate_best(m)
+            val, s = _kernel(m)
             np.testing.assert_array_equal(s, ref_s)
             assert val == pytest.approx(ref_val, rel=1e-12)
 
@@ -131,7 +194,7 @@ class TestEnumerationKernel:
         m = rng.normal(size=(4000, 12))
         k, block = taxicab._enum_split(*m.shape)
         assert k < 11 and (1 << (11 - k)) > block  # several prefix blocks
-        val, s = taxicab._enumerate_best(m)
+        val, s = _kernel(m)
         ref_val, ref_s = lexicographic_first_max(m)
         np.testing.assert_array_equal(s, ref_s)
         assert val == pytest.approx(ref_val, rel=1e-12)
@@ -146,13 +209,13 @@ class TestEnumerationKernel:
             m = rng.integers(-3, 4, size=(int(rng.integers(q, 12)), q)).astype(float)
             m[:, rng.integers(0, q)] = 0.0                  # a zero column
             m[:, rng.integers(0, q)] = m[:, rng.integers(0, q)]  # a duplicate column
-            val, s = taxicab._enumerate_best(m)
+            val, s = _kernel(m)
             ref_val, ref_s = lexicographic_first_max(m)
             assert val == ref_val
             np.testing.assert_array_equal(s, ref_s)
 
     def test_all_ties_pick_first_vector(self):
-        val, s = taxicab._enumerate_best(np.zeros((3, 6)))
+        val, s = _kernel(np.zeros((3, 6)))
         assert val == 0.0
         np.testing.assert_array_equal(s, np.ones(6))
 
@@ -165,6 +228,98 @@ class TestEnumerationKernel:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_tensor_working_memory_is_bounded(self):
+        # 1024 x 1024 (first-mode, second-mode) pairs: a score array over
+        # them would take 4 MiB in float32 and 8 MiB in float64
+        rng = np.random.default_rng(10)
+        T = triple_center(rng.poisson(4.0, size=(11, 11, 72)).astype(float))
+        tracemalloc.start()
+        try:
+            tensor_norm_exact(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestScreenedKernel:
+    """The float32 screen with float64 confirmation returns the float64 scan's signs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_tie_prone_matrices(), budget=st.sampled_from([64, 1024, None]))
+    def test_matches_lexicographic_oracle(self, m, budget):
+        with _budget(budget):
+            val, s = _kernel(m)
+        ref_val, ref_s = lexicographic_first_max(m)
+        assert val == ref_val
+        np.testing.assert_array_equal(s, ref_s)
+
+    @pytest.mark.parametrize("budget", [64, 1024, None])
+    @pytest.mark.parametrize("q", [2, 5, 9])
+    def test_near_tie_below_float32_resolution(self, budget, q):
+        # the identity ties every candidate at q; -2^-30 in row 0 lifts the
+        # ones with s[1] = -1 by 2^-30, which float32 cannot see
+        m = np.eye(q)
+        m[0, 1] = 1.0 - NEAR_TIE
+        with _budget(budget):
+            val, s = _kernel(m)
+        ref_val, ref_s = lexicographic_first_max(m)
+        assert val == ref_val == q + 2.0**-30
+        np.testing.assert_array_equal(s, ref_s)
+        assert s[1] == -1.0  # not the first of the candidates the screen ties
+
+    @pytest.mark.parametrize("shape", [(7, 3), (60, 9), (400, 8)])
+    @pytest.mark.parametrize("exponent", [0, 700, -700])
+    def test_margin_bounds_the_screen_error(self, shape, exponent):
+        # at a 64-byte budget every candidate is its own prefix, so the
+        # screened maxima are the screened scores of single candidates
+        rng = np.random.default_rng(13)
+        m = np.ldexp(rng.normal(size=shape), exponent)
+        with _budget(64):
+            maxima, margin = taxicab._screen(m[None], 0)
+        signs = taxicab._sign_grid(shape[1], 0, 1 << (shape[1] - 1))
+        reference = np.abs(m @ signs.T).sum(axis=0)
+        error = np.abs(maxima[0] - reference)
+        assert 0.0 < error.max() <= margin
+
+    def test_float32_misranking_is_confirmed_away(self):
+        # one candidate per prefix, and entries a few float32 units off the
+        # integers: the screen ranks some prefixes above the float64 winner's
+        rng = np.random.default_rng(12)
+        with _budget(64):
+            for _ in range(300):
+                q = int(rng.integers(2, 7))
+                shape = (int(rng.integers(q, q + 8)), q)
+                m = rng.integers(-2, 3, size=shape) + _fine(rng.integers(-1024, 1025, size=shape))
+                val, s = _kernel(m)
+                ref_val, ref_s = lexicographic_first_max(m)
+                assert val == ref_val
+                np.testing.assert_array_equal(s, ref_s)
+
+    @pytest.mark.parametrize("budget", [64, None])
+    @pytest.mark.parametrize("shape", [(3, 6), (40, 12), (1, 1)])
+    def test_all_ties_confirm_every_candidate(self, budget, shape):
+        zero = np.zeros(shape)
+        with _budget(budget):
+            k_ref, _ = taxicab._enum_split(*shape)
+            maxima, margin = taxicab._screen(zero[None], k_ref)
+            val, s = _kernel(zero)
+        assert margin == 0.0 and np.all(maxima == 0.0)  # every pair reaches the floor
+        assert val == 0.0
+        np.testing.assert_array_equal(s, np.ones(shape[1]))
+
+    @pytest.mark.parametrize("exponent", [900, -900])
+    def test_power_of_two_scaling_keeps_signs(self, exponent):
+        rng = np.random.default_rng(11)
+        ties = rng.integers(-2, 3, size=(20, 8)).astype(float)
+        ties[:, 3] = ties[:, 5] * NEAR_TIE
+        for m in (rng.normal(size=(30, 9)), ties, rng.normal(size=(3000, 12))):
+            val, s = _kernel(m)
+            with np.errstate(all="raise"):  # no overflow or underflow anywhere
+                scaled_val, scaled_s = _kernel(np.ldexp(m, exponent))
+            np.testing.assert_array_equal(scaled_s, s)
+            assert scaled_val == np.ldexp(val, exponent)
 
 
 class TestLowSignGrid:
@@ -192,11 +347,15 @@ class TestInvariantErrors:
                 return obj
 
             nan = np.full((3, 3), np.nan)
+            inf = np.array([[np.inf, -1.0, 1.0], [-1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
             cases = {
                 "norm_exact": lambda: taxicab.norm_exact(unchecked(ResidualMatrix, nan)),
+                "norm_exact_inf": lambda: taxicab.norm_exact(unchecked(ResidualMatrix, inf)),
                 "norm_heuristic": lambda: taxicab.norm_heuristic(unchecked(ResidualMatrix, nan)),
                 "tensor_exact": lambda: tensor.tensor_norm_exact(
                     unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
+                "tensor_exact_inf": lambda: tensor.tensor_norm_exact(
+                    unchecked(Tensor3, np.stack([inf, -inf]))),
                 "tensor_heuristic": lambda: tensor.tensor_norm_heuristic(
                     unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
                 "cluster_exhaustive": lambda: clustering.maximize(
@@ -224,7 +383,9 @@ class TestInvariantErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("raised:") == 7
+        assert proc.stdout.count("raised:") == 9
+        # the four exact searches stop where the screen confirms no candidate
+        assert proc.stdout.count("confirmed no candidate") == 4
 
 
 class TestNormHeuristic:

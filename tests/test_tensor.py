@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import itertools
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_tensor_norm,
     lexicographic_first_tensor_signs,
     random_triple_centered,
 )
-from taxicab_ca import tensor
+from taxicab_ca import taxicab, tensor
 from taxicab_ca.cli import run
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
@@ -93,6 +99,120 @@ class TestTensorNormExact:
             axis = tensor_norm_exact(T)
             for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(T.x)):
                 np.testing.assert_array_equal(got, ref)
+
+
+def _budget(budget: int | None) -> ExitStack:
+    """Shrink the contraction chunks and the kernel's working sets alike."""
+    stack = ExitStack()
+    if budget is not None:
+        for module in (taxicab, tensor):
+            stack.enter_context(mock.patch.object(module, "_ENUM_BLOCK_BYTES", budget))
+    return stack
+
+
+def _integer_centered(y: np.ndarray) -> np.ndarray:
+    """Triple-center integer counts scaled by n*m*t, which leaves exact integers."""
+    x = triple_center(y * np.prod(y.shape)).x
+    assert np.array_equal(x, np.round(x))
+    return x
+
+
+@st.composite
+def _tie_prone_tensors(draw):
+    """Integer tensors with duplicate and zero slices, some split by near ties.
+
+    The near tie adds 2^-20 or 2^-30 times a second integer centered tensor:
+    still exactly triple-centered and exact in float64 at these sizes, but
+    rounded by float32 (2^-20 is a few float32 units of the entries) or
+    lost in it (2^-30).
+    """
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    size = int(np.prod(shape))
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)),
+                 dtype=float).reshape(shape)
+    axis = draw(st.integers(0, 2))
+    if shape[axis] > 1 and draw(st.booleans()):
+        np.moveaxis(y, axis, 0)[-1] = np.moveaxis(y, axis, 0)[0]
+    if draw(st.booleans()):
+        np.moveaxis(y, axis, 0)[0] = 0.0
+    x = _integer_centered(y)
+    if draw(st.booleans()):
+        d = np.array(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)),
+                     dtype=float).reshape(shape)
+        x = x + 2.0 ** -draw(st.sampled_from([20, 30])) * _integer_centered(d)
+    return x
+
+
+class TestScreenedTensorSearch:
+    """The screened kernel returns the signs of scanning every pair in float64."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=_tie_prone_tensors(), budget=st.sampled_from([64, 1024, None]))
+    def test_matches_lexicographic_oracle(self, x, budget):
+        with _budget(budget):
+            axis = tensor_norm_exact(Tensor3(x=x))
+        for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(x)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_float32_misranking_is_confirmed_away(self):
+        # one second-mode candidate per prefix and entries a few float32
+        # units off the integers: the screen misranks some pairs
+        rng = np.random.default_rng(39)
+        with _budget(64):
+            for _ in range(150):
+                shape = tuple(int(v) for v in rng.integers(2, 5, size=3))
+                x = (_integer_centered(rng.integers(0, 3, size=shape).astype(float))
+                     + 2.0**-20 * _integer_centered(rng.integers(0, 2, size=shape).astype(float)))
+                axis = tensor_norm_exact(Tensor3(x=x))
+                for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(x)):
+                    np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("budget", [64, 1024, None])
+    def test_near_tie_below_float32_resolution(self, budget):
+        # a duplicated slice ties three (s1, s2) pairs exactly; 2^-30 times
+        # the centered sign tensor of the last of them, far below float32
+        # resolution, makes that one the float64 maximum
+        y = np.random.default_rng(9).integers(0, 2, size=(3, 3, 4)).astype(float)
+        y[:, 2, :] = y[:, 1, :]
+        base = _integer_centered(y)
+        pairs = [(np.array((1.0,) + t1), np.array((1.0,) + t2))
+                 for t1 in itertools.product((1.0, -1.0), repeat=2)
+                 for t2 in itertools.product((1.0, -1.0), repeat=2)]
+        fibers = [np.einsum("ijk,i,j->k", base, s1, s2) for s1, s2 in pairs]
+        values = [np.abs(f).sum() for f in fibers]
+        last = max(i for i, v in enumerate(values) if v == max(values))
+        s1, s2 = pairs[last]
+        s3 = np.where(fibers[last] >= 0.0, 1.0, -1.0)
+        x = base + 2.0**-30 * _integer_centered(np.einsum("i,j,k->ijk", s1, s2, s3))
+        with _budget(budget):
+            axis = tensor_norm_exact(Tensor3(x=x))
+        for got, ref in zip((axis.u, axis.v, axis.w), (s1, s2, s3)):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(x)):
+            np.testing.assert_array_equal(got, ref)
+        first = lexicographic_first_tensor_signs(base)
+        assert not all(np.array_equal(g, r) for g, r in zip((axis.u, axis.v, axis.w), first))
+
+    @pytest.mark.parametrize("budget", [64, None])
+    @pytest.mark.parametrize("x", [np.zeros((2, 3, 2)), np.zeros((4, 4, 4)),
+                                   _sign_tensor().x], ids=["zero232", "zero444", "sign"])
+    def test_all_ties_return_first_signs(self, budget, x):
+        with _budget(budget):
+            axis = tensor_norm_exact(Tensor3(x=x))
+        for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(x)):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("exponent", [900, -900])
+    def test_power_of_two_scaling_keeps_signs(self, exponent):
+        rng = np.random.default_rng(38)
+        for x in (random_triple_centered(rng, 4, 5, 6),
+                  _integer_centered(rng.integers(0, 3, size=(5, 3, 4)).astype(float))):
+            axis = tensor_norm_exact(Tensor3(x=x))
+            with np.errstate(all="raise"):  # no overflow or underflow anywhere
+                scaled = tensor_norm_exact(Tensor3(x=np.ldexp(x, exponent)))
+            for got, ref in zip((scaled.u, scaled.v, scaled.w), (axis.u, axis.v, axis.w)):
+                np.testing.assert_array_equal(got, ref)
+            assert scaled.delta == np.ldexp(axis.delta, exponent)
 
 
 class TestTensorNormHeuristic:
