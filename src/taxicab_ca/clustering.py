@@ -365,6 +365,10 @@ def maximize(
     the set-partition search space is at most ``EXHAUSTIVE_SPACE_LIMIT``).
     Local search sweeps single-element reassignments in deterministic order,
     one run per balanced initial split, and never decreases the objective.
+    With r and c at least 2 the optimum is at least max |x_ij|^p > 0 for a
+    nonzero x; a p at which that underflows to 0 raises ``ValueError``.
+    (With r or c equal to 1 every block sum of a double-centered matrix is
+    zero, so f_p = 0 is the true optimum.)
     """
     n, m = X.shape
     if not 1 <= r <= n:
@@ -381,6 +385,15 @@ def maximize(
         raise ValueError(f"unknown method {method!r}")
 
     x = X.x
+    if r > 1 and c > 1:
+        # a single-cell block scores |x_ij|^p, and no block term exceeds
+        # size * max |x|^p; if that underflows, every partition scores 0
+        peak = float(np.abs(x).max())
+        if 0.0 < peak < 1.0 and peak ** p == 0.0:
+            raise ValueError(
+                f"f_p underflows at p={p:g}: the largest |x_ij| = {peak:.6g} raised "
+                "to p rounds to 0, and so does every block term; use a smaller p"
+            )
     if method == "exhaustive":
         if space > EXHAUSTIVE_SPACE_LIMIT:
             raise ValueError(

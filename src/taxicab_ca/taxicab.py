@@ -12,6 +12,18 @@ Exhaustive search is exact up to ``EXACT_ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.
 
+The heuristic walks all its column restarts at once, in blocks of restarts
+that fit ``_ENUM_BLOCK_BYTES``: each half-step is one GEMM over the block's
+active restarts, one sign vector per row.  A GEMM does not add up in the
+order of the reference gemv, so every sign is certified: both sums lie
+within gamma_k times the line's sum of |x| of the exact value, so an entry
+above twice that band has the gemv's sign, and a row with an entry inside
+it is recomputed by the reference matvec.  Each restart thus walks the
+one-at-a-time trajectory and stops where it does.  Only the restarts whose
+batched final dispersion lies within twice a proven rounding margin of the
+best are rescored with the reference arithmetic, in restart order, so the
+winner and every bit of its axis are those of the one-at-a-time loop.
+
 The enumeration kernel, shared with the tensor norm, searches a stack of
 matrices in two phases.  The screen scores every sign candidate in float32,
 after scaling the stack by a power of two so that nothing overflows: one
@@ -451,26 +463,198 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
     return _axis_from_state(_canonical_state(x, state), exact=True)
 
 
+def _sign_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Thresholds above which a computed x @ u (rows) or v @ x (columns) has a sure sign.
+
+    Entry i of x @ u, u a sign vector, adds up the m terms +-x_ij.  Added in
+    any order, by a GEMM or by the reference gemv, it lies within
+    gamma_m * sum_j |x_ij| of the exact sum (gamma_k = k u / (1 - k u), u
+    the unit roundoff).  So an entry whose magnitude exceeds twice that band
+    has the exact sum's sign, and the reference gemv gives it the same sign.
+    The thresholds take (m + 2) eps for the 2 gamma_m (eps = 2 u; the
+    spare eps covers the rounding of the band itself) and add 2 m tiny for
+    underflow.  A zero line sums to +-0 in every order, which ``sign_pm``
+    maps to +1, so its threshold is -inf.  The third value is sum |x_ij|.
+    """
+    eps, tiny = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+    n, m = x.shape
+    magnitude = np.abs(x)
+    rows, cols = magnitude.sum(axis=1), magnitude.sum(axis=0)
+
+    def band(mass: np.ndarray, k: int) -> np.ndarray:
+        return np.where(mass == 0.0, -np.inf, (k + 2) * eps * mass + 2 * k * tiny)
+
+    return band(rows, m), band(cols, n), float(rows.sum())
+
+
+def _certified_product(
+    signs: np.ndarray, mat: np.ndarray, band: np.ndarray,
+    out: np.ndarray, magnitude: np.ndarray, sure: np.ndarray,
+) -> None:
+    """``out = signs @ mat`` with every sign equal to the reference matvec's.
+
+    GEMMs compute the product, a panel of ``mat`` columns (lines of x) of
+    at most an eighth of ``_ENUM_BLOCK_BYTES`` at a time: OpenBLAS packs the
+    panel into a buffer whose pages stay resident for the life of the
+    process, and a whole 400 x 300 x would take 0.8 MB of it.
+    ``magnitude`` receives |out| and ``sure`` marks the entries above
+    ``band``.  A row with any entry inside the band (or nan) is recomputed
+    by ``_reference_rows``, so that it carries the bits of the reference
+    ``mat.T @ s``.
+    """
+    lines = max(1, _ENUM_BLOCK_BYTES // (64 * mat.shape[0]))
+    for j in range(0, mat.shape[1], lines):
+        np.matmul(signs, mat[:, j:j + lines], out=out[:, j:j + lines])
+    np.abs(out, out=magnitude)
+    np.greater(magnitude, band, out=sure)
+    unsure = np.flatnonzero(~sure.all(axis=1))
+    if unsure.size:
+        _reference_rows(signs, mat, unsure, out)
+        magnitude[unsure] = np.abs(out[unsure])
+
+
+def _reference_rows(signs: np.ndarray, mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Rows ``rows`` of ``signs @ mat`` by the reference matvec, one sign vector at a time."""
+    for r in rows.tolist():
+        out[r] = mat.T @ signs[r]
+
+
+def _restart_walks(
+    x: np.ndarray, row_band: np.ndarray, col_band: np.ndarray,
+) -> dict[bytes, list]:
+    """Walk every column restart of x to its stop, a block of restarts at a time.
+
+    Returns the restarts' distinct last u, each as the packed bits of
+    u < 0, mapped to [the first restart that ended there, the highest last
+    dispersion the GEMM computed for it].  Restart j starts from v =
+    sign(column j), u = sign(X' v) and steps v = sign(X u), u = sign(X' v),
+    one GEMM per half-step over the block's active restarts, until the new
+    u is one that restart has already seen (the stop of
+    ``_transition_fixed_point``).  ``_certified_product`` gives every sign
+    the reference matvec's value, so each restart walks the reference
+    trajectory.  The block's buffers fit ``_ENUM_BLOCK_BYTES`` and are
+    reused across steps.
+    """
+    n, m = x.shape
+    size = max(1, min(m, _ENUM_BLOCK_BYTES // (8 * (3 * m + 2 * n) + max(n, m))))
+    u_cur, u_new, prod_b = (np.empty((size, m)) for _ in range(3))
+    prod_a, v = np.empty((size, n)), np.empty((size, n))
+    sure = np.empty((size, max(n, m)), dtype=bool)
+    stops: dict[bytes, list] = {}
+
+    def step_u(k: int) -> np.ndarray:
+        """u_new = sign(X' v) for the first k rows, and the packed bits of u_new < 0."""
+        _certified_product(v[:k], x, col_band, prod_b[:k], u_new[:k], sure[:k, :m])
+        sign_pm(prod_b[:k], out=u_new[:k])
+        np.less(u_new[:k], 0.0, out=sure[:k, :m])
+        return np.packbits(sure[:k, :m], axis=1)
+
+    for start in range(0, m, size):
+        ids = np.arange(start, min(start + size, m))
+        k = ids.size
+        sign_pm(x[:, start:start + k].T, out=v[:k])
+        keys = step_u(k)
+        u_cur, u_new = u_new, u_cur
+        seen = [{key.tobytes()} for key in keys]
+        delta_prev = np.full(k, -np.inf)
+        while k:
+            _certified_product(u_cur[:k], x.T, row_band, prod_a[:k], v[:k], sure[:k, :n])
+            delta = v[:k].sum(axis=1)
+            fell = ~(delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta))
+            if fell.any():
+                r = int(np.argmax(fell))
+                raise InvariantError(
+                    f"dispersion decreased from {float(delta_prev[r])!r} to {float(delta[r])!r}")
+            sign_pm(prod_a[:k], out=v[:k])
+            new_keys = step_u(k)
+            stop = np.zeros(k, dtype=bool)
+            for r, key in enumerate(new_keys):
+                key = key.tobytes()
+                if key in seen[r]:
+                    stop[r] = True
+                else:
+                    seen[r].add(key)
+            for r in np.flatnonzero(stop).tolist():
+                entry = stops.setdefault(keys[r].tobytes(), [int(ids[r]), float(delta[r])])
+                entry[:] = min(entry[0], int(ids[r])), max(entry[1], float(delta[r]))
+            go = np.flatnonzero(~stop)
+            k = go.size
+            np.take(u_new, go, axis=0, out=u_cur[:k])
+            ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
+            seen = [seen[r] for r in go.tolist()]
+    return stops
+
+
+def _restart_margin(n: int, m: int, mass: float) -> float:
+    """Bound on |batched - reference| final dispersion of a restart on an n x m matrix.
+
+    Each |a_i| is a sum of m terms +-x_ij, off by at most gamma_m sum_j
+    |x_ij|, and the dispersion adds n of them, off by at most gamma_n times
+    their sum; with ``mass`` = sum |x_ij| both the batched and the reference
+    value lie within (n + m + 1) unit roundoffs times ``mass`` of the exact
+    one.  The bound doubles that (eps is two unit roundoffs) and adds three
+    eps for the second-order terms and the rounding of ``mass``.
+    """
+    return (n + m + 4) * float(np.finfo(float).eps) * mass
+
+
+def _confirm_restarts(
+    x: np.ndarray, stops: dict[bytes, list], margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The reference state (u, v, a, b, delta) of the best restart, the first on ties.
+
+    ``stops`` is ``_restart_walks``'s map of last u to [first restart,
+    batched dispersion].  Rescores, in restart order and with the reference
+    ``x @ u`` and ``x.T @ v``, the last u's whose batched dispersion lies
+    within twice ``margin`` of the best batched one; a strict ``>``
+    replaces the incumbent.  The reference winner's batched value is at
+    least its reference value minus one margin, which is at least the best
+    batched value minus two, so it is among them.  Restarts that end at
+    the same u score the same bits, so each u is rescored once, for the
+    first of them.
+    """
+    m = x.shape[1]
+    floor = max((delta for _, delta in stops.values()), default=-np.inf) - 2.0 * margin
+    best: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None = None
+    for _, key in sorted((first, key) for key, (first, delta) in stops.items()
+                         if not delta < floor):
+        u = 1.0 - 2.0 * np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=m)
+        a = x @ u
+        delta = float(np.abs(a).sum())
+        if best is None or delta > best[4]:
+            v = sign_pm(a)
+            best = (u, v, a, x.T @ v, delta)
+    if best is None:
+        raise InvariantError("no restart produced a fixed point")
+    return best
+
+
 def norm_heuristic(X: ResidualMatrix, restarts: str = "columns") -> TaxicabAxis:
     """Taxicab norm lower bound by alternating sign iteration.
 
-    One deterministic restart per column j, seeded with v = sign(column j);
-    the best dispersion across restarts wins (first restart on ties).  The
-    result is a transition fixed point but not necessarily the global
-    optimum.
+    One deterministic restart per column j, seeded with v = sign(column j)
+    and u = sign(X' v), then v = sign(X u), u = sign(X' v) until u repeats
+    (``_transition_fixed_point``); the best dispersion across restarts wins
+    (first restart on ties).  The result is a transition fixed point but
+    not necessarily the global optimum.
+
+    All restarts run at once, in blocks that fit ``_ENUM_BLOCK_BYTES``,
+    each half-step one GEMM over the block's active restarts
+    (``_restart_walks``).  Every sign is certified: an entry outside the
+    rounding band of ``_sign_bands`` has the reference matvec's sign, and a
+    row with an entry inside it is recomputed by the reference matvec, so
+    each restart walks exactly the one-at-a-time trajectory and stops where
+    it does.  Only the restarts whose batched final dispersion lies within
+    twice the proven margin (``_restart_margin``) of the best one are
+    rescored with the reference arithmetic (``_confirm_restarts``), so the
+    winner and its bits are those of the one-at-a-time loop.
     """
     if restarts != "columns":
         raise ValueError(f"unknown restart strategy {restarts!r}")
     x = X.x
-    best: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None = None
-    for j in range(x.shape[1]):
-        v0 = sign_pm(x[:, j])
-        u0 = sign_pm(x.T @ v0)
-        state = _transition_fixed_point(x, u0)
-        if best is None or state[4] > best[4]:
-            best = state
-    if best is None:
-        raise InvariantError("no restart produced a fixed point")
+    row_band, col_band, mass = _sign_bands(x)
+    stops = _restart_walks(x, row_band, col_band)
+    best = _confirm_restarts(x, stops, _restart_margin(*x.shape, mass))
     return _axis_from_state(_canonical_state(x, best), exact=False)
 
 

@@ -3,9 +3,10 @@
 Everything here enumerates exhaustively with its own code paths (itertools
 products of raw sign choices, full subset lattices, recursive partition
 generation) so it shares no logic with the library implementations it checks.
-The two-mode clustering loops at the end are the exception: they are the
-library's own search as it was before its screened rewrite, kept as the
-reference whose partitions and objective bits the rewrite must reproduce.
+The loops at the end are the exception: the taxicab heuristic's restart
+loop as it was before its batched rewrite, and the two-mode clustering search
+as it was before its screened rewrite, kept as the references whose bits the
+rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -172,6 +173,44 @@ def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
                 best_val, best = val, (s1, s2, np.where(fiber >= 0.0, 1.0, -1.0))
     signs = dict(zip((e1, e2, free), best))
     return signs[0], signs[1], signs[2]
+
+
+# The taxicab heuristic as it was before the batched rewrite: one column
+# restart at a time, each a loop of two matvecs a step, stopping when u
+# repeats.  The library must return the same axis bits, so the winner goes
+# through the library's own axis-sign rule and indeterminate sets, which the
+# rewrite left as they were.
+
+
+def _loop_sign(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0.0, 1.0, -1.0)
+
+
+def _loop_fixed_point(x: np.ndarray, u: np.ndarray):
+    seen = {u.tobytes()}
+    while True:
+        a = x @ u
+        v = _loop_sign(a)
+        delta = float(np.abs(a).sum())
+        b = x.T @ v
+        u_next = _loop_sign(b)
+        if np.array_equal(u_next, u) or u_next.tobytes() in seen:
+            return u, v, a, b, delta
+        seen.add(u_next.tobytes())
+        u = u_next
+
+
+def loop_norm_heuristic(X):
+    """The heuristic's axis (a ``TaxicabAxis``) from one restart per column, first best wins."""
+    from taxicab_ca import taxicab
+
+    x = X.x
+    best = None
+    for j in range(x.shape[1]):
+        state = _loop_fixed_point(x, _loop_sign(x.T @ _loop_sign(x[:, j])))
+        if best is None or state[4] > best[4]:
+            best = state
+    return taxicab._axis_from_state(taxicab._canonical_state(x, best), exact=False)
 
 
 # The two-mode clustering search as it was before the screened rewrite: one

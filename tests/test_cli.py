@@ -154,6 +154,40 @@ class TestClusterCommand:
         assert report.results["method"] == "exhaustive"
 
 
+    def test_underflowing_p_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["cluster", "--dataset", "asbestos", "--r", "2", "--c", "2",
+                    "--p", "400", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "f_p underflows at p=400" in err
+        assert not out.exists()
+
+    def test_large_p_that_scores_is_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["cluster", "--dataset", "asbestos", "--r", "2", "--c", "2",
+                    "--p", "300", "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert printed == [
+            "objective f_300 = 4.4321e-279 (exhaustive)",
+            "  row block 1: 0-9",
+            "  row block 2: 10-19, 20-29, 30-39, 40+",
+            "  col block 1: G0",
+            "  col block 2: G1, G2, G3",
+        ]
+        assert _read_report(out).results["objective"] == 4.432096273276446e-279
+
+    def test_single_blocks_score_zero_at_large_p(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["cluster", "--dataset", "asbestos", "--r", "1", "--c", "1",
+                    "--p", "400", "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert printed[0] == "objective f_400 = 0 (exhaustive)"
+        assert _read_report(out).results["objective"] == 0.0
+
+
 class TestDispersionCommand:
     def test_column(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -125,11 +125,36 @@ class TestMaximize:
             maximize(X, 2, 2, p=p)
 
     def test_huge_p_still_scores(self):
-        # |x| < 1 makes every |x|^p underflow; the screen's tolerance stays finite
+        # |x| < 1 makes every |x|^p underflow; the screen's tolerance stays
+        # finite.  With one column block every block sum is zero, so f_p = 0 is
+        # the optimum; with two row and two column blocks it is not, and the
+        # underflow is an error rather than an arbitrary partition.
         X = correspondence_residual(from_counts(np.arange(1.0, 21.0).reshape(5, 4)))
         for method in ("exhaustive", "local_search"):
-            res = maximize(X, 2, 2, p=1e308, method=method)
+            res = maximize(X, 2, 1, p=1e308, method=method)
             assert res.objective == objective(X, res.partition, 1e308) == 0.0
+            with pytest.raises(ValueError, match=r"f_p underflows at p=1e\+308"):
+                maximize(X, 2, 2, p=1e308, method=method)
+
+    @pytest.mark.parametrize("method", ["exhaustive", "local_search"])
+    def test_underflowing_p_is_rejected(self, asbestos_P, method):
+        # max |x| = 0.118 on asbestos: 0.118^400 underflows, 0.118^300 does not
+        X = correspondence_residual(asbestos_P)
+        with pytest.raises(ValueError, match=r"f_p underflows at p=400: .* use a smaller p"):
+            maximize(X, 2, 2, p=400.0, method=method)
+        res = maximize(X, 2, 2, p=300.0, method="exhaustive")
+        assert res.objective == 4.432096273276446e-279
+        assert res.partition.row_blocks == ((0,), (1, 2, 3, 4))
+        assert res.partition.col_blocks == ((0,), (1, 2, 3))
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (2, 1), (1, 3)])
+    def test_single_block_mode_scores_zero_at_any_p(self, asbestos_P, r, c):
+        # every block sum of a double-centered matrix is zero when one mode is
+        # a single block: f_p = 0 is the true optimum, not an underflow
+        X = correspondence_residual(asbestos_P)
+        res = maximize(X, r, c, p=400.0)
+        assert res.objective == 0.0
+        assert len(res.partition.row_blocks) == r and len(res.partition.col_blocks) == c
 
     def test_local_search_close_to_exhaustive(self):
         rng = np.random.default_rng(46)

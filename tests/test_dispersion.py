@@ -15,6 +15,7 @@ from taxicab_ca.dispersion import (
     mad_mean,
     median,
     relative_contributions,
+    sign_pm,
     variance_and_std,
 )
 
@@ -252,3 +253,40 @@ class TestInvariance:
         assert mad_mean(scaled) == pytest.approx(abs(scale) * d0, abs=1e-9)
         assert variance_and_std(scaled)[1] == pytest.approx(abs(scale) * s0, abs=1e-9)
         assert lad(scaled) == pytest.approx(abs(scale) * l0, abs=1e-9)
+
+
+class TestSignPm:
+    """sign_pm maps x >= 0 to +1 and everything else (nan included) to -1."""
+
+    @staticmethod
+    def _where(x) -> np.ndarray:
+        return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+
+    def test_zero_nan_and_infinities(self):
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        s = sign_pm(x)
+        np.testing.assert_array_equal(s, [1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        assert s.tobytes() == self._where(x).tobytes()  # no -0.0 or other stray bits
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (3, 5), (86, 1500), (2, 3, 4)])
+    def test_random_arrays_match_where(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        x = rng.normal(size=shape)
+        if x.size:
+            x.flat[rng.integers(0, x.size, size=3)] = [0.0, -0.0, np.nan]
+        expected = self._where(x)
+        s = sign_pm(x)
+        assert s.dtype == np.float64 and s.shape == x.shape
+        assert s.tobytes() == expected.tobytes()
+        out = np.full(shape, 7.0)
+        assert sign_pm(x, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    def test_integer_and_list_inputs(self):
+        assert sign_pm([3, 0, -2]).tobytes() == np.array([1.0, 1.0, -1.0]).tobytes()
+        assert sign_pm(np.arange(-2, 3)).dtype == np.float64
+        # a strided view into a preallocated output, as the heuristic uses it
+        x = np.arange(-6.0, 6.0).reshape(3, 4)
+        out = np.empty((4, 3))
+        sign_pm(x.T, out=out)
+        assert out.tobytes() == self._where(x.T).tobytes()

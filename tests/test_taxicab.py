@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import align_sign, assert_match_up_to_sign
@@ -18,6 +18,7 @@ from oracles import (
     brute_cut_norm_matrix,
     brute_matrix_norm,
     lexicographic_first_max,
+    loop_norm_heuristic,
     random_double_centered,
 )
 from taxicab_ca import taxicab
@@ -417,6 +418,134 @@ class TestNormHeuristic:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="restart strategy"):
             norm_heuristic(_zero_residual(2, 2), restarts="random")
+
+
+def _centered_integers(core: np.ndarray) -> np.ndarray:
+    """n m z - n r_i - m c_j + T: exactly double-centered when z holds small integers."""
+    n, m = core.shape
+    return (n * m * core - n * core.sum(axis=1, keepdims=True)
+            - m * core.sum(axis=0, keepdims=True) + core.sum())
+
+
+@st.composite
+def _tie_prone_residuals(draw):
+    """Exactly double-centered integer matrices with duplicate and zero lines.
+
+    A core of integers in [-2, 2], square-ish, tall, wide, 1 x k or k x 1,
+    may repeat a row and a column before it is centered; zero rows and
+    columns inserted afterwards keep every line sum zero.  All products are
+    integers, so exact-zero projections are common: a zero column starts
+    its restart from v = 1, whose products 1'x are the zero column sums.
+    """
+    shape = draw(st.sampled_from(["square", "tall", "wide", "row", "column"]))
+    small, large = st.integers(1, 6), st.integers(7, 40)
+    n, m = {
+        "square": (small, small), "tall": (large, st.integers(1, 4)),
+        "wide": (st.integers(1, 4), large), "row": (st.just(1), large),
+        "column": (large, st.just(1)),
+    }[shape]
+    n, m = draw(n), draw(m)
+    core = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m)),
+                    dtype=float).reshape(n, m)
+    if n > 1 and draw(st.booleans()):
+        core[-1] = core[0]
+    if m > 1 and draw(st.booleans()):
+        core[:, -1] = core[:, 0]
+    x = _centered_integers(core)
+    for axis in (0, 1):
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, x.shape[axis]))
+            x = np.insert(x, at, 0.0, axis=axis)
+    return x
+
+
+def _assert_same_axis(got, ref) -> None:
+    assert got.exact is ref.exact is False
+    assert got.delta == ref.delta
+    for name in ("u", "v", "a", "b"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert got.u_indeterminate == ref.u_indeterminate
+    assert got.v_indeterminate == ref.v_indeterminate
+
+
+def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
+    counts = np.random.default_rng(seed).poisson(3.0, size=(n, m)).astype(float)
+    counts[counts.sum(axis=1) == 0, 0] += 1.0
+    counts[0, counts.sum(axis=0) == 0] += 1.0
+    return correspondence_residual(from_counts(counts))
+
+
+class TestBatchedHeuristic:
+    """The blocked GEMM iteration returns the one-restart-at-a-time loop's axis bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=_tie_prone_residuals(), budget=st.sampled_from([64, 4096, None]))
+    @example(x=np.array([[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]]), budget=None)
+    @example(x=np.array([[0.0, 2.0, -2.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]]), budget=64)
+    def test_matches_restart_loop(self, x, budget):
+        X = ResidualMatrix(x=x)
+        with _budget(budget), mock.patch.object(
+                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+            got = norm_heuristic(X)
+        _assert_same_axis(got, loop_norm_heuristic(X))
+        if np.any(x) and not np.all(np.any(x, axis=0)):
+            # the zero column's restart has 1'x = 0 exactly: inside every band
+            assert fallback.call_count > 0
+
+    @pytest.mark.parametrize("shape", [(30, 25), (24, 400), (200, 30)])
+    def test_matches_restart_loop_on_deflated_tables(self, shape):
+        # three heuristic axes: the second and third come from deflated residuals
+        X = _poisson_residual(sum(shape), *shape)
+        for _ in range(3):
+            got = norm_heuristic(X)
+            _assert_same_axis(got, loop_norm_heuristic(X))
+            X = deflate(X, got)
+
+    def test_block_boundaries_do_not_matter(self, monkeypatch):
+        X = _poisson_residual(4, 40, 33)
+        ref = loop_norm_heuristic(X)
+        for budget in (64, 30000, 100000):
+            monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
+            _assert_same_axis(norm_heuristic(X), ref)
+
+    @pytest.mark.parametrize("shape", [(30, 25), (24, 400), (200, 30)])
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_margin_bounds_the_batched_error(self, shape, exponent):
+        x = np.ldexp(_poisson_residual(sum(shape), *shape).x, exponent)
+        row_band, col_band, mass = taxicab._sign_bands(x)
+        stops = taxicab._restart_walks(x, row_band, col_band)
+        margin = taxicab._restart_margin(*shape, mass)
+        for key, (_, delta) in stops.items():
+            u = 1.0 - 2.0 * np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=shape[1])
+            assert abs(delta - float(np.abs(x @ u).sum())) <= margin
+
+    def test_confirmation_looks_past_the_batched_order(self):
+        # u and -u score the same bits; the batched values may rank -u first
+        # by up to two margins, and the first restart must still win
+        rng = np.random.default_rng(14)
+        x = _centered_integers(rng.integers(-2, 3, size=(7, 5)).astype(float))
+        u = sign_pm(rng.normal(size=5))
+        score = float(np.abs(x @ u).sum())
+        margin = taxicab._restart_margin(7, 5, float(np.abs(x).sum()))
+        stops = {np.packbits(-u < 0).tobytes(): [1, score + margin],
+                 np.packbits(u < 0).tobytes(): [0, score - margin]}
+        best = taxicab._confirm_restarts(x, stops, margin)
+        assert best[0].tobytes() == u.tobytes()
+        assert best[4] == score
+        assert best[2].tobytes() == (x @ u).tobytes()
+
+    @pytest.mark.parametrize("shape", [(400, 300), (16, 1500)])
+    def test_working_memory_is_bounded(self, shape):
+        # one block of restarts fits _ENUM_BLOCK_BYTES, and seen and final
+        # sign vectors are kept as packed bits
+        X = _poisson_residual(1, *shape)
+        tracemalloc.start()
+        try:
+            norm_heuristic(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCutNormMatrix:
