@@ -35,7 +35,7 @@ each matrix and float64 prefix.  The confirmation then rescores in float64,
 in lexicographic order and with the reference arithmetic (a column-per-
 candidate table of the 2^k low suffixes plus one prefix at a time), only
 those (matrix, prefix) pairs whose screened best lies within twice the
-proven rounding margin (``_screen_margin``) of the best screened score.
+proven rounding margin (``_rounding_margin``) of the best screened score.
 Every pair that could hold the float64 maximum is among them, so the
 maximizer, ties included, is the one a full float64 scan returns.  Working
 memory stays at a few MiB whatever q is.
@@ -211,21 +211,23 @@ def _enum_split(n: int, q: int, itemsize: int = 8) -> tuple[int, int]:
     return k, max(1, _ENUM_BLOCK_BYTES // (itemsize * n))
 
 
-def _screen_margin(n: int, q: int, abs_sum: float) -> float:
-    """Bound on |screened - reference| score of any candidate of an n x q matrix.
+def _rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
+    """Bound on the gap between two computed values of ||M s||_1, M n x q, s signs.
 
-    Both scores add up the same terms +-M_ij of the float64 matrix: q - 1
-    additions for each row projection, in whatever order, and n - 1 for the
-    sum of the |projections|.  Each addition is off by at most the unit
-    roundoff times the magnitudes of its terms, which sum to at most
-    ``abs_sum`` = sum |M_ij|, and the screen first rounds each entry to
-    float32.  So the screened score lies within (n + q - 1) float32 unit
-    roundoffs times ``abs_sum`` of the exact one, and the reference within
-    (n + q - 2) float64 ones.  The bound doubles that (eps is two unit
-    roundoffs) and adds four eps, which covers the second-order terms and
-    the entries that the scaling or the cast made subnormal.
+    Both values add up the same terms +-M_ij: q - 1 additions for each row
+    projection, in whatever order, and n - 1 for the sum of the
+    |projections|.  Each addition is off by at most the unit roundoff times
+    the magnitudes of its terms, which sum to at most ``abs_sum`` = sum
+    |M_ij|.  A value computed in ``dtype`` (after rounding each entry to it)
+    thus lies within (n + q - 1) unit roundoffs of ``dtype`` times
+    ``abs_sum`` of the exact one, and a float64 reference within (n + q - 2)
+    float64 ones.  The bound is (n + q - 1) eps of ``dtype`` for the two
+    (eps is two unit roundoffs) plus five eps, which cover the second-order
+    terms, the rounding of ``abs_sum`` and the entries that a scaling or a
+    cast made subnormal.  The enumeration screen takes float32, the batched
+    restarts of the heuristic float64.
     """
-    return (n + q + 4) * float(np.finfo(np.float32).eps) * abs_sum
+    return (n + q + 4) * float(np.finfo(dtype).eps) * abs_sum
 
 
 def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
@@ -233,7 +235,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
 
     Returns the screened maximum over each reference prefix (the 2^k_ref
     candidates the float64 scan scores in one step), B x 2^(q-1-k_ref) in
-    the input's units, and the stack's ``_screen_margin``.  The stack is
+    the input's units, and the stack's ``_rounding_margin``.  The stack is
     scaled by a power of two to a largest magnitude in [1/2, 1) before the
     cast, so no float32 value overflows and the scaling itself is exact.
     Scores are the row sums of |table|, the table holding one candidate per
@@ -287,7 +289,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
                     np.matmul(buf, ones, out=scores)
                     maxima[b, prefix * per_table:(prefix + 1) * per_table] = (
                         scores.reshape(per_table, -1).max(axis=1))
-    margin = _screen_margin(n, q, float(abs_sum))
+    margin = _rounding_margin(n, q, float(abs_sum), np.float32)
     return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
 
 
@@ -521,26 +523,26 @@ def _reference_rows(signs: np.ndarray, mat: np.ndarray, rows: np.ndarray, out: n
 
 def _restart_walks(
     x: np.ndarray, row_band: np.ndarray, col_band: np.ndarray,
-) -> dict[bytes, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Walk every column restart of x to its stop, a block of restarts at a time.
 
-    Returns the restarts' distinct last u, each as the packed bits of
-    u < 0, mapped to [the first restart that ended there, the highest last
-    dispersion the GEMM computed for it].  Restart j starts from v =
-    sign(column j), u = sign(X' v) and steps v = sign(X u), u = sign(X' v),
-    one GEMM per half-step over the block's active restarts, until the new
-    u is one that restart has already seen (the stop of
-    ``_transition_fixed_point``).  ``_certified_product`` gives every sign
-    the reference matvec's value, so each restart walks the reference
-    trajectory.  The block's buffers fit ``_ENUM_BLOCK_BYTES`` and are
-    reused across steps.
+    Returns two arrays indexed by restart: ``finals[j]``, the packed bits
+    of u < 0 for restart j's last u, and ``deltas[j]``, the last dispersion
+    the GEMM computed for it.  Restart j starts from v = sign(column j),
+    u = sign(X' v) and steps v = sign(X u), u = sign(X' v), one GEMM per
+    half-step over the block's active restarts, until the new u is one that
+    restart has already seen (the stop of ``_transition_fixed_point``).
+    ``_certified_product`` gives every sign the reference matvec's value,
+    so each restart walks the reference trajectory.  The block's buffers
+    fit ``_ENUM_BLOCK_BYTES`` and are reused across steps.
     """
     n, m = x.shape
     size = max(1, min(m, _ENUM_BLOCK_BYTES // (8 * (3 * m + 2 * n) + max(n, m))))
     u_cur, u_new, prod_b = (np.empty((size, m)) for _ in range(3))
     prod_a, v = np.empty((size, n)), np.empty((size, n))
     sure = np.empty((size, max(n, m)), dtype=bool)
-    stops: dict[bytes, list] = {}
+    finals = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    deltas = np.empty(m)
 
     def step_u(k: int) -> np.ndarray:
         """u_new = sign(X' v) for the first k rows, and the packed bits of u_new < 0."""
@@ -574,51 +576,35 @@ def _restart_walks(
                     stop[r] = True
                 else:
                     seen[r].add(key)
-            for r in np.flatnonzero(stop).tolist():
-                entry = stops.setdefault(keys[r].tobytes(), [int(ids[r]), float(delta[r])])
-                entry[:] = min(entry[0], int(ids[r])), max(entry[1], float(delta[r]))
+            finals[ids[stop]] = keys[stop]
+            deltas[ids[stop]] = delta[stop]
             go = np.flatnonzero(~stop)
             k = go.size
             np.take(u_new, go, axis=0, out=u_cur[:k])
             ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
             seen = [seen[r] for r in go.tolist()]
-    return stops
-
-
-def _restart_margin(n: int, m: int, mass: float) -> float:
-    """Bound on |batched - reference| final dispersion of a restart on an n x m matrix.
-
-    Each |a_i| is a sum of m terms +-x_ij, off by at most gamma_m sum_j
-    |x_ij|, and the dispersion adds n of them, off by at most gamma_n times
-    their sum; with ``mass`` = sum |x_ij| both the batched and the reference
-    value lie within (n + m + 1) unit roundoffs times ``mass`` of the exact
-    one.  The bound doubles that (eps is two unit roundoffs) and adds three
-    eps for the second-order terms and the rounding of ``mass``.
-    """
-    return (n + m + 4) * float(np.finfo(float).eps) * mass
+    return finals, deltas
 
 
 def _confirm_restarts(
-    x: np.ndarray, stops: dict[bytes, list], margin: float,
+    x: np.ndarray, finals: np.ndarray, deltas: np.ndarray, margin: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """The reference state (u, v, a, b, delta) of the best restart, the first on ties.
 
-    ``stops`` is ``_restart_walks``'s map of last u to [first restart,
-    batched dispersion].  Rescores, in restart order and with the reference
-    ``x @ u`` and ``x.T @ v``, the last u's whose batched dispersion lies
-    within twice ``margin`` of the best batched one; a strict ``>``
-    replaces the incumbent.  The reference winner's batched value is at
-    least its reference value minus one margin, which is at least the best
-    batched value minus two, so it is among them.  Restarts that end at
-    the same u score the same bits, so each u is rescored once, for the
-    first of them.
+    ``finals`` and ``deltas`` are ``_restart_walks``'s last u and batched
+    dispersion of each restart.  Rescores, in restart order and with the
+    reference ``x @ u`` and ``x.T @ v``, every restart whose batched
+    dispersion lies within twice ``margin`` of the best batched one; a
+    strict ``>`` replaces the incumbent.  Each restart's batched dispersion
+    is within one margin of the reference dispersion of its own last u, so
+    the first restart that reaches the reference maximum is within two
+    margins of the best batched dispersion, and is rescored.
     """
     m = x.shape[1]
-    floor = max((delta for _, delta in stops.values()), default=-np.inf) - 2.0 * margin
+    floor = deltas.max() - 2.0 * margin
     best: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None = None
-    for _, key in sorted((first, key) for key, (first, delta) in stops.items()
-                         if not delta < floor):
-        u = 1.0 - 2.0 * np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=m)
+    for j in np.flatnonzero(~(deltas < floor)).tolist():
+        u = 1.0 - 2.0 * np.unpackbits(finals[j], count=m)
         a = x @ u
         delta = float(np.abs(a).sum())
         if best is None or delta > best[4]:
@@ -629,7 +615,7 @@ def _confirm_restarts(
     return best
 
 
-def norm_heuristic(X: ResidualMatrix, restarts: str = "columns") -> TaxicabAxis:
+def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
     """Taxicab norm lower bound by alternating sign iteration.
 
     One deterministic restart per column j, seeded with v = sign(column j)
@@ -645,16 +631,19 @@ def norm_heuristic(X: ResidualMatrix, restarts: str = "columns") -> TaxicabAxis:
     row with an entry inside it is recomputed by the reference matvec, so
     each restart walks exactly the one-at-a-time trajectory and stops where
     it does.  Only the restarts whose batched final dispersion lies within
-    twice the proven margin (``_restart_margin``) of the best one are
-    rescored with the reference arithmetic (``_confirm_restarts``), so the
-    winner and its bits are those of the one-at-a-time loop.
+    twice the proven margin (``_rounding_margin``) of the best one are
+    rescored with the reference arithmetic, in restart order
+    (``_confirm_restarts``), so the winner and its bits are those of the
+    one-at-a-time loop.  A matrix holding nan or inf raises
+    ``InvariantError`` before the first step.
     """
-    if restarts != "columns":
-        raise ValueError(f"unknown restart strategy {restarts!r}")
     x = X.x
+    if not np.isfinite(x).all():
+        raise InvariantError("norm_heuristic: the matrix holds non-finite values")
     row_band, col_band, mass = _sign_bands(x)
-    stops = _restart_walks(x, row_band, col_band)
-    best = _confirm_restarts(x, stops, _restart_margin(*x.shape, mass))
+    finals, deltas = _restart_walks(x, row_band, col_band)
+    margin = _rounding_margin(*x.shape, mass, np.float64)
+    best = _confirm_restarts(x, finals, deltas, margin)
     return _axis_from_state(_canonical_state(x, best), exact=False)
 
 

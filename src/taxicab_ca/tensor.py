@@ -13,7 +13,7 @@ screens every (first-mode, second-mode) sign pair of a stack in float32,
 keeps only the best screened score of each matrix and prefix, and then
 rescores in float64, with the matrix search's own arithmetic, only the
 matrices and prefixes within the proven rounding margin of the screened
-best (``taxicab._screen_margin``).  The contractions are recomputed for
+best (``taxicab._rounding_margin``).  The contractions are recomputed for
 that step with the same chunks, so the signs, and every report byte, are
 those of scanning all pairs in float64.
 """

@@ -200,6 +200,15 @@ def _loop_fixed_point(x: np.ndarray, u: np.ndarray):
         u = u_next
 
 
+def _loop_restart(x: np.ndarray, j: int):
+    return _loop_fixed_point(x, _loop_sign(x.T @ _loop_sign(x[:, j])))
+
+
+def loop_restart_finals(x: np.ndarray) -> list[np.ndarray]:
+    """Each column restart's last u, in restart order."""
+    return [_loop_restart(x, j)[0] for j in range(x.shape[1])]
+
+
 def loop_norm_heuristic(X):
     """The heuristic's axis (a ``TaxicabAxis``) from one restart per column, first best wins."""
     from taxicab_ca import taxicab
@@ -207,7 +216,7 @@ def loop_norm_heuristic(X):
     x = X.x
     best = None
     for j in range(x.shape[1]):
-        state = _loop_fixed_point(x, _loop_sign(x.T @ _loop_sign(x[:, j])))
+        state = _loop_restart(x, j)
         if best is None or state[4] > best[4]:
             best = state
     return taxicab._axis_from_state(taxicab._canonical_state(x, best), exact=False)

@@ -19,6 +19,7 @@ from oracles import (
     brute_matrix_norm,
     lexicographic_first_max,
     loop_norm_heuristic,
+    loop_restart_finals,
     random_double_centered,
 )
 from taxicab_ca import taxicab
@@ -353,6 +354,7 @@ class TestInvariantErrors:
                 "norm_exact": lambda: taxicab.norm_exact(unchecked(ResidualMatrix, nan)),
                 "norm_exact_inf": lambda: taxicab.norm_exact(unchecked(ResidualMatrix, inf)),
                 "norm_heuristic": lambda: taxicab.norm_heuristic(unchecked(ResidualMatrix, nan)),
+                "norm_heuristic_inf": lambda: taxicab.norm_heuristic(unchecked(ResidualMatrix, inf)),
                 "tensor_exact": lambda: tensor.tensor_norm_exact(
                     unchecked(Tensor3, np.full((2, 2, 2), np.nan))),
                 "tensor_exact_inf": lambda: tensor.tensor_norm_exact(
@@ -384,9 +386,12 @@ class TestInvariantErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("raised:") == 9
+        assert proc.stdout.count("raised:") == 10
         # the four exact searches stop where the screen confirms no candidate
         assert proc.stdout.count("confirmed no candidate") == 4
+        # the heuristic refuses nan and inf before its first step
+        for name in ("norm_heuristic", "norm_heuristic_inf"):
+            assert f"{name} raised: norm_heuristic: the matrix holds non-finite values" in proc.stdout
 
 
 class TestNormHeuristic:
@@ -414,10 +419,6 @@ class TestNormHeuristic:
                 hits += 1
         print(f"heuristic equality rate: {hits}/100")
         assert hits >= 80  # the deterministic restarts find the optimum almost always
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="restart strategy"):
-            norm_heuristic(_zero_residual(2, 2), restarts="random")
 
 
 def _centered_integers(core: np.ndarray) -> np.ndarray:
@@ -475,6 +476,24 @@ def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
     return correspondence_residual(from_counts(counts))
 
 
+def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_restart_walks`` on x (each restart's packed last u and batched
+    dispersion) and the margin ``norm_heuristic`` confirms them with."""
+    row_band, col_band, mass = taxicab._sign_bands(x)
+    with _budget(budget):
+        finals, deltas = taxicab._restart_walks(x, row_band, col_band)
+    return finals, deltas, taxicab._rounding_margin(*x.shape, mass, np.float64)
+
+
+def _packed(us) -> np.ndarray:
+    """Sign vectors as ``_restart_walks`` keeps them: one row of packed u < 0 bits each."""
+    return np.packbits(np.array(us) < 0, axis=1)
+
+
+def _unpacked(bits: np.ndarray, m: int) -> np.ndarray:
+    return 1.0 - 2.0 * np.unpackbits(bits, count=m)
+
+
 class TestBatchedHeuristic:
     """The blocked GEMM iteration returns the one-restart-at-a-time loop's axis bits."""
 
@@ -508,28 +527,49 @@ class TestBatchedHeuristic:
             monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
             _assert_same_axis(norm_heuristic(X), ref)
 
+    @settings(max_examples=100, deadline=None)
+    @given(x=_tie_prone_residuals(), budget=st.sampled_from([64, 4096, None]))
+    def test_every_restart_ends_where_the_loop_does(self, x, budget):
+        finals, deltas, margin = _walks(x, budget)
+        for j, u in enumerate(loop_restart_finals(x)):
+            assert _unpacked(finals[j], x.shape[1]).tobytes() == u.tobytes(), j
+            assert abs(deltas[j] - float(np.abs(x @ u).sum())) <= margin
+
     @pytest.mark.parametrize("shape", [(30, 25), (24, 400), (200, 30)])
     @pytest.mark.parametrize("exponent", [0, 600, -600])
     def test_margin_bounds_the_batched_error(self, shape, exponent):
         x = np.ldexp(_poisson_residual(sum(shape), *shape).x, exponent)
-        row_band, col_band, mass = taxicab._sign_bands(x)
-        stops = taxicab._restart_walks(x, row_band, col_band)
-        margin = taxicab._restart_margin(*shape, mass)
-        for key, (_, delta) in stops.items():
-            u = 1.0 - 2.0 * np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=shape[1])
+        finals, deltas, margin = _walks(x)
+        for final, delta in zip(finals, deltas):
+            u = _unpacked(final, shape[1])
             assert abs(delta - float(np.abs(x @ u).sum())) <= margin
 
     def test_confirmation_looks_past_the_batched_order(self):
         # u and -u score the same bits; the batched values may rank -u first
         # by up to two margins, and the first restart must still win
+        x, u, score, margin = self._tied_pair()
+        best = taxicab._confirm_restarts(
+            x, _packed([u, -u]), np.array([score - margin, score + margin]), margin)
+        self._assert_state_of(best, x, u, score)
+
+    def test_restarts_sharing_a_final_u_keep_the_first(self):
+        # restarts 0 and 2 end at u with different batched values, restart 1
+        # at -u with a value between them; restart 0's u wins
+        x, u, score, margin = self._tied_pair()
+        best = taxicab._confirm_restarts(
+            x, _packed([u, -u, u]), np.array([score - margin, score, score + margin]), margin)
+        self._assert_state_of(best, x, u, score)
+
+    @staticmethod
+    def _tied_pair():
         rng = np.random.default_rng(14)
         x = _centered_integers(rng.integers(-2, 3, size=(7, 5)).astype(float))
         u = sign_pm(rng.normal(size=5))
-        score = float(np.abs(x @ u).sum())
-        margin = taxicab._restart_margin(7, 5, float(np.abs(x).sum()))
-        stops = {np.packbits(-u < 0).tobytes(): [1, score + margin],
-                 np.packbits(u < 0).tobytes(): [0, score - margin]}
-        best = taxicab._confirm_restarts(x, stops, margin)
+        margin = taxicab._rounding_margin(7, 5, float(np.abs(x).sum()), np.float64)
+        return x, u, float(np.abs(x @ u).sum()), margin
+
+    @staticmethod
+    def _assert_state_of(best, x, u, score):
         assert best[0].tobytes() == u.tobytes()
         assert best[4] == score
         assert best[2].tobytes() == (x @ u).tobytes()
