@@ -9,7 +9,10 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -90,6 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: every call fills a fresh
+    # namespace from the actions' defaults
+    return build_parser()
+
+
 def _load_matrix(args: argparse.Namespace) -> tuple[LabeledMatrix, str, bytes]:
     if args.dataset and args.csv:
         raise ValueError("give either a CSV path or --dataset, not both")
@@ -115,14 +125,41 @@ def _provenance(raw: bytes, solver: str) -> dict:
     }
 
 
+def _write_in_place(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and, if regular, cut at the end of
+    the new text afterwards.  ext4 (``auto_da_alloc``) flushes a file to disk
+    on close once it has been truncated to zero, which makes rewriting a
+    report there cost tens of milliseconds.  Writing in place keeps the
+    inode, the mode, symlinks (written through) and hard links.  Devices and
+    pipes are written without truncation.  A failed write cuts the file to
+    zero, so no old tail is left behind new bytes.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                fh.write(text)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
 def _finish(report: _reports.AnalysisReport, args: argparse.Namespace) -> None:
     # render the map before writing anything, so that a run whose map
     # fails (a table of rank below 2) leaves no report behind
     svg = render_map(report) if getattr(args, "map", None) else None
     if getattr(args, "out", None):
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        _write_in_place(args.out, report.to_json())
     if svg is not None:
-        Path(args.map).write_text(svg, encoding="utf-8")
+        _write_in_place(args.map, svg)
 
 
 def _cmd_dispersion(args: argparse.Namespace) -> _reports.AnalysisReport:
@@ -252,9 +289,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -101,24 +101,38 @@ def from_counts(counts: np.ndarray) -> CorrespondenceMatrix:
     return CorrespondenceMatrix.from_counts(counts)
 
 
-def _max_line_sum(x: np.ndarray) -> float:
-    return max(
-        float(np.abs(x.sum(axis=1)).max(initial=0.0)),
-        float(np.abs(x.sum(axis=0)).max(initial=0.0)),
-    )
+def _centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
+    """Check that every line of ``x`` sums to zero within CENTERING_TOL * scale.
+
+    ``scale`` is the L1 mass of what ``x`` was computed from: the rounding of
+    a centering step grows with its input, which near independence is far
+    larger than the residual itself.  ``None`` means the entrywise L1 mass
+    of ``x``.  A scale below the tolerance counts as (numerically) zero, so
+    ``x`` is trivially centered.  Returns the scale.
+    """
+    scale = float(np.abs(x).sum()) if scale is None else float(scale)
+    if not (np.isfinite(scale) and scale >= 0.0):
+        raise ValueError("centering scale must be finite and nonnegative")
+    if scale > CENTERING_TOL:
+        worst = max(float(np.abs(x.sum(axis=axis)).max()) for axis in range(x.ndim))
+        if worst > CENTERING_TOL * scale:
+            raise ValueError(error)
+    return scale
 
 
 @dataclass(frozen=True)
 class ResidualMatrix:
     """Double-centered matrix: every row sum and column sum is zero.
 
-    Centering is validated relative to the entrywise L1 mass; a matrix whose
-    mass is itself below the tolerance counts as (numerically) zero and is
-    trivially centered.
+    Centering is validated relative to ``scale`` (see ``_centering_scale``):
+    sum(p) for a correspondence residual, sum(|y|) for an additive one and
+    the parent's scale for a deflated one.  It defaults to the entrywise L1
+    mass.
     """
 
     x: np.ndarray
     kind: str = "additive"
+    scale: float | None = None
 
     _KINDS = ("multiplicative", "additive", "deflated")
 
@@ -131,10 +145,8 @@ class ResidualMatrix:
             raise ValueError("residual matrix must be a nonempty 2-d array")
         if not np.all(np.isfinite(x)):
             raise ValueError("residual matrix contains non-finite values")
-        mass = float(np.abs(x).sum())
-        if mass > CENTERING_TOL:
-            if _max_line_sum(x) > CENTERING_TOL * mass:
-                raise ValueError("matrix is not double-centered")
+        object.__setattr__(self, "scale", _centering_scale(
+            x, self.scale, "matrix is not double-centered"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -144,7 +156,7 @@ class ResidualMatrix:
 def correspondence_residual(P: CorrespondenceMatrix) -> ResidualMatrix:
     """Residual of P against the independence model: x_ij = p_ij - p_i* p_*j."""
     x = P.p - np.outer(P.row_masses, P.col_masses)
-    return ResidualMatrix(x=x, kind="multiplicative")
+    return ResidualMatrix(x=x, kind="multiplicative", scale=float(P.p.sum()))
 
 
 def additive_double_center(Y: np.ndarray) -> ResidualMatrix:
@@ -155,14 +167,19 @@ def additive_double_center(Y: np.ndarray) -> ResidualMatrix:
     if not np.all(np.isfinite(y)):
         raise ValueError("input contains non-finite values")
     x = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
-    return ResidualMatrix(x=x, kind="additive")
+    return ResidualMatrix(x=x, kind="additive", scale=float(np.abs(y).sum()))
 
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Triple-centered 3-way array: all mode-wise fiber sums are zero."""
+    """Triple-centered 3-way array: all mode-wise fiber sums are zero.
+
+    Centering is validated as for ``ResidualMatrix``: relative to sum(|y|)
+    when built by ``triple_center``, else to the entrywise L1 mass.
+    """
 
     x: np.ndarray
+    scale: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _readonly(self.x))
@@ -171,13 +188,8 @@ class Tensor3:
             raise ValueError("tensor must be a nonempty 3-d array")
         if not np.all(np.isfinite(x)):
             raise ValueError("tensor contains non-finite values")
-        mass = float(np.abs(x).sum())
-        if mass > CENTERING_TOL:
-            worst = max(
-                float(np.abs(x.sum(axis=axis)).max()) for axis in range(3)
-            )
-            if worst > CENTERING_TOL * mass:
-                raise ValueError("tensor is not triple-centered")
+        object.__setattr__(self, "scale", _centering_scale(
+            x, self.scale, "tensor is not triple-centered"))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -203,4 +215,4 @@ def triple_center(Y: np.ndarray) -> Tensor3:
     m_j = y.mean(axis=(0, 2), keepdims=True)
     m_k = y.mean(axis=(0, 1), keepdims=True)
     x = y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
-    return Tensor3(x=x)
+    return Tensor3(x=x, scale=float(np.abs(y).sum()))

@@ -664,7 +664,7 @@ def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
     if axis.delta <= 0.0:
         raise ValueError("cannot deflate null axis")
     x = X.x - np.outer(axis.a, axis.b) / axis.delta
-    return ResidualMatrix(x=x, kind="deflated")
+    return ResidualMatrix(x=x, kind="deflated", scale=X.scale)
 
 
 def tca(

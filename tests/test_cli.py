@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taxicab_ca
-from taxicab_ca.cli import run
+from taxicab_ca import cli
+from taxicab_ca.cli import build_parser, run
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
 
@@ -271,6 +273,165 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert code == 0
         assert "taxicab" in out
+
+
+class TestNearIndependence:
+    """Tables whose residual is far below the rounding of p - r c' still center."""
+
+    CSV = "a,b\nr1,1000000,1000000\nr2,1000000,1000001\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tca"], ["ca"], ["cluster", "--r", "2", "--c", "2"], ["seriate", "--axis", "1"],
+    ])
+    def test_subcommand_accepts_table(self, tmp_path, capsys, argv):
+        src, out = tmp_path / "t.csv", tmp_path / "r.json"
+        src.write_text(self.CSV)
+        code = run([argv[0], str(src), *argv[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert _read_report(out).method
+
+    def test_tca_deflates_near_independent_tables(self, tmp_path, capsys):
+        rng = np.random.default_rng(63)
+        counts = np.round(1e7 * rng.uniform(1, 2, size=(5, 1)) * rng.uniform(1, 2, size=4))
+        src, out = tmp_path / "t.csv", tmp_path / "r.json"
+        src.write_text(_csv_text((counts + rng.integers(0, 3, size=counts.shape)).astype(int)))
+        assert run(["tca", str(src), "--out", str(out)]) == 0, capsys.readouterr().err
+        assert len(_read_report(out).results["axes"]) >= 2
+
+
+class TestInPlaceWriter:
+    """``--out`` and ``--map`` overwrite an existing file in place."""
+
+    ARGV = ["tca", "--dataset", "asbestos", "--axes", "1"]
+
+    def _fresh_bytes(self, tmp_path) -> bytes:
+        path = tmp_path / "fresh.json"
+        assert run([*self.ARGV, "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    def test_short_report_over_longer_file(self, tmp_path, capsys):
+        out, link = tmp_path / "r.json", tmp_path / "hard.json"
+        out.write_bytes(b"x" * 200_000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert run([*self.ARGV, "--out", str(out)]) == 0
+        expected = self._fresh_bytes(tmp_path)
+        capsys.readouterr()
+        assert out.read_bytes() == expected
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == expected
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old contents " * 100)
+        link.symlink_to(target)
+        assert run([*self.ARGV, "--out", str(link)]) == 0
+        expected = self._fresh_bytes(tmp_path)
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_mode_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old")
+        out.chmod(0o600)
+        assert run([*self.ARGV, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.read_bytes() == self._fresh_bytes(tmp_path)
+
+    def test_dev_null(self, capsys):
+        argv = ["tca", "--dataset", "asbestos", "--out", os.devnull, "--map", os.devnull]
+        assert run(argv) == 0
+        capsys.readouterr()
+
+    def test_never_truncates_on_open(self, tmp_path, capsys, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        out, svg = tmp_path / "r.json", tmp_path / "m.svg"
+        out.write_text("old " * 1000)
+        monkeypatch.setattr(os, "open", spy)
+        argv = ["tca", "--dataset", "americas", "--out", str(out), "--map", str(svg)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(flags) == 2
+        assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+    def test_failed_write_leaves_empty_file(self, tmp_path, capsys, monkeypatch):
+        class HalfWrite:
+            """Writes half of the text, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                self._fh.write(text[: len(text) // 2])
+                self._fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        out = tmp_path / "r.json"
+        out.write_bytes(b"x" * 200_000)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
+                            raising=False)
+        code = run([*self.ARGV, "--out", str(out)])
+        assert code == 2
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == b""
+
+
+_FRESH_RUN = textwrap.dedent("""
+    import contextlib, io, sys, json
+    from taxicab_ca.cli import run
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(json.loads(sys.argv[1]))
+    print(code)
+""")
+
+
+class TestParserReuse:
+    """One parser serves every call of a process without leaking state."""
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path, capsys):
+        calls = [
+            ["tca", "--dataset", "asbestos", "--axes", "2"],
+            ["cluster", "--dataset", "asbestos", "--r", "2", "--c", "3", "--p", "1.5"],
+            ["tca", "--dataset", "asbestos", "--exact", "--heuristic"],
+            ["tca", "--dataset", "asbestos"],
+            ["seriate", "--dataset", "americas", "--axis", "2"],
+        ]
+        src = os.path.dirname(os.path.dirname(taxicab_ca.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for k, argv in enumerate(calls):
+            here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+            code = run([*argv, "--out", str(here)])
+            capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-c", _FRESH_RUN, json.dumps([*argv, "--out", str(fresh)])],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert code == int(proc.stdout), argv
+            assert here.exists() == fresh.exists(), argv
+            if here.exists():
+                assert here.read_bytes() == fresh.read_bytes(), argv
+        # the --axes 2 of the first call must not stick to the fourth
+        axes = _read_report(tmp_path / "here3.json").results["axes"]
+        assert len(axes) == 3
 
 
 @st.composite

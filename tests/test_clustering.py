@@ -196,16 +196,14 @@ class TestTaxicabBridge:
             assert res.objective == pytest.approx(axis.delta, rel=1e-10, abs=1e-10)
 
 
-def _double_center(y: np.ndarray) -> np.ndarray:
-    return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
-
-
 @st.composite
 def _tie_prone_residuals(draw):
     """Small double-centered matrices with duplicate and all-zero rows and columns.
 
     Centering keeps duplicate lines of y duplicate; a zero line inserted into
-    a centered matrix keeps it centered.  Small integers make exact ties common.
+    a centered matrix keeps it centered and adds nothing to its scale.  Small
+    integers make exact ties common; near-constant floats leave residuals far
+    smaller than the rounding of their centering.
     """
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     cells = st.integers(-3, 3).map(float) if draw(st.booleans()) else st.floats(-1, 1)
@@ -214,12 +212,18 @@ def _tie_prone_residuals(draw):
         y[:, -1] = y[:, 0]
     if n > 1 and draw(st.booleans()):
         y[-1] = y[0]
-    x = _double_center(y)
+    X = additive_double_center(y)
+    x = X.x
     if draw(st.booleans()):
         x = np.insert(x, draw(st.integers(0, n)), 0.0, axis=0)
     if draw(st.booleans()):
         x = np.insert(x, draw(st.integers(0, m)), 0.0, axis=1)
-    return x
+    return ResidualMatrix(x=x, scale=X.scale)
+
+
+# centering rounds at 1e-16 of the 0.6 cells; the residual itself is 1e-8
+_NEAR_CONSTANT = additive_double_center(
+    np.array([[0.6, 0.6000000112329102], [0.6000000112329102, 0.6]]))
 
 
 def _same_as_oracle(res, oracle, r: int, c: int) -> None:
@@ -244,30 +248,30 @@ class TestScreenedSearch:
                     clustering._rgs_range(counts, mid, total), expected[mid:])
 
     @settings(max_examples=60, deadline=None)
-    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+    @given(X=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
            p=st.sampled_from([1.0, 1.5, 2.0]))
-    def test_exhaustive_matches_loop(self, x, r, c, p):
-        r, c = min(r, x.shape[0]), min(c, x.shape[1])
-        res = maximize(ResidualMatrix(x=x), r, c, p=p, method="exhaustive")
-        _same_as_oracle(res, loop_exhaustive(x, r, c, p), r, c)
+    def test_exhaustive_matches_loop(self, X, r, c, p):
+        r, c = min(r, X.shape[0]), min(c, X.shape[1])
+        res = maximize(X, r, c, p=p, method="exhaustive")
+        _same_as_oracle(res, loop_exhaustive(X.x, r, c, p), r, c)
 
     @settings(max_examples=60, deadline=None)
-    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+    @given(X=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
            p=st.sampled_from([1.0, 1.5, 2.0]))
-    def test_local_search_matches_loop(self, x, r, c, p):
-        r, c = min(r, x.shape[0]), min(c, x.shape[1])
-        res = maximize(ResidualMatrix(x=x), r, c, p=p, method="local_search")
-        _same_as_oracle(res, loop_local_search(x, r, c, p), r, c)
+    @example(X=_NEAR_CONSTANT, r=1, c=1, p=1.0)
+    def test_local_search_matches_loop(self, X, r, c, p):
+        r, c = min(r, X.shape[0]), min(c, X.shape[1])
+        res = maximize(X, r, c, p=p, method="local_search")
+        _same_as_oracle(res, loop_local_search(X.x, r, c, p), r, c)
 
     @settings(max_examples=60, deadline=None)
-    @given(x=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
+    @given(X=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
            p=st.sampled_from([1.0, 1.5, 2.0]),
            method=st.sampled_from(["exhaustive", "local_search"]))
-    @example(x=additive_double_center(np.random.default_rng(4).normal(size=(6, 5))).x,
+    @example(X=additive_double_center(np.random.default_rng(4).normal(size=(6, 5))),
              r=3, c=2, p=1.5, method="exhaustive")
-    def test_objective_of_result_partition_is_result_objective(self, x, r, c, p, method):
-        r, c = min(r, x.shape[0]), min(c, x.shape[1])
-        X = ResidualMatrix(x=x)
+    def test_objective_of_result_partition_is_result_objective(self, X, r, c, p, method):
+        r, c = min(r, X.shape[0]), min(c, X.shape[1])
         res = maximize(X, r, c, p=p, method=method)
         assert repr(objective(X, res.partition, p)) == repr(res.objective)
 

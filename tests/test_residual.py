@@ -5,6 +5,7 @@ import pytest
 
 from oracles import random_double_centered
 from taxicab_ca.residual import (
+    CENTERING_TOL,
     CorrespondenceMatrix,
     ResidualMatrix,
     Tensor3,
@@ -89,6 +90,12 @@ class TestAdditiveDoubleCenter:
         np.testing.assert_allclose(again.x, X.x, atol=1e-14)
 
 
+def _own_mass_rejects(x: np.ndarray) -> bool:
+    """Whether a line of x sums to more than the tolerance times x's own L1 mass."""
+    worst = max(np.abs(x.sum(axis=axis)).max() for axis in range(x.ndim))
+    return bool(worst > CENTERING_TOL * np.abs(x).sum())
+
+
 class TestResidualMatrixValidation:
     def test_rejects_uncentered(self):
         with pytest.raises(ValueError, match="not double-centered"):
@@ -96,6 +103,40 @@ class TestResidualMatrixValidation:
 
     def test_near_zero_matrix_passes(self):
         ResidualMatrix(x=np.full((3, 3), 1e-17))
+
+    def test_near_independence_is_measured_against_its_input(self):
+        # the rounding of p - r c' scales with sum(p) = 1, not with the
+        # 1e-7 mass of the residual
+        counts = np.array([[1e6, 1e6], [1e6, 1e6 + 1]])
+        X = correspondence_residual(from_counts(counts))
+        assert X.scale == pytest.approx(1.0)
+        assert _own_mass_rejects(X.x)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n, m = rng.integers(2, 7, size=2)
+            counts = np.round(1e7 * rng.uniform(1, 2, size=(n, 1)) * rng.uniform(1, 2, size=m))
+            correspondence_residual(from_counts(counts + rng.integers(0, 3, size=(n, m))))
+
+    def test_near_constant_additive_input(self):
+        y = np.array([[0.6, 0.6000000112329102], [0.6000000112329102, 0.6]])
+        X = additive_double_center(y)
+        assert X.scale == pytest.approx(2.4)
+        assert _own_mass_rejects(X.x)
+
+    def test_uncentered_still_raises_against_the_input_scale(self):
+        with pytest.raises(ValueError, match="not double-centered"):
+            ResidualMatrix(x=np.array([[1.0, 2.0], [3.0, 4.0]]), scale=1e6)
+        x = random_double_centered(np.random.default_rng(13), 4, 3)
+        off = x.copy()
+        off[0] += 2 * CENTERING_TOL * 10.0 / off.shape[1]
+        ResidualMatrix(x=x, scale=10.0)
+        with pytest.raises(ValueError, match="not double-centered"):
+            ResidualMatrix(x=off, scale=10.0)
+
+    def test_scale_must_be_finite_and_nonnegative(self):
+        for scale in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale"):
+                ResidualMatrix(x=np.zeros((2, 2)), scale=scale)
 
     def test_block_identities(self):
         rng = np.random.default_rng(9)
@@ -139,3 +180,12 @@ class TestTripleCenter:
     def test_rejects_uncentered(self):
         with pytest.raises(ValueError, match="not triple-centered"):
             Tensor3(x=np.arange(8.0).reshape(2, 2, 2))
+        with pytest.raises(ValueError, match="not triple-centered"):
+            Tensor3(x=np.arange(8.0).reshape(2, 2, 2), scale=1e6)
+
+    def test_near_constant_input(self):
+        rng = np.random.default_rng(14)
+        y = 1e3 + 1e-6 * rng.integers(0, 3, size=(3, 4, 2))
+        T = triple_center(y)
+        assert T.scale == pytest.approx(float(y.sum()))
+        assert _own_mass_rejects(T.x)
