@@ -40,6 +40,14 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _path(text: str) -> str:
+    # an empty path would otherwise read as "not given" or fail half-way
+    # through writing the outputs
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taxicab-ca",
@@ -49,11 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("csv", nargs="?", help="labeled counts CSV "
+        sp.add_argument("csv", nargs="?", type=_path, help="labeled counts CSV "
                         "(header: column labels; rows: label then values)")
         sp.add_argument("--dataset", choices=DATASETS,
                         help="use an embedded dataset instead of a CSV path")
-        sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
+        sp.add_argument("--out", metavar="FILE", type=_path,
+                        help="write the JSON report here")
 
     sp = sub.add_parser("dispersion", help="dispersion statistics of one CSV column")
     add_source(sp)
@@ -65,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="force exhaustive search")
     mode.add_argument("--heuristic", action="store_true", help="force the heuristic")
-    sp.add_argument("--map", metavar="FILE", help="write an SVG factor map (axes 1-2)")
+    sp.add_argument("--map", metavar="FILE", type=_path,
+                    help="write an SVG factor map (axes 1-2)")
 
     sp = sub.add_parser("ca", help="classical correspondence analysis")
     add_source(sp)
     sp.add_argument("--axes", type=int, default=None, help="number of axes")
-    sp.add_argument("--map", metavar="FILE", help="write an SVG factor map (axes 1-2)")
+    sp.add_argument("--map", metavar="FILE", type=_path,
+                    help="write an SVG factor map (axes 1-2)")
 
     sp = sub.add_parser("compare", help="CA vs TCA contributions on one axis")
     add_source(sp)
@@ -87,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=1.0, help="objective exponent (>= 1)")
 
     sp = sub.add_parser("tensor", help="tensor sign norm of a 3-way array file")
-    sp.add_argument("file", help="tensor text file: 'n m t' then n*t rows of m values")
-    sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
+    sp.add_argument("file", type=_path,
+                    help="tensor text file: 'n m t' then n*t rows of m values")
+    sp.add_argument("--out", metavar="FILE", type=_path, help="write the JSON report here")
 
     return parser
 
@@ -197,7 +209,7 @@ def _cmd_tca(args: argparse.Namespace) -> _reports.AnalysisReport:
         tag = "exact" if record["exact"] else "heuristic"
         print(f"axis {record['axis']}: delta={record['delta']:.6g} "
               f"cut_norm={record['cut_norm']:.6g} ({tag})")
-    if not dec.axes:
+    if not dec.axes and args.axes != 0:
         print("no axes (matrix fits the independence model)")
     return report
 
@@ -210,7 +222,7 @@ def _cmd_ca(args: argparse.Namespace) -> _reports.AnalysisReport:
         share = record["lambda"] / dec.total_inertia if dec.total_inertia else 0.0
         print(f"axis {record['axis']}: sigma={record['sigma']:.6g} "
               f"inertia={record['lambda']:.6g} ({share:.1%})")
-    if not dec.n_axes:
+    if not dec.n_axes and args.axes != 0:
         print("no axes (matrix fits the independence model)")
     return report
 

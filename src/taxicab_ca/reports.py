@@ -1,14 +1,15 @@
 """Analysis reports: a JSON-serializable record of one analysis run.
 
-Reports round-trip losslessly through JSON (floats keep full precision via
-their shortest-repr form) and contain no timestamps, so identical inputs and
-flags produce byte-identical output.
+Report values are plain JSON types from construction on, so
+``AnalysisReport.from_json(r.to_json()) == r``: floats keep full precision
+via their shortest-repr form.  Reports contain no timestamps, so identical
+inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,9 +33,10 @@ __all__ = [
 
 
 def _plain(obj):
-    """Recursively convert numpy containers/scalars into JSON-native values."""
+    """Convert numpy arrays and scalars, tuples and dict keys into JSON-native values."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        # tolist() already yields Python scalars; only an object array holds more
+        return _plain(obj.tolist()) if obj.dtype == object else obj.tolist()
     if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -50,40 +52,36 @@ def _plain(obj):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """One analysis run: method, input summary, provenance, and results."""
+    """One analysis run: method, input summary, provenance, and results.
+
+    Values are plain JSON from construction: ``from_json(r.to_json()) == r``.
+    """
 
     method: str
     inputs: dict
     provenance: dict
     results: dict
 
+    def __post_init__(self) -> None:
+        for name in ("inputs", "provenance", "results"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
+
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "inputs": _plain(self.inputs),
-            "provenance": _plain(self.provenance),
-            "results": _plain(self.results),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         payload = json.loads(text)
-        return cls(
-            method=payload["method"],
-            inputs=payload["inputs"],
-            provenance=payload["provenance"],
-            results=payload["results"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 def _inputs_summary(data: LabeledMatrix, name: str) -> dict:
     return {
         "dataset": name,
-        "shape": list(data.shape),
+        "shape": data.shape,
         "total": data.total,
-        "row_labels": list(data.row_labels),
-        "col_labels": list(data.col_labels),
+        "row_labels": data.row_labels,
+        "col_labels": data.col_labels,
     }
 
 
@@ -94,22 +92,22 @@ def _tca_axis_record(dec: TcaDecomposition, index: int) -> dict:
     return {
         "axis": index,
         "delta": axis.delta,
-        "u": _plain(axis.u),
-        "v": _plain(axis.v),
-        "a": _plain(axis.a),
-        "b": _plain(axis.b),
-        "row_scores": _plain(axis.f),
-        "col_scores": _plain(axis.g),
-        "rc_rows": _plain(contrib.rc_rows),
-        "rc_cols": _plain(contrib.rc_cols),
-        "heavyweight_rows": _plain(contrib.heavyweight_rows),
-        "heavyweight_cols": _plain(contrib.heavyweight_cols),
-        "heavyweight_cells": _plain(contrib.heavyweight_cells),
-        "block_sums": _plain(block.block_sums),
+        "u": axis.u,
+        "v": axis.v,
+        "a": axis.a,
+        "b": axis.b,
+        "row_scores": axis.f,
+        "col_scores": axis.g,
+        "rc_rows": contrib.rc_rows,
+        "rc_cols": contrib.rc_cols,
+        "heavyweight_rows": contrib.heavyweight_rows,
+        "heavyweight_cols": contrib.heavyweight_cols,
+        "heavyweight_cells": contrib.heavyweight_cells,
+        "block_sums": block.block_sums,
         "cut_norm": block.cut_norm,
         "exact": axis.exact,
-        "indeterminate_u": _plain(axis.u_indeterminate),
-        "indeterminate_v": _plain(axis.v_indeterminate),
+        "indeterminate_u": axis.u_indeterminate,
+        "indeterminate_v": axis.v_indeterminate,
     }
 
 
@@ -124,8 +122,8 @@ def build_tca_report(
         results={
             "axes": axes,
             "rank_used": dec.rank_used,
-            "row_masses": _plain(dec.row_masses),
-            "col_masses": _plain(dec.col_masses),
+            "row_masses": dec.row_masses,
+            "col_masses": dec.col_masses,
         },
     )
 
@@ -136,12 +134,12 @@ def build_ca_report(
     axes = [
         {
             "axis": k + 1,
-            "sigma": float(dec.singular_values[k]),
-            "lambda": float(dec.principal_inertias[k]),
-            "row_scores": _plain(dec.row_scores[k]),
-            "col_scores": _plain(dec.col_scores[k]),
-            "row_ctr": _plain(dec.row_ctr[k]),
-            "col_ctr": _plain(dec.col_ctr[k]),
+            "sigma": dec.singular_values[k],
+            "lambda": dec.principal_inertias[k],
+            "row_scores": dec.row_scores[k],
+            "col_scores": dec.col_scores[k],
+            "row_ctr": dec.row_ctr[k],
+            "col_ctr": dec.col_ctr[k],
         }
         for k in range(dec.n_axes)
     ]
@@ -167,10 +165,10 @@ def build_dispersion_report(
             "lad": rep.lad,
             "median": rep.median,
             "mean": rep.mean,
-            "rc_d": _plain(rep.rc_d),
-            "rc_s2": _plain(rep.rc_s2),
-            "rc_lad": _plain(rep.rc_lad),
-            "heavyweight_indices": _plain(rep.heavyweight_indices),
+            "rc_d": rep.rc_d,
+            "rc_s2": rep.rc_s2,
+            "rc_lad": rep.rc_lad,
+            "heavyweight_indices": rep.heavyweight_indices,
             "degenerate": rep.degenerate,
         },
     )
@@ -208,12 +206,12 @@ def build_seriation_report(
         provenance=provenance,
         results={
             "axis": axis,
-            "s_opt": _plain(rep.s_opt),
-            "t_opt": _plain(rep.t_opt),
-            "block_sums": _plain(rep.block_sums),
+            "s_opt": rep.s_opt,
+            "t_opt": rep.t_opt,
+            "block_sums": rep.block_sums,
             "cut_norm": rep.cut_norm,
-            "row_order": _plain(rep.row_order),
-            "col_order": _plain(rep.col_order),
+            "row_order": rep.row_order,
+            "col_order": rep.col_order,
             "row_order_labels": [data.row_labels[i] for i in rep.row_order],
             "col_order_labels": [data.col_labels[j] for j in rep.col_order],
         },
@@ -228,8 +226,8 @@ def build_cluster_report(
         inputs=_inputs_summary(data, name),
         provenance=provenance,
         results={
-            "row_blocks": _plain(res.partition.row_blocks),
-            "col_blocks": _plain(res.partition.col_blocks),
+            "row_blocks": res.partition.row_blocks,
+            "col_blocks": res.partition.col_blocks,
             "objective": res.objective,
             "p": res.p,
             "method": res.method,
@@ -243,17 +241,17 @@ def build_tensor_report(
 ) -> AnalysisReport:
     return AnalysisReport(
         method="tensor",
-        inputs={"dataset": name, "shape": list(shape)},
+        inputs={"dataset": name, "shape": shape},
         provenance=provenance,
         results={
             "delta": axis.delta,
-            "u": _plain(axis.u),
-            "v": _plain(axis.v),
-            "w": _plain(axis.w),
-            "octant_sums": _plain(axis.octant_sums),
-            "s_opt": _plain(octants.s_opt),
-            "t_opt": _plain(octants.t_opt),
-            "w_opt": _plain(octants.w_opt),
+            "u": axis.u,
+            "v": axis.v,
+            "w": axis.w,
+            "octant_sums": axis.octant_sums,
+            "s_opt": octants.s_opt,
+            "t_opt": octants.t_opt,
+            "w_opt": octants.w_opt,
             "exact": axis.exact,
         },
     )

@@ -3,15 +3,17 @@
 Everything here enumerates exhaustively with its own code paths (itertools
 products of raw sign choices, full subset lattices, recursive partition
 generation) so it shares no logic with the library implementations it checks.
-The loops at the end are the exception: the taxicab heuristic's restart
-loop as it was before its batched rewrite, and the two-mode clustering search
-as it was before its screened rewrite, kept as the references whose bits the
-rewrites must reproduce.
+The code at the end is the exception: the taxicab heuristic's restart
+loop as it was before its batched rewrite, the two-mode clustering search
+as it was before its screened rewrite, and the report serialiser as it was
+before reports converted their values on construction, kept as the
+references whose bits the rewrites must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -326,3 +328,34 @@ def loop_local_search(x: np.ndarray, r: int, c: int, p: float):
             if best_run is None or run[2] > best_run[2]:
                 best_run = run
     return best_run
+
+
+# The report serialiser as it was before reports converted their values on
+# construction: the payload is walked element by element at dump time.
+
+
+def _report_plain(obj):
+    if isinstance(obj, np.ndarray):
+        return [_report_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_report_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _report_plain(v) for k, v in obj.items()}
+    return obj
+
+
+def report_json(method: str, inputs: dict, provenance: dict, results: dict) -> str:
+    """The JSON text of a report with these fields, as the old ``to_json`` wrote it."""
+    payload = {
+        "method": method,
+        "inputs": _report_plain(inputs),
+        "provenance": _report_plain(provenance),
+        "results": _report_plain(results),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import taxicab_ca
 from taxicab_ca import cli
 from taxicab_ca.cli import build_parser, run
+from taxicab_ca.datasets import load_dataset
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
 
@@ -48,7 +49,7 @@ class TestTcaCommand:
     def test_zero_axes(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run(["tca", "--dataset", "asbestos", "--axes", "0", "--out", str(out)])
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""  # no axes were asked for
         assert code == 0
         assert _read_report(out).results["axes"] == []
 
@@ -93,6 +94,20 @@ class TestCaCommand:
         assert len(report.results["axes"]) == 3
         sigmas = [rec["sigma"] for rec in report.results["axes"]]
         assert sigmas == sorted(sigmas, reverse=True)
+
+    def test_zero_axes_on_a_table_far_from_independence(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["ca", "--dataset", "americas", "--axes", "0", "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert code == 0
+        assert _read_report(out).results["axes"] == []
+
+    def test_no_axes_line_at_independence(self, tmp_path, capsys):
+        src = tmp_path / "indep.csv"
+        src.write_text("a,b\nr1,1,2\nr2,2,4\n")
+        for command in ("tca", "ca"):
+            assert run([command, str(src)]) == 0
+            assert "no axes" in capsys.readouterr().out, command
 
 
 class TestMapOutput:
@@ -231,6 +246,36 @@ class TestTensorCommand:
         assert code == 2
 
 
+class TestReportMatchesFile:
+    """The report the CLI builds in memory equals the one its --out file holds."""
+
+    def _check(self, tmp_path, monkeypatch, capsys, argv):
+        built, finish = [], cli._finish
+
+        def spy(report, args):
+            built.append(report)
+            finish(report, args)
+
+        monkeypatch.setattr(cli, "_finish", spy)
+        out = tmp_path / "r.json"
+        assert run([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert built == [_read_report(out)]
+
+    @pytest.mark.parametrize("dataset", ["asbestos", "americas"])
+    @pytest.mark.parametrize("command", ["dispersion", "tca", "ca", "compare", "seriate",
+                                         "cluster"])
+    def test_matrix_subcommand(self, tmp_path, monkeypatch, capsys, command, dataset):
+        extra = {"dispersion": ["--column", load_dataset(dataset).col_labels[1]],
+                 "compare": ["--axis", "2"], "seriate": ["--axis", "1"],
+                 "cluster": ["--r", "2", "--c", "3"]}.get(command, [])
+        self._check(tmp_path, monkeypatch, capsys, [command, "--dataset", dataset, *extra])
+
+    def test_tensor(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text(format_tensor(np.random.default_rng(64).normal(size=(2, 3, 4))))
+        self._check(tmp_path, monkeypatch, capsys, ["tensor", str(path)])
+
+
 class TestErrorPaths:
     def test_unknown_flag_exit_2(self, capsys):
         code = run(["tca", "--dataset", "asbestos", "--bogus"])
@@ -267,6 +312,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert code == 2
         assert "row 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["tca", "--dataset", "asbestos", "--out", "", "--map", "m.svg"],
+        ["tca", "--dataset", "asbestos", "--out", "r.json", "--map", ""],
+        ["tca", "", "--dataset", "asbestos", "--out", "r.json", "--map", "m.svg"],
+    ])
+    def test_empty_path_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = run(argv)
+        assert code == 2
+        assert "empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no report, no map
 
     def test_help_exit_0(self, capsys):
         code = run(["--help"])

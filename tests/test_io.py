@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import report_json
 from taxicab_ca.io import (
     format_tensor,
     load_counts_csv,
@@ -260,6 +262,22 @@ class TestTensorFuzz:
             parse_tensor("\n".join(lines) + "\n")
 
 
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+)
+_payloads = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+), max_leaves=20)
+
+
 class TestReportRoundTrip:
     def test_identity(self):
         report = AnalysisReport(
@@ -280,3 +298,36 @@ class TestReportRoundTrip:
                                 results={"v": value})
         again = AnalysisReport.from_json(report.to_json())
         assert again.results["v"] == value
+
+    def test_zero_dim_and_object_arrays(self):
+        objects = np.empty(2, dtype=object)
+        objects[:] = [np.int64(7), {"k": np.array([0.25])}]
+        report = AnalysisReport(method="m", inputs={}, provenance={}, results={
+            "x": np.array(1.5), "b": np.array(True), "o": objects})
+        assert report.results == {"x": 1.5, "b": True, "o": [7, {"k": [0.25]}]}
+        assert AnalysisReport.from_json(report.to_json()) == report
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.tuples(*[st.dictionaries(st.text(), _payloads, max_size=4)] * 3),
+           method=st.text())
+    def test_matches_dump_time_conversion(self, fields, method):
+        report = AnalysisReport(method, *fields)
+        text = report.to_json()
+        assert text == report_json(method, *fields)
+        again = AnalysisReport.from_json(text)
+        assert _same(vars(again), vars(report))
+        if "NaN" not in text:
+            assert again == report
+
+
+def _same(a, b) -> bool:
+    """``a == b``, with equal types all the way down and nan equal to nan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and a != a:
+        return b != b
+    return a == b
