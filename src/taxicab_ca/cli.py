@@ -249,6 +249,8 @@ def _cmd_compare(args: argparse.Namespace) -> _reports.AnalysisReport:
 
 def _cmd_seriate(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
+    if args.axis < 1:
+        raise ValueError("axis must be >= 1")
     dec = tca(from_counts(data.values), max_axes=args.axis)
     rep = seriate(dec, args.axis)
     report = _reports.build_seriation_report(

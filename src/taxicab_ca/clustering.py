@@ -325,34 +325,25 @@ def _local_search(
             (col_assign, c, x.T, row_assign, r),
         ):
             sizes = np.bincount(assign, minlength=count)
-            lines_idx = np.arange(assign.size)
             gains = _move_gains(lines, assign, count, other, other_count, p)
-            i, first = 0, 0  # next line, and its first target still to try
-            while i < assign.size:
-                open_ = gains > -tol
-                open_[lines_idx, assign] = False
-                open_[sizes[assign] == 1] = False  # moving would empty the source block
-                if first == 0:
-                    ahead = np.flatnonzero(open_[i:].any(axis=1))
-                    if not ahead.size:
-                        break
-                    i += int(ahead[0])
+            for i in range(assign.size):
                 cur = int(assign[i])
-                for tgt in np.flatnonzero(open_[i, first:]) + first:
-                    tgt = int(tgt)
+                if sizes[cur] == 1:
+                    continue  # moving would empty the source block
+                for tgt in range(count):
+                    if tgt == cur or not gains[i, tgt] > -tol:
+                        continue
                     assign[i] = tgt
                     val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
                     if val > obj:
                         obj = val
                         sizes[cur] -= 1
                         sizes[tgt] += 1
+                        cur = tgt
                         moved = True
                         gains = _move_gains(lines, assign, count, other, other_count, p)
-                        first = tgt + 1  # later targets of this line, from the new block
-                        break
-                    assign[i] = cur
-                else:
-                    i, first = i + 1, 0
+                    else:
+                        assign[i] = cur
     return row_assign, col_assign, obj
 
 

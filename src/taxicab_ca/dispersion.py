@@ -175,14 +175,22 @@ class DispersionReport:
 
 
 def relative_contributions(values: Sequence[float] | np.ndarray) -> DispersionReport:
-    """Per-element relative contributions to d, s2 and lad, with heavyweights."""
+    """Per-element relative contributions to d, s2 and lad, with heavyweights.
+
+    Raises ``ValueError`` naming the first statistic that overflows float64.
+    """
     y = _as_sample(values)
     n = y.size
-    mean_ = float(y.mean())
-    med = median(y)
-    d = mad_mean(y)
-    s2, s = variance_and_std(y)
-    lad_ = lad(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_ = float(y.mean())
+        med = median(y)
+        d = mad_mean(y)
+        s2, s = variance_and_std(y)
+        lad_ = lad(y)
+    for name, value in (("mean", mean_), ("median", med), ("d", d), ("s2", s2),
+                        ("lad", lad_)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} overflows float64: sample values too large")
     if d <= 0.0:
         return DispersionReport(
             d=d, s=s, s2=s2, lad=lad_, median=med, mean=mean_,

@@ -81,7 +81,10 @@ class CorrespondenceMatrix:
         if np.any(c < 0):
             i, j = np.argwhere(c < 0)[0]
             raise ValueError(f"negative count at row {int(i)}, column {int(j)}")
-        total = float(c.sum())
+        with np.errstate(over="ignore"):
+            total = float(c.sum())
+        if not np.isfinite(total):
+            raise ValueError("counts total overflows float64")
         if total <= 0.0:
             raise ValueError("zero total")
         row_sums = c.sum(axis=1)
@@ -118,6 +121,12 @@ def _centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
         if worst > CENTERING_TOL * scale:
             raise ValueError(error)
     return scale
+
+
+def _check_overflow(x: np.ndarray, scale: float, step: str) -> None:
+    """Reject finite input whose centering or L1 mass left the float64 range."""
+    if not (np.isfinite(scale) and np.all(np.isfinite(x))):
+        raise ValueError(f"{step} overflows float64: input values too large")
 
 
 @dataclass(frozen=True)
@@ -166,8 +175,11 @@ def additive_double_center(Y: np.ndarray) -> ResidualMatrix:
         raise ValueError("input must be a nonempty 2-d array")
     if not np.all(np.isfinite(y)):
         raise ValueError("input contains non-finite values")
-    x = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
-    return ResidualMatrix(x=x, kind="additive", scale=float(np.abs(y).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
+        scale = float(np.abs(y).sum())
+    _check_overflow(x, scale, "double centering")
+    return ResidualMatrix(x=x, kind="additive", scale=scale)
 
 
 @dataclass(frozen=True)
@@ -208,11 +220,14 @@ def triple_center(Y: np.ndarray) -> Tensor3:
         raise ValueError("input must be a nonempty 3-d array")
     if not np.all(np.isfinite(y)):
         raise ValueError("input contains non-finite values")
-    m_ij = y.mean(axis=2, keepdims=True)
-    m_ik = y.mean(axis=1, keepdims=True)
-    m_jk = y.mean(axis=0, keepdims=True)
-    m_i = y.mean(axis=(1, 2), keepdims=True)
-    m_j = y.mean(axis=(0, 2), keepdims=True)
-    m_k = y.mean(axis=(0, 1), keepdims=True)
-    x = y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
-    return Tensor3(x=x, scale=float(np.abs(y).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_ij = y.mean(axis=2, keepdims=True)
+        m_ik = y.mean(axis=1, keepdims=True)
+        m_jk = y.mean(axis=0, keepdims=True)
+        m_i = y.mean(axis=(1, 2), keepdims=True)
+        m_j = y.mean(axis=(0, 2), keepdims=True)
+        m_k = y.mean(axis=(0, 1), keepdims=True)
+        x = y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
+        scale = float(np.abs(y).sum())
+    _check_overflow(x, scale, "triple centering")
+    return Tensor3(x=x, scale=scale)

@@ -158,6 +158,14 @@ class TestSeriateCommand:
         report = _read_report(out)
         assert abs(report.results["cut_norm"]) == pytest.approx(0.1332, abs=2e-4)
 
+    @pytest.mark.parametrize("axis", ["0", "-1"])
+    def test_nonpositive_axis_exit_2(self, tmp_path, capsys, axis):
+        out = tmp_path / "r.json"
+        code = run(["seriate", "--dataset", "asbestos", "--axis", axis, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: axis must be >= 1\n"
+        assert not out.exists()
+
 
 class TestClusterCommand:
     def test_asbestos_2x2(self, tmp_path, capsys):
@@ -225,6 +233,21 @@ class TestDispersionCommand:
         assert code == 2
         assert "XX" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows, name", [(["1e200,1", "0,1", "5,2"], "s2"),
+                                            (["1e308,1", "1e308,1"], "mean")])
+    def test_overflow_exit_2(self, tmp_path, capsys, rows, name):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + "".join(f"r{i},{row}\n" for i, row in enumerate(rows)))
+        out = tmp_path / "r.json"
+        code = run(["dispersion", str(path), "--column", "a", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} overflows")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTensorCommand:
     def test_sign_tensor(self, tmp_path, capsys):
@@ -244,6 +267,14 @@ class TestTensorCommand:
         code = run(["tensor", str(path)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_centering_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("2 2 1\n1e308 1e308\n-1e308 1e308\n")
+        code = run(["tensor", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: triple centering overflows")
 
 
 class TestReportMatchesFile:
@@ -324,6 +355,16 @@ class TestErrorPaths:
         assert code == 2
         assert "empty path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # no report, no map
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["tca"], ["ca"], ["seriate", "--axis", "1"],
+                                      ["cluster", "--r", "2", "--c", "2"]])
+    def test_overflowing_total_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\nr1,1e308,1e308\nr2,1e308,1e308\n")
+        code = run([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == "error: counts total overflows float64\n"
 
     def test_help_exit_0(self, capsys):
         code = run(["--help"])

@@ -300,12 +300,18 @@ class TestScreenedSearch:
 
     def test_local_search_matches_loop_on_larger_tables(self):
         rng = np.random.default_rng(50)
+        cases = []
         for p in (1.0, 1.5, 2.0):
             counts = rng.poisson(3.0, size=(14, 11)).astype(float) + 1.0
             counts[:, 3] = counts[:, 7]
+            cases.append((counts, 4, 3, p))
+        # the benchmark's cluster shape, and a tall table
+        cases.append((rng.poisson(4.0, size=(40, 30)).astype(float) + 1.0, 4, 3, 2.0))
+        cases.append((rng.poisson(4.0, size=(60, 8)).astype(float) + 1.0, 5, 3, 1.5))
+        for counts, r, c, p in cases:
             x = correspondence_residual(from_counts(counts)).x
-            res = maximize(ResidualMatrix(x=x), 4, 3, p=p, method="local_search")
-            _same_as_oracle(res, loop_local_search(x, 4, 3, p), 4, 3)
+            res = maximize(ResidualMatrix(x=x), r, c, p=p, method="local_search")
+            _same_as_oracle(res, loop_local_search(x, r, c, p), r, c)
 
     def test_zero_matrix_keeps_first_partition(self):
         x = np.zeros((5, 4))

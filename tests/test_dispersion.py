@@ -163,6 +163,13 @@ class TestRelativeContributions:
         np.testing.assert_allclose(rep.rc_s2, [1 / 12, 1 / 12, 1 / 12, 3 / 4])
         assert max(rep.rc_s2) < 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, name", [([1e200, 0.0, 5.0], "s2"),
+                                              ([1e308, 1e308], "mean")])
+    def test_overflow_names_statistic(self, values, name):
+        with pytest.raises(ValueError, match=f"^{name} overflows"):
+            relative_contributions(values)
+
     def test_degenerate(self):
         rep = relative_contributions([7, 7, 7])
         assert rep.degenerate

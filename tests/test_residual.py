@@ -49,6 +49,11 @@ class TestFromCounts:
         with pytest.raises(ValueError, match="negative"):
             from_counts(np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_total(self):
+        with pytest.raises(ValueError, match="counts total overflows"):
+            from_counts(np.full((2, 2), 1e308))
+
 
 class TestCorrespondenceResidual:
     def test_asbestos_cells(self, asbestos_P):
@@ -88,6 +93,13 @@ class TestAdditiveDoubleCenter:
         X = additive_double_center(rng.normal(size=(6, 4)))
         again = additive_double_center(X.x)
         np.testing.assert_allclose(again.x, X.x, atol=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow(self):
+        # the means overflow in the first; in the second only the scale sum|y| does
+        for y in (np.full((2, 2), 1e308), np.array([[1e308, -1e308], [-1e308, 1e308]])):
+            with pytest.raises(ValueError, match="double centering overflows"):
+                additive_double_center(y)
 
 
 def _own_mass_rejects(x: np.ndarray) -> bool:
@@ -182,6 +194,13 @@ class TestTripleCenter:
             Tensor3(x=np.arange(8.0).reshape(2, 2, 2))
         with pytest.raises(ValueError, match="not triple-centered"):
             Tensor3(x=np.arange(8.0).reshape(2, 2, 2), scale=1e6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow(self):
+        # finite values whose fiber sums leave the float64 range
+        y = np.array([[[1e308], [1e308]], [[-1e308], [1e308]]])
+        with pytest.raises(ValueError, match="triple centering overflows"):
+            triple_center(y)
 
     def test_near_constant_input(self):
         rng = np.random.default_rng(14)
