@@ -12,7 +12,7 @@ variance can approach (but never reach) 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,27 +65,37 @@ def _as_sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return y
 
 
+def _statistic(name: str, compute: Callable[[], float]) -> float:
+    """``float(compute())``, raising ``ValueError`` naming ``name`` if it overflows.
+
+    Overflow warnings are silenced inside: a statistic of finite values
+    that is not finite has overflowed float64.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not np.isfinite(value):
+        raise ValueError(f"{name} overflows float64: sample values too large")
+    return value
+
+
 def mad_mean(values: Sequence[float] | np.ndarray) -> float:
     """Mean absolute deviation about the mean: sum |y_i - mean| / n."""
     y = _as_sample(values)
-    return float(np.abs(y - y.mean()).sum() / y.size)
+    return _statistic("d", lambda: np.abs(y - y.mean()).sum() / y.size)
 
 
 def variance_and_std(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Population variance (divisor n) and standard deviation."""
     y = _as_sample(values)
-    s2 = float(((y - y.mean()) ** 2).sum() / y.size)
+    s2 = _statistic("s2", lambda: ((y - y.mean()) ** 2).sum() / y.size)
     return s2, float(np.sqrt(s2))
 
 
 def median(values: Sequence[float] | np.ndarray) -> float:
     """Sample median; for even n, the midpoint of the two middle order statistics."""
     y = np.sort(_as_sample(values))
-    n = y.size
-    mid = n // 2
-    if n % 2 == 1:
-        return float(y[mid])
-    return float(0.5 * (y[mid - 1] + y[mid]))
+    mid, odd = divmod(y.size, 2)
+    return _statistic("median", lambda: y[mid] if odd else 0.5 * (y[mid - 1] + y[mid]))
 
 
 def lad(values: Sequence[float] | np.ndarray) -> float:
@@ -94,7 +104,8 @@ def lad(values: Sequence[float] | np.ndarray) -> float:
     Also the gain maximum of (y - median 1)'u/n over sign vectors u.
     """
     y = _as_sample(values)
-    return float(np.abs(y - median(y)).sum() / y.size)
+    med = median(y)
+    return _statistic("lad", lambda: np.abs(y - med).sum() / y.size)
 
 
 def center(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -149,7 +160,7 @@ def gain_d(
 def gain_s(values: Sequence[float] | np.ndarray) -> float:
     """Maximum of (y - mean 1)'u/sqrt(n) over unit-L2 u; equals the std dev."""
     y = _as_sample(values)
-    return float(np.linalg.norm(y - y.mean()) / np.sqrt(y.size))
+    return _statistic("s", lambda: np.linalg.norm(y - y.mean()) / np.sqrt(y.size))
 
 
 @dataclass(frozen=True)
@@ -181,16 +192,11 @@ def relative_contributions(values: Sequence[float] | np.ndarray) -> DispersionRe
     """
     y = _as_sample(values)
     n = y.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_ = float(y.mean())
-        med = median(y)
-        d = mad_mean(y)
-        s2, s = variance_and_std(y)
-        lad_ = lad(y)
-    for name, value in (("mean", mean_), ("median", med), ("d", d), ("s2", s2),
-                        ("lad", lad_)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} overflows float64: sample values too large")
+    mean_ = _statistic("mean", y.mean)
+    med = median(y)
+    d = mad_mean(y)
+    s2, s = variance_and_std(y)
+    lad_ = lad(y)
     if d <= 0.0:
         return DispersionReport(
             d=d, s=s, s2=s2, lad=lad_, median=med, mean=mean_,

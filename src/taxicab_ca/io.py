@@ -39,7 +39,12 @@ class LabeledMatrix:
 
     @property
     def total(self) -> float:
-        return float(self.values.sum())
+        """Sum of all cells; raises ``ValueError`` if it overflows float64."""
+        with np.errstate(over="ignore"):
+            total = float(self.values.sum())
+        if not np.isfinite(total):
+            raise ValueError("table total overflows float64")
+        return total
 
 
 def _csv_rows(text: str, source: str) -> list[list[str]]:

@@ -3,13 +3,16 @@
 Report values are plain JSON types from construction on, so
 ``AnalysisReport.from_json(r.to_json()) == r``: floats keep full precision
 via their shortest-repr form.  Reports contain no timestamps, so identical
-inputs and flags produce byte-identical output.
+inputs and flags produce byte-identical output.  The report text is
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written by
+``_dump``, which emits each flat list of floats, ints or strings in one join.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 
+_SCALARS = {str, float, int}
+
+
 def _plain(obj):
     """Convert numpy arrays and scalars, tuples and dict keys into JSON-native values."""
     if isinstance(obj, np.ndarray):
@@ -44,10 +50,92 @@ def _plain(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _SCALARS:  # already plain: one copy
+            return list(obj)
         return [_plain(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     return obj
+
+
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it: ``NaN`` and ``Infinity`` are not reprs."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# exact element type of a flat list -> text of one element
+_FLAT = {float: float.__repr__, int: int.__repr__, str: _quote}
+
+
+def _dump(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` of plain JSON values.
+
+    A list whose elements all have the same exact type float, int or str is
+    written in one join; ``json.dumps`` with ``indent`` runs the pure-Python
+    encoder one element at a time.  A dict key that is not a str, or a value
+    of any other type, raises ``TypeError``.
+    """
+    chunks: list[str] = []
+    _emit(payload, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _emit(obj, nl: str, put) -> None:
+    # nl is a newline plus the indent of the line obj starts on
+    if isinstance(obj, str):
+        put(_quote(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:  # before int: bool is an int subclass
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(_float(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _FLAT:
+            text = sep.join(map(_FLAT[kind], obj))
+            if kind is float and "n" in text:  # nan or inf
+                text = sep.join(map(_float, obj))
+            put("[" + inner + text + nl + "]")
+            return
+        lead = "[" + inner
+        for value in obj:
+            put(lead)
+            _emit(value, inner, put)
+            lead = sep
+        put(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for key in sorted(obj):
+            put(lead + _quote(key) + ": ")
+            _emit(obj[key], inner, put)
+            lead = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -67,7 +155,7 @@ class AnalysisReport:
             object.__setattr__(self, name, _plain(getattr(self, name)))
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        return _dump(vars(self)) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":

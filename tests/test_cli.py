@@ -235,7 +235,8 @@ class TestDispersionCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows, name", [(["1e200,1", "0,1", "5,2"], "s2"),
-                                            (["1e308,1", "1e308,1"], "mean")])
+                                            (["1e308,1", "1e308,1"], "mean"),
+                                            (["1,1e308", "2,1e308"], "table total")])
     def test_overflow_exit_2(self, tmp_path, capsys, rows, name):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n" + "".join(f"r{i},{row}\n" for i, row in enumerate(rows)))
@@ -305,6 +306,32 @@ class TestReportMatchesFile:
         path = tmp_path / "t.txt"
         path.write_text(format_tensor(np.random.default_rng(64).normal(size=(2, 3, 4))))
         self._check(tmp_path, monkeypatch, capsys, ["tensor", str(path)])
+
+
+class TestCanonicalReportText:
+    """Each --out file is ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
+
+    @staticmethod
+    def _check(tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("dataset", ["asbestos", "americas"])
+    @pytest.mark.parametrize("command", [["dispersion"], ["tca"], ["tca", "--heuristic"],
+                                         ["ca"], ["compare", "--axis", "2"],
+                                         ["seriate", "--axis", "1"],
+                                         ["cluster", "--r", "2", "--c", "3"]])
+    def test_matrix_subcommand(self, tmp_path, capsys, command, dataset):
+        if command == ["dispersion"]:
+            command = [*command, "--column", load_dataset(dataset).col_labels[1]]
+        self._check(tmp_path, capsys, [*command, "--dataset", dataset])
+
+    def test_tensor(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text(format_tensor(np.random.default_rng(65).normal(size=(3, 2, 4))))
+        self._check(tmp_path, capsys, ["tensor", str(path)])
 
 
 class TestErrorPaths:

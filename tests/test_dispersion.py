@@ -165,10 +165,24 @@ class TestRelativeContributions:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("values, name", [([1e200, 0.0, 5.0], "s2"),
-                                              ([1e308, 1e308], "mean")])
+                                              ([1e308, 1e308], "mean"),
+                                              ([1e308, -1.7e308, 1e308, 1e308], "median"),
+                                              ([1e308, -1e308], "d")])
     def test_overflow_names_statistic(self, values, name):
         with pytest.raises(ValueError, match=f"^{name} overflows"):
             relative_contributions(values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("statistic, values, name", [
+        (variance_and_std, [1e200, 0.0, 5.0], "s2"),
+        (gain_s, [1e200, 0.0, 5.0], "s"),
+        (mad_mean, [1e308, -1e308], "d"),
+        (lad, [1e308, -1e308], "lad"),
+        (median, [1e308, 1e308], "median"),
+    ])
+    def test_each_statistic_raises_on_overflow(self, statistic, values, name):
+        with pytest.raises(ValueError, match=f"^{name} overflows float64"):
+            statistic(values)
 
     def test_degenerate(self):
         rep = relative_contributions([7, 7, 7])

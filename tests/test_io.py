@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 import struct
 
 import numpy as np
@@ -18,7 +20,7 @@ from taxicab_ca.io import (
     parse_counts_csv,
     parse_tensor,
 )
-from taxicab_ca.reports import AnalysisReport
+from taxicab_ca.reports import AnalysisReport, _dump
 
 
 class TestCountsCsv:
@@ -66,6 +68,12 @@ class TestCountsCsv:
     def test_header_only(self):
         with pytest.raises(ValueError, match="no data rows"):
             parse_counts_csv("a,b\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_total_overflow(self):
+        data = parse_counts_csv("a,b\nr1,1,1e308\nr2,2,1e308")
+        with pytest.raises(ValueError, match="^table total overflows float64"):
+            data.total
 
 
     def test_trailing_blank_lines(self):
@@ -318,6 +326,38 @@ class TestReportRoundTrip:
         assert _same(vars(again), vars(report))
         if "NaN" not in text:
             assert again == report
+
+
+# long flat lists, which the writer emits in one join when their elements
+# share one exact type, and mixed ones, which it emits element by element
+_texts = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["é", "漢字", "\ud800", "a\udfffb", "\"\\\n\t\x00"])
+_flat_lists = st.one_of(
+    st.lists(st.floats() | st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2]), max_size=300),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300),
+    st.lists(st.integers() | st.integers(-2**80, 2**80) | st.sampled_from(
+        [2**63, -2**63 - 1, 2**64 + 1]), max_size=300),
+    st.lists(_texts, max_size=300),
+    st.lists(st.booleans() | st.integers(), max_size=300),
+    st.lists(st.floats() | st.integers(), max_size=300),
+    st.just([[], {}, [[], {}], {"": {"a": []}}]),
+)
+
+
+class TestDump:
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(_flat_lists, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_texts, inner, max_size=3),
+    ), max_leaves=6))
+    def test_matches_json_dumps(self, payload):
+        assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("payload", [{1: 2}, [np.float32(1.0)], {"a": {1}}, [b"x"]])
+    def test_rejects_what_is_not_plain_json(self, payload):
+        with pytest.raises(TypeError):
+            _dump(payload)
 
 
 def _same(a, b) -> bool:
