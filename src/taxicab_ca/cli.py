@@ -22,7 +22,13 @@ from .clustering import maximize
 from .datasets import DATASETS, dataset_bytes
 from .dispersion import relative_contributions
 from .io import LabeledMatrix, parse_counts_csv, parse_tensor
-from .residual import CENTERING_TOL, correspondence_residual, from_counts, triple_center
+from .residual import (
+    CENTERING_TOL,
+    CorrespondenceMatrix,
+    correspondence_residual,
+    from_counts,
+    triple_center,
+)
 from .svg import render_map
 from .taxicab import (
     EXACT_ENUM_LIMIT,
@@ -124,6 +130,29 @@ def _load_matrix(args: argparse.Namespace) -> tuple[LabeledMatrix, str, bytes]:
     raise ValueError("provide a CSV path or --dataset")
 
 
+def _from_counts(data: LabeledMatrix, source: str) -> CorrespondenceMatrix:
+    """``from_counts`` of the table, naming an all-zero row or column.
+
+    The row is named by its label and 1-based CSV line, the column by its
+    label and 1-based field; a table that is zero throughout keeps the
+    error of ``from_counts``.
+    """
+    try:
+        return from_counts(data.values)
+    except ValueError:
+        if data.values.any():
+            rows, cols = data.values.any(axis=1), data.values.any(axis=0)
+            if not rows.all():
+                i = int(rows.argmin())
+                raise ValueError(f"{source}: row {data.row_labels[i]!r} "
+                                 f"(line {i + 2}) is all zero") from None
+            if not cols.all():
+                j = int(cols.argmin())
+                raise ValueError(f"{source}: column {data.col_labels[j]!r} "
+                                 f"(field {j + 2}) is all zero") from None
+        raise
+
+
 def _provenance(raw: bytes, solver: str) -> dict:
     return {
         "sha256": hashlib.sha256(raw).hexdigest(),
@@ -203,7 +232,7 @@ def _solver_mode(args: argparse.Namespace) -> str:
 def _cmd_tca(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
     solver = _solver_mode(args)
-    dec = tca(from_counts(data.values), max_axes=args.axes, solver=solver)
+    dec = tca(_from_counts(data, name), max_axes=args.axes, solver=solver)
     report = _reports.build_tca_report(dec, data, name, _provenance(raw, solver))
     for record in report.results["axes"]:
         tag = "exact" if record["exact"] else "heuristic"
@@ -216,7 +245,7 @@ def _cmd_tca(args: argparse.Namespace) -> _reports.AnalysisReport:
 
 def _cmd_ca(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
-    dec = ca(from_counts(data.values), max_axes=args.axes)
+    dec = ca(_from_counts(data, name), max_axes=args.axes)
     report = _reports.build_ca_report(dec, data, name, _provenance(raw, "svd"))
     for record in report.results["axes"]:
         share = record["lambda"] / dec.total_inertia if dec.total_inertia else 0.0
@@ -229,7 +258,7 @@ def _cmd_ca(args: argparse.Namespace) -> _reports.AnalysisReport:
 
 def _cmd_compare(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
-    cmp = compare_ca_tca(from_counts(data.values), args.axis,
+    cmp = compare_ca_tca(_from_counts(data, name), args.axis,
                          row_labels=data.row_labels, col_labels=data.col_labels)
     report = _reports.build_compare_report(cmp, data, name, _provenance(raw, "auto"))
     if cmp.empty:
@@ -251,7 +280,7 @@ def _cmd_seriate(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
     if args.axis < 1:
         raise ValueError("axis must be >= 1")
-    dec = tca(from_counts(data.values), max_axes=args.axis)
+    dec = tca(_from_counts(data, name), max_axes=args.axis)
     rep = seriate(dec, args.axis)
     report = _reports.build_seriation_report(
         rep, args.axis, data, name, _provenance(raw, "auto"))
@@ -265,7 +294,7 @@ def _cmd_seriate(args: argparse.Namespace) -> _reports.AnalysisReport:
 
 def _cmd_cluster(args: argparse.Namespace) -> _reports.AnalysisReport:
     data, name, raw = _load_matrix(args)
-    X = correspondence_residual(from_counts(data.values))
+    X = correspondence_residual(_from_counts(data, name))
     res = maximize(X, args.r, args.c, p=args.p)
     report = _reports.build_cluster_report(res, data, name, _provenance(raw, res.method))
     print(f"objective f_{args.p:g} = {res.objective:.6g} ({res.method})")

@@ -12,7 +12,7 @@ variance can approach (but never reach) 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -65,17 +65,18 @@ def _as_sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return y
 
 
-def _statistic(name: str, compute: Callable[[], float]) -> float:
-    """``float(compute())``, raising ``ValueError`` naming ``name`` if it overflows.
+def _statistic(name: str, compute: Callable[[], Any]) -> Any:
+    """``compute()``, raising ``ValueError`` naming ``name`` if it overflows.
 
-    Overflow warnings are silenced inside: a statistic of finite values
-    that is not finite has overflowed float64.
+    A scalar comes back as a float, an array as it is.  Overflow warnings
+    are silenced inside: a statistic of finite values that is not finite
+    has overflowed float64.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(compute())
-    if not np.isfinite(value):
+        value = compute()
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} overflows float64: sample values too large")
-    return value
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def mad_mean(values: Sequence[float] | np.ndarray) -> float:
@@ -109,9 +110,13 @@ def lad(values: Sequence[float] | np.ndarray) -> float:
 
 
 def center(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Centered sample x = y - mean(y); entries sum to zero up to rounding."""
+    """Centered sample x = y - mean(y); entries sum to zero up to rounding.
+
+    Raises ``ValueError`` naming ``mean`` or ``x`` if either overflows float64.
+    """
     y = _as_sample(values)
-    return y - y.mean()
+    mean_ = _statistic("mean", y.mean)
+    return _statistic("x", lambda: y - mean_)
 
 
 def _check_centered(x: np.ndarray, tol: float) -> None:
@@ -150,11 +155,12 @@ def gain_d(
     """Maximum of x'u/n over sign vectors u, with the maximizing u.
 
     Equals twice the cut-norm divided by n, hence equals ``mad_mean`` of the
-    original sample.  The maximizer puts +1 on nonnegative entries.
+    original sample, and like it raises ``ValueError`` naming ``d`` if that
+    overflows float64.  The maximizer puts +1 on nonnegative entries.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    value, _ = cut_norm_vec(x, tol)
-    return 2.0 * value / x.size, sign_pm(x)
+    value = _statistic("d", lambda: 2.0 * cut_norm_vec(x, tol)[0] / x.size)
+    return value, sign_pm(x)
 
 
 def gain_s(values: Sequence[float] | np.ndarray) -> float:

@@ -13,16 +13,19 @@ dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.
 
 The heuristic walks all its column restarts at once, in blocks of restarts
-that fit ``_ENUM_BLOCK_BYTES``: each half-step is one GEMM over the block's
-active restarts, one sign vector per row.  A GEMM does not add up in the
-order of the reference gemv, so every sign is certified: both sums lie
-within gamma_k times the line's sum of |x| of the exact value, so an entry
-above twice that band has the gemv's sign, and a row with an entry inside
-it is recomputed by the reference matvec.  Each restart thus walks the
-one-at-a-time trajectory and stops where it does.  Only the restarts whose
-batched final dispersion lies within twice a proven rounding margin of the
-best are rescored with the reference arithmetic, in restart order, so the
-winner and every bit of its axis are those of the one-at-a-time loop.
+that fit ``_ENUM_BLOCK_BYTES``.  A block holds three float64 buffers (u
+signs, v signs and one product) and a bool mask, and each half-step is one
+whole-width GEMM over the block's active restarts, one sign vector per row.
+OpenBLAS keeps the pages of its level-3 pack buffer resident, about 0.7 MB
+after a 400 x 300 table.  A GEMM does not add up in the order of the
+reference gemv, so every sign is certified: both sums lie within gamma_k
+times the line's sum of |x| of the exact value, so an entry above twice that
+band has the gemv's sign, and a row with an entry inside it is recomputed by
+the reference matvec.  Each restart thus walks the one-at-a-time trajectory
+and stops where it does.  Only the restarts whose batched final dispersion
+lies within twice a proven rounding margin of the best are rescored with the
+reference arithmetic, in restart order, so the winner and every bit of its
+axis are those of the one-at-a-time loop.
 
 The enumeration kernel, shared with the tensor norm, searches a stack of
 matrices in two phases.  The screen scores every sign candidate in float32,
@@ -495,18 +498,15 @@ def _certified_product(
 ) -> None:
     """``out = signs @ mat`` with every sign equal to the reference matvec's.
 
-    GEMMs compute the product, a panel of ``mat`` columns (lines of x) of
-    at most an eighth of ``_ENUM_BLOCK_BYTES`` at a time: OpenBLAS packs the
-    panel into a buffer whose pages stay resident for the life of the
-    process, and a whole 400 x 300 x would take 0.8 MB of it.
-    ``magnitude`` receives |out| and ``sure`` marks the entries above
-    ``band``.  A row with any entry inside the band (or nan) is recomputed
-    by ``_reference_rows``, so that it carries the bits of the reference
-    ``mat.T @ s``.
+    One GEMM computes the whole product.  ``magnitude`` receives |out| and
+    ``sure`` marks the entries above ``band``.  A row with any entry inside
+    the band (or nan) is recomputed by ``_reference_rows``, so that it
+    carries the bits of the reference ``mat.T @ s``.  OpenBLAS packs
+    ``mat`` into its level-3 buffer, whose pages stay resident for the life
+    of the process: about 0.7 MB on a 400 x 300 x, against 0.13 MB when x
+    was handed over in 40-column panels, which slowed every GEMM.
     """
-    lines = max(1, _ENUM_BLOCK_BYTES // (64 * mat.shape[0]))
-    for j in range(0, mat.shape[1], lines):
-        np.matmul(signs, mat[:, j:j + lines], out=out[:, j:j + lines])
+    np.matmul(signs, mat, out=out)
     np.abs(out, out=magnitude)
     np.greater(magnitude, band, out=sure)
     unsure = np.flatnonzero(~sure.all(axis=1))
@@ -533,41 +533,50 @@ def _restart_walks(
     half-step over the block's active restarts, until the new u is one that
     restart has already seen (the stop of ``_transition_fixed_point``).
     ``_certified_product`` gives every sign the reference matvec's value,
-    so each restart walks the reference trajectory.  The block's buffers
-    fit ``_ENUM_BLOCK_BYTES`` and are reused across steps.
+    so each restart walks the reference trajectory.
+
+    A block holds three float64 buffers, reused across steps: u signs
+    (k x m), v signs (k x n) and one product of k x max(n, m), plus a bool
+    buffer of the product's size; k restarts fit ``_ENUM_BLOCK_BYTES``.
+    Half-step A puts U X' in the product, |U X'| in V (its row sums are
+    the dispersions) and then the signs in V.  Half-step B puts V X in the
+    product, |V X| in U, which the old u no longer needs (it lives on only
+    as packed keys), and then the signs in U.  A stopped restart's row of
+    U is closed up by copying the later rows down.
     """
     n, m = x.shape
-    size = max(1, min(m, _ENUM_BLOCK_BYTES // (8 * (3 * m + 2 * n) + max(n, m))))
-    u_cur, u_new, prod_b = (np.empty((size, m)) for _ in range(3))
-    prod_a, v = np.empty((size, n)), np.empty((size, n))
-    sure = np.empty((size, max(n, m)), dtype=bool)
+    w = max(n, m)
+    size = max(1, min(m, _ENUM_BLOCK_BYTES // (8 * (m + n + w) + w)))
+    u, v, prod = np.empty((size, m)), np.empty((size, n)), np.empty(size * w)
+    flags = np.empty(size * w, dtype=bool)
     finals = np.empty((m, (m + 7) // 8), dtype=np.uint8)
     deltas = np.empty(m)
 
     def step_u(k: int) -> np.ndarray:
-        """u_new = sign(X' v) for the first k rows, and the packed bits of u_new < 0."""
-        _certified_product(v[:k], x, col_band, prod_b[:k], u_new[:k], sure[:k, :m])
-        sign_pm(prod_b[:k], out=u_new[:k])
-        np.less(u_new[:k], 0.0, out=sure[:k, :m])
-        return np.packbits(sure[:k, :m], axis=1)
+        """u = sign(X' v) for the first k rows, and the packed bits of u < 0."""
+        b, negative = prod[:k * m].reshape(k, m), flags[:k * m].reshape(k, m)
+        _certified_product(v[:k], x, col_band, b, u[:k], negative)
+        sign_pm(b, out=u[:k])
+        np.less(u[:k], 0.0, out=negative)
+        return np.packbits(negative, axis=1)
 
     for start in range(0, m, size):
         ids = np.arange(start, min(start + size, m))
         k = ids.size
         sign_pm(x[:, start:start + k].T, out=v[:k])
         keys = step_u(k)
-        u_cur, u_new = u_new, u_cur
         seen = [{key.tobytes()} for key in keys]
         delta_prev = np.full(k, -np.inf)
         while k:
-            _certified_product(u_cur[:k], x.T, row_band, prod_a[:k], v[:k], sure[:k, :n])
+            a = prod[:k * n].reshape(k, n)
+            _certified_product(u[:k], x.T, row_band, a, v[:k], flags[:k * n].reshape(k, n))
             delta = v[:k].sum(axis=1)
             fell = ~(delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta))
             if fell.any():
                 r = int(np.argmax(fell))
                 raise InvariantError(
                     f"dispersion decreased from {float(delta_prev[r])!r} to {float(delta[r])!r}")
-            sign_pm(prod_a[:k], out=v[:k])
+            sign_pm(a, out=v[:k])
             new_keys = step_u(k)
             stop = np.zeros(k, dtype=bool)
             for r, key in enumerate(new_keys):
@@ -580,7 +589,9 @@ def _restart_walks(
             deltas[ids[stop]] = delta[stop]
             go = np.flatnonzero(~stop)
             k = go.size
-            np.take(u_new, go, axis=0, out=u_cur[:k])
+            for i, r in enumerate(go.tolist()):
+                if r != i:  # go ascends: row r is read before any copy writes it
+                    u[i] = u[r]
             ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
             seen = [seen[r] for r in go.tolist()]
     return finals, deltas

@@ -189,6 +189,7 @@ def _loop_sign(x: np.ndarray) -> np.ndarray:
 
 
 def _loop_fixed_point(x: np.ndarray, u: np.ndarray):
+    """The last state (u, v, a, b, delta) from u, and the number of distinct u seen."""
     seen = {u.tobytes()}
     while True:
         a = x @ u
@@ -197,7 +198,7 @@ def _loop_fixed_point(x: np.ndarray, u: np.ndarray):
         b = x.T @ v
         u_next = _loop_sign(b)
         if np.array_equal(u_next, u) or u_next.tobytes() in seen:
-            return u, v, a, b, delta
+            return (u, v, a, b, delta), len(seen)
         seen.add(u_next.tobytes())
         u = u_next
 
@@ -208,7 +209,12 @@ def _loop_restart(x: np.ndarray, j: int):
 
 def loop_restart_finals(x: np.ndarray) -> list[np.ndarray]:
     """Each column restart's last u, in restart order."""
-    return [_loop_restart(x, j)[0] for j in range(x.shape[1])]
+    return [_loop_restart(x, j)[0][0] for j in range(x.shape[1])]
+
+
+def loop_restart_visits(x: np.ndarray) -> list[int]:
+    """How many distinct u each column restart sees, in restart order."""
+    return [_loop_restart(x, j)[1] for j in range(x.shape[1])]
 
 
 def loop_norm_heuristic(X):
@@ -218,7 +224,7 @@ def loop_norm_heuristic(X):
     x = X.x
     best = None
     for j in range(x.shape[1]):
-        state = _loop_restart(x, j)
+        state, _ = _loop_restart(x, j)
         if best is None or state[4] > best[4]:
             best = state
     return taxicab._axis_from_state(taxicab._canonical_state(x, best), exact=False)

@@ -393,6 +393,22 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err == "error: counts total overflows float64\n"
 
+    @pytest.mark.parametrize("argv", [["tca"], ["ca"], ["compare", "--axis", "1"],
+                                      ["seriate", "--axis", "1"],
+                                      ["cluster", "--r", "2", "--c", "2"]])
+    @pytest.mark.parametrize(("text", "message"), [
+        ("a,b,c\nr1,1,2,0\nr2,0,0,0\nr3,3,0,1\n", "row 'r2' (line 3) is all zero"),
+        ("a,b,c\nr1,1,0,2\nr2,3,0,1\nr3,1,0,1\n", "column 'b' (field 3) is all zero"),
+        ("a,b\nr1,0,0\nr2,0,0\n", "zero total"),
+    ])
+    def test_all_zero_line_named_by_label_and_place(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code = run([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        source = f"{path}: " if message != "zero total" else ""
+        assert capsys.readouterr().err == f"error: {source}{message}\n"
+
     def test_help_exit_0(self, capsys):
         code = run(["--help"])
         out = capsys.readouterr().out

@@ -184,6 +184,17 @@ class TestRelativeContributions:
         with pytest.raises(ValueError, match=f"^{name} overflows float64"):
             statistic(values)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("statistic, values, name", [
+        (center, [1e308, 1e308], "mean"),
+        (center, [1.7e308, -1.7e308, -1.7e308], "x"),
+        (gain_d, [1e308, -1e308], "d"),
+    ])
+    def test_center_and_gain_d_raise_on_overflow(self, statistic, values, name):
+        # gain_d of a centered sample is its mad_mean, which raises as well
+        with pytest.raises(ValueError, match=f"^{name} overflows float64"):
+            statistic(values)
+
     def test_degenerate(self):
         rep = relative_contributions([7, 7, 7])
         assert rep.degenerate

@@ -20,6 +20,7 @@ from oracles import (
     lexicographic_first_max,
     loop_norm_heuristic,
     loop_restart_finals,
+    loop_restart_visits,
     random_double_centered,
 )
 from taxicab_ca import taxicab
@@ -485,6 +486,21 @@ def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.nda
     return finals, deltas, taxicab._rounding_margin(*x.shape, mass, np.float64)
 
 
+def _restart_bytes(n: int, m: int) -> int:
+    """Block bytes of one restart of ``_restart_walks`` on an n x m x: a
+    float64 row each of u, v and the product, and a bool row as wide."""
+    w = max(n, m)
+    return 8 * (m + n + w) + w
+
+
+def _block_size(x: np.ndarray, budget: int | None = None) -> int:
+    """The most restarts ``_restart_walks`` walks at once on x."""
+    with mock.patch.object(
+            taxicab, "_certified_product", wraps=taxicab._certified_product) as product:
+        _walks(x, budget)
+    return max(call.args[0].shape[0] for call in product.call_args_list)
+
+
 def _packed(us) -> np.ndarray:
     """Sign vectors as ``_restart_walks`` keeps them: one row of packed u < 0 bits each."""
     return np.packbits(np.array(us) < 0, axis=1)
@@ -520,12 +536,45 @@ class TestBatchedHeuristic:
             _assert_same_axis(got, loop_norm_heuristic(X))
             X = deflate(X, got)
 
-    def test_block_boundaries_do_not_matter(self, monkeypatch):
+    def test_block_boundaries_do_not_matter(self):
+        # a restart of 40 x 33 takes 944 block bytes: one restart per block,
+        # blocks of 20 and a last one of 13, and a single block of 33
         X = _poisson_residual(4, 40, 33)
         ref = loop_norm_heuristic(X)
-        for budget in (64, 30000, 100000):
-            monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
-            _assert_same_axis(norm_heuristic(X), ref)
+        for budget, size in ((64, 1), (20 * 944, 20), (33 * 944, 33)):
+            assert _block_size(X.x, budget) == size
+            with _budget(budget):
+                _assert_same_axis(norm_heuristic(X), ref)
+
+    @pytest.mark.parametrize(("shape", "budget", "size"), [
+        ((40, 33), 20 * 944 - 1, 19),
+        ((40, 33), None, 33),
+        ((400, 300), None, 113),
+        # the property tests' budgets: 64 walks one restart at a time, 4096
+        # one block of a small table and several of a wide one, the last
+        # of them partial on 3 x 25 (9, 9, 7)
+        ((6, 6), 64, 1),
+        ((6, 6), 4096, 6),
+        ((3, 25), 4096, 9),
+        ((4, 40), 4096, 5),
+    ])
+    def test_block_size(self, shape, budget, size):
+        x = _poisson_residual(sum(shape), *shape).x
+        limit = taxicab._ENUM_BLOCK_BYTES if budget is None else budget
+        assert size == max(1, min(shape[1], limit // _restart_bytes(*shape)))
+        assert _block_size(x, budget) == size
+
+    @pytest.mark.parametrize("budget", [4 * 710, None])
+    def test_rows_behind_a_stopped_restart_walk_on(self, budget):
+        # in blocks of 4 and of all 25, restart 0 stops before a restart
+        # behind it, whose u row is then copied down and walks on
+        x = _poisson_residual(11, 30, 25).x
+        size = _block_size(x, budget)
+        visits = loop_restart_visits(x)
+        assert visits[0] < max(visits[1:size])
+        finals, _, _ = _walks(x, budget)
+        for j, u in enumerate(loop_restart_finals(x)):
+            assert _unpacked(finals[j], 25).tobytes() == u.tobytes(), j
 
     @settings(max_examples=100, deadline=None)
     @given(x=_tie_prone_residuals(), budget=st.sampled_from([64, 4096, None]))
@@ -576,16 +625,25 @@ class TestBatchedHeuristic:
 
     @pytest.mark.parametrize("shape", [(400, 300), (16, 1500)])
     def test_working_memory_is_bounded(self, shape):
-        # one block of restarts fits _ENUM_BLOCK_BYTES, and seen and final
-        # sign vectors are kept as packed bits
+        # a block's buffers fit _ENUM_BLOCK_BYTES; finals and deltas keep a
+        # row of packed u bits and a float per restart; a block's seen sets
+        # keep one packed key per distinct u of its restarts; 128 KiB
+        # covers one step's temporaries (numpy's 64 KiB ufunc buffer for
+        # the broadcast band compare, the packed keys)
         X = _poisson_residual(1, *shape)
+        m = shape[1]
+        size, visits = _block_size(X.x), loop_restart_visits(X.x)
+        key = sys.getsizeof(bytes((m + 7) // 8))
+        seen = max(sum(sys.getsizeof(set(range(c))) + c * key for c in visits[s:s + size])
+                   for s in range(0, m, size))
+        bound = taxicab._ENUM_BLOCK_BYTES + m * ((m + 7) // 8 + 8) + seen + 128 * 1024
         tracemalloc.start()
         try:
             norm_heuristic(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < bound
 
 
 class TestCutNormMatrix:
