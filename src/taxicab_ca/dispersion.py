@@ -39,14 +39,17 @@ HEAVYWEIGHT_TOL = 1e-10
 def sign_pm(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sign with the convention sign(0) = +1; entries are exactly +-1.
 
-    -0.0 maps to +1 and nan to -1.  The comparison is cast to float and
-    mapped to +-1 in place, a few times cheaper than ``np.where`` with two
-    scalar branches; ``out``, a float64 array of x's shape, receives the
-    result when given.
+    -0.0 maps to +1 and nan to -1.  The comparison is cast to x's float
+    type and mapped to +-1 in place, a few times cheaper than ``np.where``
+    with two scalar branches.  A float32 x gives a float32 result, without a
+    float64 copy; anything else is compared as float64.  ``out``, a float
+    array of x's shape, receives the result when given.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=float)
     if out is None:
-        out = np.asarray(x >= 0.0, dtype=float)
+        out = np.asarray(x >= 0.0, dtype=x.dtype)
     else:
         np.greater_equal(x, 0.0, out=out)
     out *= 2.0
@@ -137,12 +140,11 @@ def cut_norm_vec(
     where ``indices`` are the 0-based positions of the maximizing subset.
 
     Raises:
-        ValueError: if x is not centered within ``tol`` (relative to the
-            entrywise L1 mass; an all-zero vector is trivially centered).
+        ValueError: if x is empty, holds nan or inf, or is not centered
+            within ``tol`` (relative to the entrywise L1 mass; an all-zero
+            vector is trivially centered).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise ValueError("empty sample")
+    x = _as_sample(x)
     _check_centered(x, tol)
     mask = x >= 0.0
     value = float(x[mask].sum())
@@ -156,9 +158,10 @@ def gain_d(
 
     Equals twice the cut-norm divided by n, hence equals ``mad_mean`` of the
     original sample, and like it raises ``ValueError`` naming ``d`` if that
-    overflows float64.  The maximizer puts +1 on nonnegative entries.
+    overflows float64, and on an empty sample or one holding nan or inf.
+    The maximizer puts +1 on nonnegative entries.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _as_sample(x)
     value = _statistic("d", lambda: 2.0 * cut_norm_vec(x, tol)[0] / x.size)
     return value, sign_pm(x)
 

@@ -13,19 +13,20 @@ dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.
 
 The heuristic walks all its column restarts at once, in blocks of restarts
-that fit ``_ENUM_BLOCK_BYTES``.  A block holds three float64 buffers (u
-signs, v signs and one product) and a bool mask, and each half-step is one
-whole-width GEMM over the block's active restarts, one sign vector per row.
-OpenBLAS keeps the pages of its level-3 pack buffer resident, about 0.7 MB
-after a 400 x 300 table.  A GEMM does not add up in the order of the
-reference gemv, so every sign is certified: both sums lie within gamma_k
-times the line's sum of |x| of the exact value, so an entry above twice that
-band has the gemv's sign, and a row with an entry inside it is recomputed by
-the reference matvec.  Each restart thus walks the one-at-a-time trajectory
-and stops where it does.  Only the restarts whose batched final dispersion
-lies within twice a proven rounding margin of the best are rescored with the
-reference arithmetic, in restart order, so the winner and every bit of its
-axis are those of the one-at-a-time loop.
+that fit ``_ENUM_BLOCK_BYTES``, on a float32 copy of the matrix scaled by a
+power of two so that nothing overflows.  A block holds three float32 buffers
+(u signs, v signs and one product) and a bool mask, and each half-step is
+one whole-width float32 GEMM over the block's active restarts, one sign
+vector per row.  A float32 GEMM does not add up the values of the float64
+reference gemv, so every sign is certified: ``_sign_bands`` bounds the
+rounding of both, from the float64 line sums of |x|, so an entry above the
+bound has the gemv's sign, and a row with an entry inside it is recomputed
+by the reference matvec and takes its signs from the float64 values.  Each
+restart thus walks the one-at-a-time float64 trajectory and stops where it
+does.  Only the restarts whose batched final dispersion lies within twice a
+proven float32 rounding margin of the best are rescored with the reference
+arithmetic, in restart order, so the winner and every bit of its axis are
+those of the one-at-a-time loop.
 
 The enumeration kernel, shared with the tensor norm, searches a stack of
 matrices in two phases.  The screen scores every sign candidate in float32,
@@ -227,10 +228,31 @@ def _rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
     float64 ones.  The bound is (n + q - 1) eps of ``dtype`` for the two
     (eps is two unit roundoffs) plus five eps, which cover the second-order
     terms, the rounding of ``abs_sum`` and the entries that a scaling or a
-    cast made subnormal.  The enumeration screen takes float32, the batched
-    restarts of the heuristic float64.
+    cast made subnormal.  The enumeration screen and the batched restarts of
+    the heuristic both take float32.
     """
     return (n + q + 4) * float(np.finfo(dtype).eps) * abs_sum
+
+
+def _float32_shift(values: np.ndarray) -> int:
+    """The power of two that brings the largest magnitude of ``values`` into [1/2, 1).
+
+    Zero for all-zero values, and for values holding nan.
+    """
+    peak = float(np.maximum(values.max(), -values.min()))  # nan stays nan
+    return -int(np.frexp(peak)[1])
+
+
+def _to_float32(values: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
+    """``values`` times 2^shift, rounded once to float32 into ``out``.
+
+    The scaling is exact in float64 unless it makes a value subnormal there,
+    and such a value rounds to +-0 in float32 either way.  So each entry is
+    off by at most a float32 unit roundoff of its scaled magnitude, or by
+    half the smallest float32 subnormal; with ``_float32_shift``'s power of
+    two nothing overflows.
+    """
+    return np.ldexp(values, shift, out=out, casting="same_kind")
 
 
 def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
@@ -246,8 +268,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     else the low-suffix table plus one high-prefix projection at a time.
     """
     count, n, q = stack.shape
-    peak = float(np.maximum(stack.max(), -stack.min()))  # nan stays nan
-    shift = -int(np.frexp(peak)[1])
+    shift = _float32_shift(stack)
     k, block = _enum_split(n, q, itemsize=4)
     prefixes = 1 << (q - 1 - k)
     maxima = np.empty((count, 1 << (q - 1 - k_ref)), dtype=np.float32)
@@ -258,7 +279,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     def cast(start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Matrices start:stop, transposed, scaled and rounded to float32."""
         nonlocal abs_sum
-        np.ldexp(stack[start:stop].transpose(0, 2, 1), shift, out=out, casting="same_kind")
+        _to_float32(stack[start:stop].transpose(0, 2, 1), shift, out)
         abs_sum = np.maximum(abs_sum, np.abs(out).sum(axis=(1, 2), dtype=float).max())
         return out
 
@@ -468,86 +489,127 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
     return _axis_from_state(_canonical_state(x, state), exact=True)
 
 
-def _sign_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Thresholds above which a computed x @ u (rows) or v @ x (columns) has a sure sign.
+def _sign_bands(x: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Float32 thresholds above which an entry of U x' (rows) or V x (columns) has a sure sign.
 
-    Entry i of x @ u, u a sign vector, adds up the m terms +-x_ij.  Added in
-    any order, by a GEMM or by the reference gemv, it lies within
-    gamma_m * sum_j |x_ij| of the exact sum (gamma_k = k u / (1 - k u), u
-    the unit roundoff).  So an entry whose magnitude exceeds twice that band
-    has the exact sum's sign, and the reference gemv gives it the same sign.
-    The thresholds take (m + 2) eps for the 2 gamma_m (eps = 2 u; the
-    spare eps covers the rounding of the band itself) and add 2 m tiny for
-    underflow.  A zero line sums to +-0 in every order, which ``sign_pm``
-    maps to +1, so its threshold is -inf.  The third value is sum |x_ij|.
+    ``_restart_walks`` computes entry i of x @ u, u a sign vector, as one
+    entry of a float32 GEMM over x times 2^shift rounded to float32
+    (``_to_float32``).  Let R be 2^shift sum_j |x_ij|, the scaled float64
+    row mass, and u the float32 unit roundoff.  The entry then lies within
+    u R (the cast), gamma_m (1 + u) R (the m - 1 additions, in any order;
+    gamma_k = k u / (1 - k u)) and 3 m tiny (entries and partial sums in
+    float32's subnormal range, also where a BLAS kernel flushes them to
+    zero) of 2^shift times the exact sum.  The reference gemv lies within
+    float64's gamma_m times the row mass, plus 2 m of float64's tiny, of the
+    exact sum.  An entry whose magnitude exceeds both bands together thus
+    has the sign of the reference's value, which is nonzero.
+
+    The threshold takes (m + 2) u / (1 - m u) R: it exceeds the cast's,
+    the GEMM's and float64's gamma_m R by u / (1 - m u) - gamma_m of
+    float64 times R, nearly u R, which covers the rounding of the mass and
+    of the threshold, rounded up to float32.  That holds while 2 m u < 1
+    (lines shorter than 2^23); a longer line gets an infinite threshold, so
+    every product row is recomputed.  The masses are summed in float64 from
+    the float64 x, so a line whose float32 copy underflows to zero still
+    gets a positive threshold.  A zero line sums to +-0 in every order,
+    which ``sign_pm`` maps to +1, so its threshold is -inf.  The third
+    value is sum |x_ij|, unscaled.
     """
-    eps, tiny = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+    unit, tiny32 = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float32).tiny)
+    tiny64 = float(np.finfo(float).tiny)
     n, m = x.shape
     magnitude = np.abs(x)
     rows, cols = magnitude.sum(axis=1), magnitude.sum(axis=0)
 
     def band(mass: np.ndarray, k: int) -> np.ndarray:
-        return np.where(mass == 0.0, -np.inf, (k + 2) * eps * mass + 2 * k * tiny)
+        rate = (k + 2) * unit / (1 - k * unit) if 2 * k * unit < 1 else np.inf
+        width = rate * np.ldexp(mass, shift) + k * (3 * tiny32 + 2 * np.ldexp(tiny64, shift))
+        width = np.nextafter(width.astype(np.float32), np.float32(np.inf))
+        return np.where(mass == 0.0, np.float32(-np.inf), width)
 
     return band(rows, m), band(cols, n), float(rows.sum())
 
 
 def _certified_product(
-    signs: np.ndarray, mat: np.ndarray, band: np.ndarray,
-    out: np.ndarray, magnitude: np.ndarray, sure: np.ndarray,
+    signs: np.ndarray, mat: np.ndarray, reference: np.ndarray, shift: int,
+    band: np.ndarray, out: np.ndarray, magnitude: np.ndarray, sure: np.ndarray,
 ) -> None:
-    """``out = signs @ mat`` with every sign equal to the reference matvec's.
+    """``out = signs @ mat`` in float32, with every sign equal to the reference matvec's.
 
-    One GEMM computes the whole product.  ``magnitude`` receives |out| and
-    ``sure`` marks the entries above ``band``.  A row with any entry inside
-    the band (or nan) is recomputed by ``_reference_rows``, so that it
-    carries the bits of the reference ``mat.T @ s``.  OpenBLAS packs
-    ``mat`` into its level-3 buffer, whose pages stay resident for the life
-    of the process: about 0.7 MB on a 400 x 300 x, against 0.13 MB when x
-    was handed over in 40-column panels, which slowed every GEMM.
+    ``mat`` is the float64 ``reference`` times 2^shift, rounded to float32.
+    One SGEMM computes the whole product.  ``magnitude`` receives |out| and
+    ``sure`` marks the entries above ``band`` (``_sign_bands``).  A row with
+    any entry inside the band is recomputed by ``_reference_rows`` from the
+    float64 ``reference``, and takes its signs from those float64 values.
+    OpenBLAS packs ``mat`` into its level-3 buffer, whose pages stay
+    resident for the life of the process.
     """
     np.matmul(signs, mat, out=out)
     np.abs(out, out=magnitude)
     np.greater(magnitude, band, out=sure)
     unsure = np.flatnonzero(~sure.all(axis=1))
     if unsure.size:
-        _reference_rows(signs, mat, unsure, out)
+        _reference_rows(signs, reference, shift, unsure, out)
         magnitude[unsure] = np.abs(out[unsure])
 
 
-def _reference_rows(signs: np.ndarray, mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Rows ``rows`` of ``signs @ mat`` by the reference matvec, one sign vector at a time."""
+def _reference_rows(
+    signs: np.ndarray, mat: np.ndarray, shift: int, rows: np.ndarray, out: np.ndarray,
+) -> None:
+    """Rows ``rows`` of ``signs @ mat`` by the float64 reference matvec, one sign vector at a time.
+
+    Each row goes to ``out`` times 2^shift, rounded to float32.  A negative
+    value that rounds to -0 there is written as the negative float32 nearest
+    zero, so that ``sign_pm`` gives it -1, as it gives the float64 value.
+    """
+    nearest = np.nextafter(np.float32(0.0), np.float32(-1.0))
     for r in rows.tolist():
-        out[r] = mat.T @ signs[r]
+        value = mat.T @ signs[r].astype(float)
+        row = _to_float32(value, shift, out[r])
+        np.copyto(row, nearest, where=(row == 0.0) & (value < 0.0))
 
 
-def _restart_walks(
-    x: np.ndarray, row_band: np.ndarray, col_band: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Walk every column restart of x to its stop, a block of restarts at a time.
 
-    Returns two arrays indexed by restart: ``finals[j]``, the packed bits
-    of u < 0 for restart j's last u, and ``deltas[j]``, the last dispersion
-    the GEMM computed for it.  Restart j starts from v = sign(column j),
-    u = sign(X' v) and steps v = sign(X u), u = sign(X' v), one GEMM per
-    half-step over the block's active restarts, until the new u is one that
-    restart has already seen (the stop of ``_transition_fixed_point``).
-    ``_certified_product`` gives every sign the reference matvec's value,
-    so each restart walks the reference trajectory.
+    Returns ``finals[j]``, the packed bits of u < 0 for restart j's last u,
+    ``deltas[j]``, the last dispersion the GEMM computed for it, and the
+    margin (``_rounding_margin`` in float32) within which each of those
+    lies of the reference dispersion of the same u.  Dispersions and margin
+    are in the units of the float32 copy of x, x times 2^shift
+    (``_float32_shift``, ``_to_float32``), made once per call.
 
-    A block holds three float64 buffers, reused across steps: u signs
+    Restart j starts from v = sign(column j), u = sign(X' v) and steps
+    v = sign(X u), u = sign(X' v), one float32 GEMM per half-step over the
+    block's active restarts, until the new u is one that restart has
+    already seen (the stop of ``_transition_fixed_point``).
+    ``_certified_product`` gives every sign the reference matvec's value,
+    so each restart walks the reference trajectory.  Along it the exact
+    dispersion falls only by the float64 rounding of the products whose
+    signs the reference got wrong, far inside the margin's spare, so a step
+    whose dispersion falls by more than two margins raises
+    ``InvariantError``.
+
+    A block holds three float32 buffers, reused across steps: u signs
     (k x m), v signs (k x n) and one product of k x max(n, m), plus a bool
-    buffer of the product's size; k restarts fit ``_ENUM_BLOCK_BYTES``.
-    Half-step A puts U X' in the product, |U X'| in V (its row sums are
-    the dispersions) and then the signs in V.  Half-step B puts V X in the
-    product, |V X| in U, which the old u no longer needs (it lives on only
-    as packed keys), and then the signs in U.  A stopped restart's row of
-    U is closed up by copying the later rows down.
+    buffer of the product's size: 4 (m + n + max(n, m)) + max(n, m) bytes a
+    restart, and k restarts fit ``_ENUM_BLOCK_BYTES`` (218 on 400 x 300).
+    Half-step A puts U X' in the product, |U X'| in V (its row sums, added
+    in float64, are the dispersions) and then the signs in V.  Half-step B
+    puts V X in the product, |V X| in U, which the old u no longer needs
+    (it lives on only as packed keys), and then the signs in U.  A stopped
+    restart's row of U is closed up by copying the later rows down.
     """
     n, m = x.shape
     w = max(n, m)
-    size = max(1, min(m, _ENUM_BLOCK_BYTES // (8 * (m + n + w) + w)))
-    u, v, prod = np.empty((size, m)), np.empty((size, n)), np.empty(size * w)
+    shift = _float32_shift(x)
+    row_band, col_band, mass = _sign_bands(x, shift)
+    margin = _rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
+    x32 = _to_float32(x, shift, np.empty((n, m), dtype=np.float32))
+    size = max(1, min(m, _ENUM_BLOCK_BYTES // (4 * (m + n + w) + w)))
+    u = np.empty((size, m), dtype=np.float32)
+    v = np.empty((size, n), dtype=np.float32)
+    prod = np.empty(size * w, dtype=np.float32)
     flags = np.empty(size * w, dtype=bool)
     finals = np.empty((m, (m + 7) // 8), dtype=np.uint8)
     deltas = np.empty(m)
@@ -555,7 +617,7 @@ def _restart_walks(
     def step_u(k: int) -> np.ndarray:
         """u = sign(X' v) for the first k rows, and the packed bits of u < 0."""
         b, negative = prod[:k * m].reshape(k, m), flags[:k * m].reshape(k, m)
-        _certified_product(v[:k], x, col_band, b, u[:k], negative)
+        _certified_product(v[:k], x32, x, shift, col_band, b, u[:k], negative)
         sign_pm(b, out=u[:k])
         np.less(u[:k], 0.0, out=negative)
         return np.packbits(negative, axis=1)
@@ -569,13 +631,14 @@ def _restart_walks(
         delta_prev = np.full(k, -np.inf)
         while k:
             a = prod[:k * n].reshape(k, n)
-            _certified_product(u[:k], x.T, row_band, a, v[:k], flags[:k * n].reshape(k, n))
-            delta = v[:k].sum(axis=1)
-            fell = ~(delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta))
+            _certified_product(
+                u[:k], x32.T, x.T, shift, row_band, a, v[:k], flags[:k * n].reshape(k, n))
+            delta = v[:k].sum(axis=1, dtype=float)
+            fell = ~(delta >= delta_prev - 2.0 * margin)
             if fell.any():
                 r = int(np.argmax(fell))
-                raise InvariantError(
-                    f"dispersion decreased from {float(delta_prev[r])!r} to {float(delta[r])!r}")
+                before, after = np.ldexp([delta_prev[r], delta[r]], -shift).tolist()
+                raise InvariantError(f"dispersion decreased from {before!r} to {after!r}")
             sign_pm(a, out=v[:k])
             new_keys = step_u(k)
             stop = np.zeros(k, dtype=bool)
@@ -594,7 +657,7 @@ def _restart_walks(
                     u[i] = u[r]
             ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
             seen = [seen[r] for r in go.tolist()]
-    return finals, deltas
+    return finals, deltas, margin
 
 
 def _confirm_restarts(
@@ -602,14 +665,15 @@ def _confirm_restarts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """The reference state (u, v, a, b, delta) of the best restart, the first on ties.
 
-    ``finals`` and ``deltas`` are ``_restart_walks``'s last u and batched
-    dispersion of each restart.  Rescores, in restart order and with the
-    reference ``x @ u`` and ``x.T @ v``, every restart whose batched
-    dispersion lies within twice ``margin`` of the best batched one; a
-    strict ``>`` replaces the incumbent.  Each restart's batched dispersion
-    is within one margin of the reference dispersion of its own last u, so
-    the first restart that reaches the reference maximum is within two
-    margins of the best batched dispersion, and is rescored.
+    ``finals``, ``deltas`` and ``margin`` are ``_restart_walks``'s last u,
+    batched dispersion of each restart and margin, in any one unit.
+    Rescores, in restart order and with the reference ``x @ u`` and
+    ``x.T @ v``, every restart whose batched dispersion lies within twice
+    ``margin`` of the best batched one; a strict ``>`` replaces the
+    incumbent.  Each restart's batched dispersion is within one margin of
+    the reference dispersion of its own last u, so the first restart that
+    reaches the reference maximum is within two margins of the best batched
+    dispersion, and is rescored.
     """
     m = x.shape[1]
     floor = deltas.max() - 2.0 * margin
@@ -636,25 +700,23 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
     not necessarily the global optimum.
 
     All restarts run at once, in blocks that fit ``_ENUM_BLOCK_BYTES``,
-    each half-step one GEMM over the block's active restarts
-    (``_restart_walks``).  Every sign is certified: an entry outside the
-    rounding band of ``_sign_bands`` has the reference matvec's sign, and a
-    row with an entry inside it is recomputed by the reference matvec, so
-    each restart walks exactly the one-at-a-time trajectory and stops where
-    it does.  Only the restarts whose batched final dispersion lies within
-    twice the proven margin (``_rounding_margin``) of the best one are
-    rescored with the reference arithmetic, in restart order
+    each half-step one float32 GEMM over the block's active restarts and a
+    float32 copy of X scaled by a power of two (``_restart_walks``).  Every
+    sign is certified: an entry outside the rounding band of
+    ``_sign_bands`` has the float64 reference matvec's sign, and a row with
+    an entry inside it is recomputed by the reference matvec, so each
+    restart walks exactly the one-at-a-time trajectory and stops where it
+    does.  Only the restarts whose batched final dispersion lies within
+    twice the proven float32 margin (``_rounding_margin``) of the best one
+    are rescored with the reference arithmetic, in restart order
     (``_confirm_restarts``), so the winner and its bits are those of the
-    one-at-a-time loop.  A matrix holding nan or inf raises
+    one-at-a-time float64 loop.  A matrix holding nan or inf raises
     ``InvariantError`` before the first step.
     """
     x = X.x
     if not np.isfinite(x).all():
         raise InvariantError("norm_heuristic: the matrix holds non-finite values")
-    row_band, col_band, mass = _sign_bands(x)
-    finals, deltas = _restart_walks(x, row_band, col_band)
-    margin = _rounding_margin(*x.shape, mass, np.float64)
-    best = _confirm_restarts(x, finals, deltas, margin)
+    best = _confirm_restarts(x, *_restart_walks(x))
     return _axis_from_state(_canonical_state(x, best), exact=False)
 
 

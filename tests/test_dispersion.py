@@ -107,6 +107,16 @@ class TestCutNormVec:
         with pytest.raises(ValueError, match="not centered"):
             cut_norm_vec([1.0, 2.0, 3.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("statistic", [cut_norm_vec, gain_d])
+    @pytest.mark.parametrize("values", [[np.nan, 1.0, -1.0], [np.inf, -1.0],
+                                        [-np.inf, np.inf], [[1.0, np.nan], [-1.0, 0.0]]])
+    def test_non_finite_sample_raises(self, statistic, values):
+        # the centering check cannot see them: its comparisons are false
+        # on a nan or inf mass, so the sample itself is checked first
+        with pytest.raises(ValueError, match="^sample contains non-finite values$"):
+            statistic(values)
+
 
 class TestGainD:
     def test_basic(self):

@@ -479,18 +479,19 @@ def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
 
 def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """``_restart_walks`` on x (each restart's packed last u and batched
-    dispersion) and the margin ``norm_heuristic`` confirms them with."""
-    row_band, col_band, mass = taxicab._sign_bands(x)
+    dispersion) and the float32 margin ``norm_heuristic`` confirms them
+    with, the last two brought back from the walk's scaled units to x's."""
     with _budget(budget):
-        finals, deltas = taxicab._restart_walks(x, row_band, col_band)
-    return finals, deltas, taxicab._rounding_margin(*x.shape, mass, np.float64)
+        finals, deltas, margin = taxicab._restart_walks(x)
+    shift = taxicab._float32_shift(x)
+    return finals, np.ldexp(deltas, -shift), float(np.ldexp(margin, -shift))
 
 
 def _restart_bytes(n: int, m: int) -> int:
     """Block bytes of one restart of ``_restart_walks`` on an n x m x: a
-    float64 row each of u, v and the product, and a bool row as wide."""
+    float32 row each of u, v and the product, and a bool row as wide."""
     w = max(n, m)
-    return 8 * (m + n + w) + w
+    return 4 * (m + n + w) + w
 
 
 def _block_size(x: np.ndarray, budget: int | None = None) -> int:
@@ -537,26 +538,26 @@ class TestBatchedHeuristic:
             X = deflate(X, got)
 
     def test_block_boundaries_do_not_matter(self):
-        # a restart of 40 x 33 takes 944 block bytes: one restart per block,
+        # a restart of 40 x 33 takes 492 block bytes: one restart per block,
         # blocks of 20 and a last one of 13, and a single block of 33
         X = _poisson_residual(4, 40, 33)
         ref = loop_norm_heuristic(X)
-        for budget, size in ((64, 1), (20 * 944, 20), (33 * 944, 33)):
+        for budget, size in ((64, 1), (20 * 492, 20), (33 * 492, 33)):
             assert _block_size(X.x, budget) == size
             with _budget(budget):
                 _assert_same_axis(norm_heuristic(X), ref)
 
     @pytest.mark.parametrize(("shape", "budget", "size"), [
-        ((40, 33), 20 * 944 - 1, 19),
+        ((40, 33), 20 * 492 - 1, 19),
         ((40, 33), None, 33),
-        ((400, 300), None, 113),
+        ((400, 300), None, 218),
         # the property tests' budgets: 64 walks one restart at a time, 4096
         # one block of a small table and several of a wide one, the last
-        # of them partial on 3 x 25 (9, 9, 7)
+        # of them partial on 3 x 25 (17, 8)
         ((6, 6), 64, 1),
         ((6, 6), 4096, 6),
-        ((3, 25), 4096, 9),
-        ((4, 40), 4096, 5),
+        ((3, 25), 4096, 17),
+        ((4, 40), 4096, 10),
     ])
     def test_block_size(self, shape, budget, size):
         x = _poisson_residual(sum(shape), *shape).x
@@ -564,7 +565,7 @@ class TestBatchedHeuristic:
         assert size == max(1, min(shape[1], limit // _restart_bytes(*shape)))
         assert _block_size(x, budget) == size
 
-    @pytest.mark.parametrize("budget", [4 * 710, None])
+    @pytest.mark.parametrize("budget", [4 * 370, None])
     def test_rows_behind_a_stopped_restart_walk_on(self, budget):
         # in blocks of 4 and of all 25, restart 0 stops before a restart
         # behind it, whose u row is then copied down and walks on
@@ -592,6 +593,85 @@ class TestBatchedHeuristic:
         for final, delta in zip(finals, deltas):
             u = _unpacked(final, shape[1])
             assert abs(delta - float(np.abs(x @ u).sum())) <= margin
+
+    @pytest.mark.parametrize("tiny", [1e-50, 1e-40, 2.0**-140])
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_matches_restart_loop_across_float32_range(self, tiny, exponent):
+        # an O(1) block beside a tiny one: float32 flushes the tiny block of
+        # the scaled copy to zero (1e-50) or keeps a few of its bits
+        # (subnormal), so its rows and columns fall back to float64, whose
+        # signs are those of values far below float32's range
+        rng = np.random.default_rng(15)
+        big = _centered_integers(rng.integers(-2, 3, size=(9, 7)).astype(float))
+        small = _centered_integers(rng.integers(-2, 3, size=(6, 8)).astype(float))
+        x = np.zeros((15, 15))
+        x[:9, :7], x[9:, 7:] = big, tiny * small
+        X = ResidualMatrix(x=np.ldexp(x, exponent))
+        with mock.patch.object(
+                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+            got = norm_heuristic(X)
+        assert fallback.call_count > 0
+        _assert_same_axis(got, loop_norm_heuristic(X))
+        finals, deltas, margin = _walks(X.x)
+        for j, u in enumerate(loop_restart_finals(X.x)):
+            assert _unpacked(finals[j], 15).tobytes() == u.tobytes(), j
+            assert abs(deltas[j] - float(np.abs(X.x @ u).sum())) <= margin
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_subnormal_rounding_stays_inside_the_band(self, exponent):
+        # a 2 x 5 block of +-0.6 and +-2.4 float32 subnormal steps beside an
+        # O(1) block whose peak needs no scaling: float32 rounds them to
+        # +-1 and +-2 steps, so a row whose exact product with u = 1 is 0
+        # (sign +1) sums to -2 steps there, a sign that only the subnormal
+        # terms of the band leave unsure
+        rng = np.random.default_rng(16)
+        big = _centered_integers(rng.integers(-2, 3, size=(9, 7)).astype(float))
+        big = np.ldexp(big, -int(np.frexp(np.abs(big).max())[1]))
+        step = float(np.finfo(np.float32).smallest_subnormal)
+        x = np.zeros((11, 12))
+        x[:9, :7] = big
+        x[9:, 7:] = 0.6 * step * np.array([[-1.0] * 4 + [4.0], [1.0] * 4 + [-4.0]])
+        X = ResidualMatrix(x=np.ldexp(x, exponent))
+        _assert_same_axis(norm_heuristic(X), loop_norm_heuristic(X))
+        finals, _, _ = _walks(X.x)
+        for j, u in enumerate(loop_restart_finals(X.x)):
+            assert _unpacked(finals[j], 12).tobytes() == u.tobytes(), j
+
+    def test_float32_leaves_real_rows_to_the_reference(self):
+        # a Poisson table of the size of the benchmark's: float32 leaves a
+        # few percent of the product rows inside the band
+        X = _poisson_residual(16, 300, 200)
+        with mock.patch.object(
+                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+            got = norm_heuristic(X)
+        assert fallback.call_count > 0
+        _assert_same_axis(got, loop_norm_heuristic(X))
+
+    @pytest.mark.parametrize(("margins", "raises"), [(1.5, False), (2.5, True)])
+    def test_ascent_check_allows_two_margins(self, margins, raises):
+        # restart 0 of this table takes two steps; its second dispersion is
+        # forced to its first minus the given number of margins
+        x = _poisson_residual(11, 30, 25).x
+        expected, _, margin = taxicab._restart_walks(x)
+        real = taxicab._certified_product
+        dispersions = []  # restart 0's, while it leads the block
+
+        def lowered(signs, mat, reference, shift, band, out, magnitude, sure):
+            real(signs, mat, reference, shift, band, out, magnitude, sure)
+            if out.shape[1] == 30:  # half-step A, whose magnitudes sum to the dispersions
+                dispersions.append(magnitude[0].sum(dtype=float))
+                if len(dispersions) == 2:
+                    magnitude[0] = 0.0
+                    magnitude[0, 0] = dispersions[0] - margins * margin
+
+        with mock.patch.object(taxicab, "_certified_product", side_effect=lowered):
+            if raises:
+                with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
+                    taxicab._restart_walks(x)
+            else:
+                finals, _, _ = taxicab._restart_walks(x)
+                assert finals.tobytes() == expected.tobytes()
+        assert len(dispersions) >= 2
 
     def test_confirmation_looks_past_the_batched_order(self):
         # u and -u score the same bits; the batched values may rank -u first
@@ -625,8 +705,9 @@ class TestBatchedHeuristic:
 
     @pytest.mark.parametrize("shape", [(400, 300), (16, 1500)])
     def test_working_memory_is_bounded(self, shape):
-        # a block's buffers fit _ENUM_BLOCK_BYTES; finals and deltas keep a
-        # row of packed u bits and a float per restart; a block's seen sets
+        # a block's buffers fit _ENUM_BLOCK_BYTES; the float32 copy of x
+        # takes 4 n m bytes; finals and deltas keep a row of packed u bits
+        # and a float per restart; a block's seen sets
         # keep one packed key per distinct u of its restarts; 128 KiB
         # covers one step's temporaries (numpy's 64 KiB ufunc buffer for
         # the broadcast band compare, the packed keys)
@@ -636,7 +717,8 @@ class TestBatchedHeuristic:
         key = sys.getsizeof(bytes((m + 7) // 8))
         seen = max(sum(sys.getsizeof(set(range(c))) + c * key for c in visits[s:s + size])
                    for s in range(0, m, size))
-        bound = taxicab._ENUM_BLOCK_BYTES + m * ((m + 7) // 8 + 8) + seen + 128 * 1024
+        bound = (taxicab._ENUM_BLOCK_BYTES + 4 * X.x.size + m * ((m + 7) // 8 + 8)
+                 + seen + 128 * 1024)
         tracemalloc.start()
         try:
             norm_heuristic(X)
