@@ -43,10 +43,24 @@ proven rounding margin (``_rounding_margin``) of the best screened score.
 Every pair that could hold the float64 maximum is among them, so the
 maximizer, ties included, is the one a full float64 scan returns.  Working
 memory stays at a few MiB whatever q is.
+
+A large screen runs in shares at once, one per CPU the process may use
+(``_SCREEN_WORKERS``): ranges of matrices when the whole grid fits, else
+ranges of the high prefixes.  The calling thread runs the first share and
+a short-lived thread each other one, under a copy of the caller's context,
+and all are joined before the screen returns.  Only a screen with
+``_SHARE_WORK`` table entries for each share splits.  The caller allocates
+the shares' buffers, and each share runs on its own matrices or prefixes
+exactly the operations a one-share screen runs, so the maxima and the
+margin are bit-identical however the screen is split; with one usable CPU
+no thread starts.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -82,6 +96,17 @@ _IDENTITY_TOL = 1e-10
 # flip) counts as not lowering the value
 _ASCENT_SLACK = 1e-12
 _ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
+# threads that may screen at once: one per CPU this process may run on
+_SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+# float32 table entries (candidates x n) each share of a screen must get.  On
+# two CPUs with one BLAS thread a thread start and join took 30-50 us and one
+# thread screened about 4 entries a ns, yet forced splits only broke even at
+# about 1.3M entries in all on the prefix path and 4.4M on whole grids of
+# 72 x 11 matrices: the shares' numpy calls contend for the GIL and for the
+# shared cache.  2^21 a share keeps the 22 x 15 (0.36M) and 40 x 15 (0.66M)
+# screens on one thread and splits the 12M of an 11 x 11 x 72 tensor stack.
+_SHARE_WORK = 1 << 21
 
 
 class EnumerationBudgetError(ValueError):
@@ -255,6 +280,55 @@ def _to_float32(values: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
     return np.ldexp(values, shift, out=out, casting="same_kind")
 
 
+def _share_bounds(items: int, item_work: int, most: int) -> list[int]:
+    """Bounds of the shares that split ``range(items)`` into contiguous ranges.
+
+    One share per screen worker (``_SCREEN_WORKERS``), at most ``most``, and
+    only as many as each get ``_SHARE_WORK`` table entries at ``item_work``
+    entries an item; share i is ``bounds[i]:bounds[i + 1]``, and the sizes
+    differ by at most one.
+    """
+    shares = max(1, min(_SCREEN_WORKERS, most, items, items * item_work // _SHARE_WORK))
+    return [items * i // shares for i in range(shares + 1)]
+
+
+def _run_shares(
+    share: Callable[[int, int, int], float | None], bounds: list[int],
+) -> list[float | None]:
+    """``share(i, lo, hi)`` for each share of ``bounds``, all at once; their results in order.
+
+    The calling thread runs share 0, and each other share runs in a thread
+    of its own, under its own copy of the caller's context, so that
+    ``np.errstate`` and every other context variable hold there as they do
+    in the caller.  Every thread is joined before this returns or raises;
+    an exception raised in a share is re-raised here after the joins, the
+    caller's own first, then the first by share.
+    """
+    results: list[float | None] = [None] * (len(bounds) - 1)
+    errors: list[BaseException | None] = [None] * len(results)
+
+    def run(i: int, context: contextvars.Context) -> None:
+        try:
+            results[i] = context.run(share, i, bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised in the caller
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, len(results)):
+            thread = threading.Thread(target=run, args=(i, contextvars.copy_context()), daemon=True)
+            thread.start()
+            threads.append(thread)
+        results[0] = share(0, bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     """Float32 screen of a stack of B x n x q matrices.
 
@@ -266,6 +340,23 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     Scores are the row sums of |table|, the table holding one candidate per
     row: the whole sign grid times M' when all candidates fit the budget,
     else the low-suffix table plus one high-prefix projection at a time.
+
+    The work is split into shares that run at once (``_run_shares``): a
+    range of matrices when the whole grid fits, else a range of the
+    prefixes of one block of high-prefix projections.  A screen splits only
+    where each share gets at least ``_SHARE_WORK`` table entries, so small
+    screens stay on the calling thread.  That thread allocates the shares'
+    buffers.  A whole-grid share gets its part of the one-share block of
+    tables, and casts as many matrices at a time as the rest of
+    ``_ENUM_BLOCK_BYTES`` holds, so together they fit the budget.  A prefix
+    share reads the low-suffix table and the projections the calling
+    thread computed, and adds into a sum buffer of its own of 2^k x n
+    float32 values, which fits the budget; the buffers of the shares beyond
+    the first together fit it too.
+    Each share writes its own rows or prefixes of the maxima, with the
+    operations a one-share screen runs on them, and the margin takes the
+    largest of the shares' sums of |M| (``np.max``, which keeps a nan), so
+    maxima and margin are bit-identical however the screen is split.
     """
     count, n, q = stack.shape
     shift = _float32_shift(stack)
@@ -274,45 +365,77 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     maxima = np.empty((count, 1 << (q - 1 - k_ref)), dtype=np.float32)
     per_table = maxima.shape[1] // prefixes  # reference prefixes per screened table
     ones = np.ones(n, dtype=np.float32)
-    abs_sum = 0.0
 
-    def cast(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Matrices start:stop, transposed, scaled and rounded to float32."""
-        nonlocal abs_sum
+    def cast(start: int, stop: int, out: np.ndarray) -> float:
+        """Matrices start:stop into ``out``, transposed, scaled and rounded to float32.
+
+        Returns the largest of their sums of |float32 entries|.
+        """
         _to_float32(stack[start:stop].transpose(0, 2, 1), shift, out)
-        abs_sum = np.maximum(abs_sum, np.abs(out).sum(axis=(1, 2), dtype=float).max())
-        return out
+        return np.abs(out).sum(axis=(1, 2), dtype=float).max()
 
     if prefixes == 1:
         grid = _low_sign_grid(q)[: 1 << (q - 1)].astype(np.float32)
-        step = min(count, max(1, _ENUM_BLOCK_BYTES // (4 * grid.shape[0] * n)))
-        parts = np.empty((step, q, n), dtype=np.float32)
-        tables = np.empty((step, grid.shape[0], n), dtype=np.float32)
-        scores = np.empty((step, grid.shape[0]), dtype=np.float32)
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            table, score = tables[:stop - start], scores[:stop - start]
-            np.matmul(grid, cast(start, stop, parts[:stop - start]), out=table)
-            np.abs(table, out=table)
-            np.matmul(table, ones, out=score)
-            maxima[start:stop] = score.reshape(stop - start, per_table, -1).max(axis=2)
+        table_bytes = 4 * grid.shape[0] * n
+        step = min(count, max(1, _ENUM_BLOCK_BYTES // table_bytes))
+        bounds = _share_bounds(count, grid.shape[0] * n, step)
+        shares = len(bounds) - 1
+        step //= shares
+        # each share casts as many matrices at a time as the tables leave room for
+        chunk = max(step, (_ENUM_BLOCK_BYTES - shares * step * table_bytes) // (shares * 4 * q * n))
+        parts = np.empty((shares, min(chunk, -(-count // shares)), q, n), dtype=np.float32)
+        tables = np.empty((shares, step, grid.shape[0], n), dtype=np.float32)
+        scores = np.empty((shares, step, grid.shape[0]), dtype=np.float32)
+
+        def grid_share(i: int, lo: int, hi: int) -> float:
+            """Matrices lo:hi; returns the largest of their sums of |float32 entries|."""
+            abs_sum = 0.0
+            for first in range(lo, hi, chunk):
+                last = min(first + chunk, hi)
+                part = parts[i, :last - first]
+                abs_sum = np.maximum(abs_sum, cast(first, last, part))  # nan stays nan
+                for start in range(first, last, step):
+                    stop = min(start + step, last)
+                    table, score = tables[i, :stop - start], scores[i, :stop - start]
+                    np.matmul(grid, part[start - first:stop - first], out=table)
+                    np.abs(table, out=table)
+                    np.matmul(table, ones, out=score)
+                    score.reshape(stop - start, per_table, -1).max(axis=2, out=maxima[start:stop])
+            return abs_sum
+
+        abs_sum = np.max(_run_shares(grid_share, bounds))
     else:
         grid = _low_sign_grid(k).astype(np.float32)
         part = np.empty((1, q, n), dtype=np.float32)
-        buf = np.empty((1 << k, n), dtype=np.float32)
-        scores = np.empty(1 << k, dtype=np.float32)
+        extra = _ENUM_BLOCK_BYTES // (4 * n << k)  # sum buffers beyond the first: at least 1
+        most = len(_share_bounds(min(block, prefixes), n << k, 1 + extra)) - 1
+        bufs = np.empty((most, 1 << k, n), dtype=np.float32)
+        rows = 8  # prefixes whose sums one max reduces: fewer calls for the shares to contend on
+        sums = np.empty((most, rows, 1 << k), dtype=np.float32)
+
+        def prefix_share(i: int, lo: int, hi: int) -> None:
+            """Prefixes lo:hi of matrix b, from its ``table`` and the ``heads`` from ``start``."""
+            buf = bufs[i]
+            for first in range(lo, hi, rows):
+                last = min(first + rows, hi)
+                scores = sums[i, :last - first]
+                for row, prefix in enumerate(range(first, last)):
+                    np.add(table, heads[prefix - start], out=buf)
+                    np.abs(buf, out=buf)
+                    np.matmul(buf, ones, out=scores[row])
+                scores.reshape(last - first, per_table, -1).max(
+                    axis=2, out=maxima[b, first * per_table:last * per_table].reshape(-1, per_table))
+
+        abs_sum = 0.0
         for b in range(count):
-            m = cast(b, b + 1, part)[0]
+            abs_sum = np.maximum(abs_sum, cast(b, b + 1, part))
+            m = part[0]
             table = grid @ m[q - k:]  # (2^k, n)
             for start in range(0, prefixes, block):
                 stop = min(start + block, prefixes)
                 heads = _sign_grid(q - k, start, stop).astype(np.float32) @ m[:q - k]
-                for prefix, h in enumerate(heads, start):
-                    np.add(table, h, out=buf)
-                    np.abs(buf, out=buf)
-                    np.matmul(buf, ones, out=scores)
-                    maxima[b, prefix * per_table:(prefix + 1) * per_table] = (
-                        scores.reshape(per_table, -1).max(axis=1))
+                bounds = _share_bounds(stop - start, n << k, most)
+                _run_shares(prefix_share, [start + bound for bound in bounds])
     margin = _rounding_margin(n, q, float(abs_sum), np.float32)
     return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
 
@@ -594,11 +717,12 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     (k x m), v signs (k x n) and one product of k x max(n, m), plus a bool
     buffer of the product's size: 4 (m + n + max(n, m)) + max(n, m) bytes a
     restart, and k restarts fit ``_ENUM_BLOCK_BYTES`` (218 on 400 x 300).
-    Half-step A puts U X' in the product, |U X'| in V (its row sums, added
-    in float64, are the dispersions) and then the signs in V.  Half-step B
-    puts V X in the product, |V X| in U, which the old u no longer needs
-    (it lives on only as packed keys), and then the signs in U.  A stopped
-    restart's row of U is closed up by copying the later rows down.
+    Half-step A puts U X' in the product, |U X'| in V (its row sums, a
+    float32 matvec with ones, are the dispersions) and then the signs in
+    V.  Half-step B puts V X in the product, |V X| in U, which the old u no
+    longer needs (it lives on only as packed keys), and then the signs in
+    U.  A stopped restart's row of U is closed up by copying the later rows
+    down.
     """
     n, m = x.shape
     w = max(n, m)
@@ -606,6 +730,7 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     row_band, col_band, mass = _sign_bands(x, shift)
     margin = _rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
     x32 = _to_float32(x, shift, np.empty((n, m), dtype=np.float32))
+    ones = np.ones(n, dtype=np.float32)
     size = max(1, min(m, _ENUM_BLOCK_BYTES // (4 * (m + n + w) + w)))
     u = np.empty((size, m), dtype=np.float32)
     v = np.empty((size, n), dtype=np.float32)
@@ -633,7 +758,7 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             a = prod[:k * n].reshape(k, n)
             _certified_product(
                 u[:k], x32.T, x.T, shift, row_band, a, v[:k], flags[:k * n].reshape(k, n))
-            delta = v[:k].sum(axis=1, dtype=float)
+            delta = v[:k] @ ones
             fell = ~(delta >= delta_prev - 2.0 * margin)
             if fell.any():
                 r = int(np.argmax(fell))

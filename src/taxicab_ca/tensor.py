@@ -15,7 +15,13 @@ rescores in float64, with the matrix search's own arithmetic, only the
 matrices and prefixes within the proven rounding margin of the screened
 best (``taxicab._rounding_margin``).  The contractions are recomputed for
 that step with the same chunks, so the signs, and every report byte, are
-those of scanning all pairs in float64.
+those of scanning all pairs in float64.  A stack of contractions is
+screened in shares of its matrices, one per usable CPU, when each share
+gets at least ``taxicab._SHARE_WORK`` table entries (the 11 x 11 x 72 and
+11 x 11 x 48 stacks do).  The screen allocates each share's buffers from
+one stack's budget, and every share computes its matrices' maxima as a
+one-share screen does, so the maxima are bit-identical however many CPUs
+run it.
 """
 
 from __future__ import annotations

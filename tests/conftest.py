@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from taxicab_ca import taxicab
 from taxicab_ca.datasets import load_dataset
 from taxicab_ca.residual import from_counts
 
@@ -43,3 +47,27 @@ def align_sign(computed, expected):
     computed = np.asarray(computed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return 1.0 if float(computed @ expected) >= 0.0 else -1.0
+
+
+@contextmanager
+def screen_split(workers: int | None, share_work: int | None = 1):
+    """Screen with ``workers`` shares where the work allows, and record every split.
+
+    ``share_work`` replaces the work a share needs (1 splits every screen
+    of two items or more; None keeps the module's threshold).  Yields the
+    list of share counts of the ``_screen`` rounds run inside the block.
+    """
+    shares: list[int] = []
+    real = taxicab._run_shares
+
+    def counted(share, bounds):
+        shares.append(len(bounds) - 1)
+        return real(share, bounds)
+
+    with ExitStack() as stack:
+        if workers is not None:
+            stack.enter_context(mock.patch.object(taxicab, "_SCREEN_WORKERS", workers))
+        if share_work is not None:
+            stack.enter_context(mock.patch.object(taxicab, "_SHARE_WORK", share_work))
+        stack.enter_context(mock.patch.object(taxicab, "_run_shares", counted))
+        yield shares

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import align_sign, assert_match_up_to_sign
+from conftest import align_sign, assert_match_up_to_sign, screen_split
 from oracles import (
     brute_cut_norm_matrix,
     brute_matrix_norm,
@@ -27,6 +29,7 @@ from taxicab_ca import taxicab
 from taxicab_ca.dispersion import sign_pm
 from taxicab_ca.residual import (
     ResidualMatrix,
+    Tensor3,
     correspondence_residual,
     from_counts,
     triple_center,
@@ -175,11 +178,13 @@ class TestEnumerationKernel:
         rng = np.random.default_rng(100 + q)
         for n in sorted({q, q + 3, 40}):
             m = rng.normal(size=(n, q))
-            val, s = _kernel(m)
             ref_val, ref_s = lexicographic_first_max(m)
-            np.testing.assert_array_equal(s, ref_s)
-            assert val == pytest.approx(ref_val, rel=1e-12)
-            assert val == pytest.approx(brute_matrix_norm(m), rel=1e-12)
+            for workers in (1, 3):  # one share, and three wherever a screen has the items
+                with screen_split(workers):
+                    val, s = _kernel(m)
+                np.testing.assert_array_equal(s, ref_s)
+                assert val == pytest.approx(ref_val, rel=1e-12)
+                assert val == pytest.approx(brute_matrix_norm(m), rel=1e-12)
 
     @pytest.mark.parametrize("budget", [64, 1024, 8192])
     def test_small_budgets_split_and_agree(self, monkeypatch, budget):
@@ -250,9 +255,10 @@ class TestScreenedKernel:
     """The float32 screen with float64 confirmation returns the float64 scan's signs."""
 
     @settings(max_examples=80, deadline=None)
-    @given(m=_tie_prone_matrices(), budget=st.sampled_from([64, 1024, None]))
-    def test_matches_lexicographic_oracle(self, m, budget):
-        with _budget(budget):
+    @given(m=_tie_prone_matrices(), budget=st.sampled_from([64, 1024, None]),
+           workers=st.sampled_from([1, 2, 3]))
+    def test_matches_lexicographic_oracle(self, m, budget, workers):
+        with _budget(budget), screen_split(workers):
             val, s = _kernel(m)
         ref_val, ref_s = lexicographic_first_max(m)
         assert val == ref_val
@@ -319,10 +325,135 @@ class TestScreenedKernel:
         ties[:, 3] = ties[:, 5] * NEAR_TIE
         for m in (rng.normal(size=(30, 9)), ties, rng.normal(size=(3000, 12))):
             val, s = _kernel(m)
-            with np.errstate(all="raise"):  # no overflow or underflow anywhere
-                scaled_val, scaled_s = _kernel(np.ldexp(m, exponent))
+            # two workers and the module's threshold: the 3000 x 12 screen
+            # splits, and its worker thread runs under the caller's errstate
+            with np.errstate(all="raise"), screen_split(2, share_work=None) as shares:
+                scaled_val, scaled_s = _kernel(np.ldexp(m, exponent))  # no overflow or underflow
+            assert max(shares) == (2 if m.shape == (3000, 12) else 1)
             np.testing.assert_array_equal(scaled_s, s)
             assert scaled_val == np.ldexp(val, exponent)
+
+
+def _screens(call) -> list[tuple[np.ndarray, float]]:
+    """Every (maxima, margin) that ``_screen`` returns while ``call()`` runs."""
+    results = []
+    real = taxicab._screen
+
+    def recorded(stack, k_ref):
+        results.append(real(stack, k_ref))
+        return results[-1]
+
+    with mock.patch.object(taxicab, "_screen", recorded):
+        call()
+    return results
+
+
+def _unchecked(cls, x):
+    """A ResidualMatrix or Tensor3 holding x, past its validation."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "x", x)
+    return obj
+
+
+class TestScreenShares:
+    """A screen split into shares returns the bits of a one-share screen."""
+
+    # (stack shape, budget, most shares): the whole grid at once; one block
+    # of prefix projections; several matrices with two blocks each; several
+    # matrices with one block each.  A prefix screen takes one share more
+    # than the budget holds sum buffers of 2^k x n float32 values.
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("shape,budget,most", [((40, 30, 9), None, 34), ((1, 60, 17), None, 3),
+                                                   ((5, 40, 12), 8192, 2), ((7, 30, 9), 4096, 3)])
+    def test_maxima_and_margin_are_bit_identical(self, shape, budget, most, workers):
+        stack = np.random.default_rng(21).normal(size=shape)
+        with _budget(budget):
+            k_ref, _ = taxicab._enum_split(*shape[1:])
+            with screen_split(1) as shares:
+                maxima, margin = taxicab._screen(stack, k_ref)
+            assert max(shares) == 1
+            with screen_split(workers) as shares:
+                split_maxima, split_margin = taxicab._screen(stack, k_ref)
+        assert max(shares) == min(workers, most)
+        np.testing.assert_array_equal(split_maxima, maxima)
+        assert split_margin == margin
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tensor_stacks_are_bit_identical(self, workers):
+        # 512 contracted 40 x 10 matrices, in stacks of 327
+        T = triple_center(np.random.default_rng(22).poisson(4.0, size=(10, 10, 40)).astype(float))
+        with screen_split(1):
+            one = _screens(lambda: tensor_norm_exact(T))
+        with screen_split(workers) as shares:
+            split = _screens(lambda: tensor_norm_exact(T))
+        assert max(shares) == workers
+        assert len(one) == len(split) == 2
+        for (maxima, margin), (split_maxima, split_margin) in zip(one, split):
+            np.testing.assert_array_equal(split_maxima, maxima)
+            assert split_margin == margin
+
+    def test_more_shares_than_cpus_switching_often(self):
+        # eight shares on any machine, and the interpreter switching threads
+        # every microsecond: a share that touched another's buffers or
+        # maxima would change some bits.  The prefix screen of 4 x 20 has
+        # sum buffers of 8192 x 4 float32 values, so eight fit the budget.
+        rng = np.random.default_rng(25)
+        stacks = [rng.normal(size=(40, 30, 9)), rng.normal(size=(1, 4, 20))]
+        k_refs = [taxicab._enum_split(*stack.shape[1:])[0] for stack in stacks]
+        with screen_split(1):
+            expected = [taxicab._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with screen_split(8) as shares:
+                got = [taxicab._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shares == [8, 8]
+        for (maxima, margin), (split_maxima, split_margin) in zip(expected, got):
+            np.testing.assert_array_equal(split_maxima, maxima)
+            assert split_margin == margin
+
+    @pytest.mark.parametrize("shape", [(34, 72, 11), (1, 40, 15), (1, 22, 15)])
+    def test_small_screens_stay_on_one_thread(self, shape):
+        # at most 2.5M table entries in all: under two shares of _SHARE_WORK
+        stack = np.random.default_rng(24).normal(size=shape)
+        with screen_split(2, share_work=None) as shares:
+            taxicab._screen(stack, taxicab._enum_split(*shape[1:])[0])
+        assert max(shares) == 1
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="np.errstate is a context variable from numpy 2 on")
+    def test_shares_run_under_the_callers_context(self):
+        seen = {}
+
+        def share(i, lo, hi):
+            seen[i] = (np.geterr()["over"], threading.get_ident())
+            return float(hi - lo)
+
+        with np.errstate(over="raise"):
+            results = taxicab._run_shares(share, [0, 2, 5, 9])
+        assert results == [2.0, 3.0, 4.0]
+        assert [seen[i][0] for i in range(3)] == ["raise"] * 3
+        assert seen[0][1] == threading.get_ident()
+        assert threading.get_ident() not in (seen[1][1], seen[2][1])
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {1, 2}, {0, 2}])
+    def test_errors_are_raised_after_every_share_ends(self, failing):
+        done = []
+
+        def share(i, lo, hi):
+            if i in failing:
+                raise ValueError(f"share {i}")
+            time.sleep(0.05)
+            done.append(i)
+            return 0.0
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"share {min(failing)}"):
+            taxicab._run_shares(share, [0, 1, 2, 3])
+        assert sorted(done) == sorted({0, 1, 2} - failing)
+        assert threading.active_count() == threads
 
 
 class TestLowSignGrid:
@@ -393,6 +524,20 @@ class TestInvariantErrors:
         # the heuristic refuses nan and inf before its first step
         for name in ("norm_heuristic", "norm_heuristic_inf"):
             assert f"{name} raised: norm_heuristic: the matrix holds non-finite values" in proc.stdout
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_split_screens_of_non_finite_input_raise(self, bad):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3000, 12))
+        x[5, 3] = bad
+        t = rng.normal(size=(11, 11, 72))
+        t[2, 7, 40] = bad
+        for call in (lambda: norm_exact(_unchecked(ResidualMatrix, x)),
+                     lambda: tensor_norm_exact(_unchecked(Tensor3, t))):
+            with screen_split(2, share_work=None) as shares, np.errstate(invalid="ignore"):
+                with pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
+                    call()
+            assert max(shares) == 2
 
 
 class TestNormHeuristic:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import screen_split
 from oracles import (
     brute_tensor_norm,
     lexicographic_first_tensor_signs,
@@ -147,9 +148,10 @@ class TestScreenedTensorSearch:
     """The screened kernel returns the signs of scanning every pair in float64."""
 
     @settings(max_examples=80, deadline=None)
-    @given(x=_tie_prone_tensors(), budget=st.sampled_from([64, 1024, None]))
-    def test_matches_lexicographic_oracle(self, x, budget):
-        with _budget(budget):
+    @given(x=_tie_prone_tensors(), budget=st.sampled_from([64, 1024, None]),
+           workers=st.sampled_from([1, 2, 3]))
+    def test_matches_lexicographic_oracle(self, x, budget, workers):
+        with _budget(budget), screen_split(workers):
             axis = tensor_norm_exact(Tensor3(x=x))
         for got, ref in zip((axis.u, axis.v, axis.w), lexicographic_first_tensor_signs(x)):
             np.testing.assert_array_equal(got, ref)
@@ -206,10 +208,14 @@ class TestScreenedTensorSearch:
     def test_power_of_two_scaling_keeps_signs(self, exponent):
         rng = np.random.default_rng(38)
         for x in (random_triple_centered(rng, 4, 5, 6),
-                  _integer_centered(rng.integers(0, 3, size=(5, 3, 4)).astype(float))):
+                  _integer_centered(rng.integers(0, 3, size=(5, 3, 4)).astype(float)),
+                  random_triple_centered(rng, 11, 11, 72)):
             axis = tensor_norm_exact(Tensor3(x=x))
-            with np.errstate(all="raise"):  # no overflow or underflow anywhere
-                scaled = tensor_norm_exact(Tensor3(x=np.ldexp(x, exponent)))
+            # two workers and the module's threshold: the 11 x 11 x 72 stacks
+            # split, and the worker threads run under the caller's errstate
+            with np.errstate(all="raise"), screen_split(2, share_work=None) as shares:
+                scaled = tensor_norm_exact(Tensor3(x=np.ldexp(x, exponent)))  # no overflow or underflow
+            assert max(shares) == (2 if x.shape == (11, 11, 72) else 1)
             for got, ref in zip((scaled.u, scaled.v, scaled.w), (axis.u, axis.v, axis.w)):
                 np.testing.assert_array_equal(got, ref)
             assert scaled.delta == np.ldexp(axis.delta, exponent)
