@@ -118,16 +118,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _decode(raw: bytes, source: str) -> str:
+    """``raw`` as UTF-8 text; a ``ValueError`` names the source and the offset of a bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
+
+
 def _load_matrix(args: argparse.Namespace) -> tuple[LabeledMatrix, str, bytes]:
     if args.dataset and args.csv:
         raise ValueError("give either a CSV path or --dataset, not both")
-    if args.dataset:
-        raw = dataset_bytes(args.dataset)
-        return parse_counts_csv(raw.decode("utf-8"), source=args.dataset), args.dataset, raw
-    if args.csv:
-        raw = Path(args.csv).read_bytes()
-        return parse_counts_csv(raw.decode("utf-8"), source=args.csv), args.csv, raw
-    raise ValueError("provide a CSV path or --dataset")
+    source = args.dataset or args.csv
+    if not source:
+        raise ValueError("provide a CSV path or --dataset")
+    raw = dataset_bytes(source) if args.dataset else Path(source).read_bytes()
+    return parse_counts_csv(_decode(raw, source), source=source), source, raw
 
 
 def _from_counts(data: LabeledMatrix, source: str) -> CorrespondenceMatrix:
@@ -308,7 +314,7 @@ def _cmd_cluster(args: argparse.Namespace) -> _reports.AnalysisReport:
 def _cmd_tensor(args: argparse.Namespace) -> _reports.AnalysisReport:
     path = Path(args.file)
     raw = path.read_bytes()
-    arr = parse_tensor(raw.decode("utf-8"), source=str(path))
+    arr = parse_tensor(_decode(raw, str(path)), source=str(path))
     T = triple_center(arr)
     axis = tensor_norm(T)
     octants = octant_report(T, axis)

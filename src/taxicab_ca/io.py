@@ -148,8 +148,10 @@ def _raise_value_error(cells: list[str], lineno: int, source: str) -> None:
 def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
     """Parse a 3-way array: "n m t" then n*t lines of m numbers (slab-major in t).
 
-    Blank lines are skipped; errors name the line of the text they are on.
+    A leading UTF-8 byte-order mark and blank lines are skipped; errors name
+    the line of the text they are on.
     """
+    text = text.removeprefix("\ufeff")
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
              if line.strip()]
     if not lines:

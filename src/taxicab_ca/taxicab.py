@@ -28,21 +28,21 @@ proven float32 rounding margin of the best are rescored with the reference
 arithmetic, in restart order, so the winner and every bit of its axis are
 those of the one-at-a-time loop.
 
-The enumeration kernel, shared with the tensor norm, searches a stack of
-matrices in two phases.  The screen scores every sign candidate in float32,
-after scaling the stack by a power of two so that nothing overflows: one
-table row per candidate, so that adding a high-prefix projection to the
-table of low-suffix projections is a contiguous add, and the whole sign
-grid in a single matmul when all candidates fit ``_ENUM_BLOCK_BYTES``
-(1 MiB, inside a per-core L2).  It keeps only the best screened score of
-each matrix and float64 prefix.  The confirmation then rescores in float64,
-in lexicographic order and with the reference arithmetic (a column-per-
-candidate table of the 2^k low suffixes plus one prefix at a time), only
-those (matrix, prefix) pairs whose screened best lies within twice the
-proven rounding margin (``_rounding_margin``) of the best screened score.
-Every pair that could hold the float64 maximum is among them, so the
-maximizer, ties included, is the one a full float64 scan returns.  Working
-memory stays at a few MiB whatever q is.
+The enumeration kernel, shared with the tensor norm, screens and then
+confirms each stack of matrices in turn.  The screen scores every sign
+candidate in float32, after scaling the stack by a power of two so that
+nothing overflows: one table row per candidate, so that adding a
+high-prefix projection to the table of low-suffix projections is a
+contiguous add, and the whole sign grid in a single matmul when all
+candidates fit ``_ENUM_BLOCK_BYTES`` (1 MiB, inside a per-core L2).  It
+keeps only the best screened score of each matrix and float64 prefix.  The
+confirmation then rescores in float64, in lexicographic order and with the
+reference arithmetic (a column-per-candidate table of the 2^k low suffixes
+plus one prefix at a time), only the (matrix, prefix) pairs whose screened
+best lies within twice the stack's proven rounding margin
+(``_rounding_margin``) of its best screened score and within one of the
+best float64 score so far, so the maximizer, ties included, is the one a
+full float64 scan returns.  Working memory stays at a few MiB whatever q is.
 
 A large screen runs in shares at once, one per CPU the process may use
 (``_SCREEN_WORKERS``): ranges of matrices when the whole grid fits, else
@@ -440,49 +440,45 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
 
 
-def _enumerate_best(stacks: Callable[[], Iterable[np.ndarray]]) -> tuple[float, int, np.ndarray]:
+def _enumerate_best(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
     """Maximize ||M s||_1 over sign vectors s with s[0] = +1 and over matrices M.
 
-    ``stacks()`` yields B x n x q stacks of float64 matrices; it is called
-    once per phase and must yield the same values both times.  Returns the
-    maximum, the index of its matrix counted over all stacks, and the
-    maximizer.  Candidates are ordered by matrix, then lexicographically
-    (+1 before -1), and only a strict improvement replaces the incumbent,
-    so on ties the first maximizer is returned.
+    ``stacks`` yields B x n x q stacks of float64 matrices and is read once.
+    Returns the maximum, the index of its matrix counted over all stacks,
+    and the maximizer.  Candidates are ordered by matrix, then
+    lexicographically (+1 before -1), and only a strict improvement
+    replaces the incumbent, so on ties the first maximizer is returned.
 
-    Phase 1 screens every candidate in float32 (``_screen``) and keeps the
-    screened maximum of each (matrix, reference prefix).  Phase 2 rescores
-    in float64, with the reference scan, every pair whose screened maximum
-    lies within twice the margin of the best screened score: the reference
-    winner's screened score is at least its reference score minus one
-    margin, which is at least the screened best minus two.  The reference
-    scan splits q into the high prefix and the low suffix of
-    ``_enum_split`` and scores each prefix h = M_high s_high over all 2^k
-    suffixes at once as the column sums of |L + h|, L = M_low S_low'.
+    Each stack is screened in float32 (``_screen``), which gives the
+    screened maximum of each (matrix, reference prefix) pair and the
+    stack's margin m, and then the pairs whose screened maximum reaches the
+    floor max(S - 2m, best - m) are rescored in float64 with the reference
+    scan, in order; S is the stack's best screened score and best the best
+    reference score so far.  A screened maximum lies within m of the
+    pair's reference maximum, so S is at most the global reference maximum
+    plus m.  The first pair that reaches the global reference maximum thus
+    has a screened maximum of at least S - 2m, and, as every reference score
+    before it is lower, above best - m: it is rescored, and the strict
+    ``>`` keeps it against every later pair.  The reference scan splits q
+    into the high prefix and the low suffix of ``_enum_split`` and scores
+    each prefix h = M_high s_high over all 2^k suffixes at once as the
+    column sums of |L + h|, L = M_low S_low'.
     """
-    screened = []
-    margin = 0.0
-    for stack in stacks():
-        k_ref, _ = _enum_split(*stack.shape[1:])
-        maxima, stack_margin = _screen(stack, k_ref)
-        screened.append(maxima)
-        margin = np.maximum(margin, stack_margin)  # a nan margin stays nan
-        del stack  # let the next stack take its memory
-    floor = np.max([m.max() for m in screened]) - 2.0 * margin  # nan propagates
     best_val = -np.inf
     best: tuple[int, int] | None = None
     offset = 0
-    pending = iter(screened)  # not zip(): its reused tuple would keep the last stack alive
-    for stack in stacks():
-        maxima = next(pending)
+    for stack in stacks:
         q = stack.shape[2]
+        maxima, margin = _screen(stack, _enum_split(*stack.shape[1:])[0])
+        floor = np.maximum(maxima.max() - 2.0 * margin, best_val - margin)  # nan propagates
+        if not np.isfinite(floor):
+            raise InvariantError("sign enumeration confirmed no candidate (non-finite input?)")
         for b in np.flatnonzero((maxima >= floor).any(axis=1)).tolist():
             found = _rescore(stack[b], np.flatnonzero(maxima[b] >= floor).tolist(), best_val)
             if found is not None:
                 best_val, candidate = found
                 best = (offset + b, candidate)
         offset += len(stack)
-        del stack
     if best is None:
         raise InvariantError("sign enumeration confirmed no candidate (non-finite input?)")
     index, candidate = best
@@ -604,9 +600,9 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
         )
     x = X.x
     if m <= n:
-        _, _, u0 = _enumerate_best(lambda: [x[None]])
+        _, _, u0 = _enumerate_best([x[None]])
     else:
-        _, _, v0 = _enumerate_best(lambda: [x.T[None]])
+        _, _, v0 = _enumerate_best([x.T[None]])
         u0 = sign_pm(x.T @ v0)
     state = _transition_fixed_point(x, u0)
     return _axis_from_state(_canonical_state(x, state), exact=True)

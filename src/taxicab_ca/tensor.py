@@ -8,20 +8,17 @@ single-axis norm is defined for tensors; there is no deflation.
 
 The exact norm contracts the first enumerated mode with each of its sign
 vectors, ``_ENUM_BLOCK_BYTES`` of contracted matrices at a time, and hands
-those stacks to the matrix kernel ``taxicab._enumerate_best``.  The kernel
-screens every (first-mode, second-mode) sign pair of a stack in float32,
-keeps only the best screened score of each matrix and prefix, and then
-rescores in float64, with the matrix search's own arithmetic, only the
-matrices and prefixes within the proven rounding margin of the screened
-best (``taxicab._rounding_margin``).  The contractions are recomputed for
-that step with the same chunks, so the signs, and every report byte, are
-those of scanning all pairs in float64.  A stack of contractions is
-screened in shares of its matrices, one per usable CPU, when each share
-gets at least ``taxicab._SHARE_WORK`` table entries (the 11 x 11 x 72 and
-11 x 11 x 48 stacks do).  The screen allocates each share's buffers from
-one stack's budget, and every share computes its matrices' maxima as a
-one-share screen does, so the maxima are bit-identical however many CPUs
-run it.
+those stacks, each built once, to the matrix kernel
+``taxicab._enumerate_best``.  The kernel screens every (first-mode,
+second-mode) sign pair of a stack in float32, keeps only the best screened
+score of each matrix and prefix, and rescores in float64, with the matrix
+search's own arithmetic, only the matrices and prefixes within the proven
+rounding margin (``taxicab._rounding_margin``) of the stack's screened best
+and of the best float64 score so far, so the signs, and every report byte,
+are those of scanning all pairs in float64.  A stack with at least
+``taxicab._SHARE_WORK`` table entries a share (the 11 x 11 x 72 and
+11 x 11 x 48 stacks have) is screened in shares of its matrices, one per
+usable CPU, within one stack's buffer budget and with bit-identical maxima.
 """
 
 from __future__ import annotations
@@ -136,13 +133,9 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     flat = xp.reshape(q1, q2 * q3)
     count = 1 << (q1 - 1)
     block = max(1, _ENUM_BLOCK_BYTES // (8 * q2 * q3))
-
-    def contractions():
-        for start in range(0, count, block):
-            chunk = _sign_grid(q1, start, min(start + block, count))
-            yield (chunk @ flat).reshape(-1, q2, q3).transpose(0, 2, 1)
-
-    _, index, s2 = _enumerate_best(contractions)
+    _, index, s2 = _enumerate_best(
+        (_sign_grid(q1, start, min(start + block, count)) @ flat)
+        .reshape(-1, q2, q3).transpose(0, 2, 1) for start in range(0, count, block))
     s1 = _sign_grid(q1, index, index + 1)[0]
     fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
     s3 = sign_pm(fiber)

@@ -262,6 +262,15 @@ class TestTensorCommand:
         assert report.results["delta"] == pytest.approx(8.0)
         assert report.results["exact"] is True
 
+    def test_utf8_bom(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbf2 2 2\n1 -1\n-1 1\n-1 1\n1 -1\n")
+        out = tmp_path / "r.json"
+        code = run(["tensor", str(path), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert _read_report(out).results["delta"] == pytest.approx(8.0)
+
     def test_malformed_dims_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("2 x 2\n")
@@ -362,6 +371,19 @@ class TestErrorPaths:
         code = run(["tca", "/nonexistent/file.csv"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("command,text", [
+        ("tca", "a,b\nr\u00e9,1,2\nr2,3,4\n"),
+        ("tensor", "1 2 1\n3 4 # caf\u00e9\n"),
+    ])
+    def test_non_utf8_input_named_with_offset(self, tmp_path, capsys, command, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode("latin-1"))
+        code = run([command, str(path)])
+        err = capsys.readouterr().err
+        offset = text.index("\u00e9")
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 at byte offset {offset}: invalid continuation byte\n"
 
     def test_bad_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

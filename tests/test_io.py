@@ -194,6 +194,12 @@ class TestTensorFormat:
         path.write_text("1 2 1\n3 4\n")
         np.testing.assert_allclose(load_tensor(path), [[[3.0], [4.0]]])
 
+    def test_utf8_bom_dropped(self, tmp_path):
+        np.testing.assert_array_equal(parse_tensor("\ufeff1 2 1\n3 4\n"), [[[3.0], [4.0]]])
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 2 1\r\n3 4\r\n")
+        np.testing.assert_array_equal(load_tensor(path), [[[3.0], [4.0]]])
+
     def test_malformed_dims(self):
         with pytest.raises(ValueError, match="three dimensions"):
             parse_tensor("2 2\n1 2\n")

@@ -69,7 +69,7 @@ def _zero_residual(n, m) -> ResidualMatrix:
 
 def _kernel(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximum and first maximizer of ||m s||_1 from the kernel, m as a stack of one."""
-    val, index, s = taxicab._enumerate_best(lambda: [m[None]])
+    val, index, s = taxicab._enumerate_best([m[None]])
     assert index == 0
     return val, s
 
@@ -454,6 +454,65 @@ class TestScreenShares:
             taxicab._run_shares(share, [0, 1, 2, 3])
         assert sorted(done) == sorted({0, 1, 2} - failing)
         assert threading.active_count() == threads
+
+
+class TestEnumerationStacks:
+    """The kernel reads its stacks once, screening and confirming each in turn."""
+
+    def test_tensor_contractions_are_built_once(self):
+        # 512 contracted 40 x 10 matrices, in stacks of 327
+        T = triple_center(np.random.default_rng(22).poisson(4.0, size=(10, 10, 40)).astype(float))
+        built, screened = [], []
+        real_kernel, real_screen = taxicab._enumerate_best, taxicab._screen
+
+        def kernel(stacks):
+            assert iter(stacks) is stacks  # a one-shot iterator
+
+            def counted():
+                for stack in stacks:
+                    built.append(id(stack))
+                    yield stack
+            return real_kernel(counted())
+
+        def screen(stack, k_ref):
+            screened.append(id(stack))
+            return real_screen(stack, k_ref)
+
+        with mock.patch("taxicab_ca.tensor._enumerate_best", kernel), \
+                mock.patch.object(taxicab, "_screen", screen):
+            axis = tensor_norm_exact(T)
+        assert len(built) == 2
+        assert screened == built
+        plain = tensor_norm_exact(T)
+        for got, want in zip((axis.u, axis.v, axis.w), (plain.u, plain.v, plain.w)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_ties_across_stacks_keep_the_first_matrix(self):
+        rng = np.random.default_rng(26)
+        A = rng.normal(size=(12, 6))
+        ref_val, ref_s = lexicographic_first_max(A)
+        val, index, s = taxicab._enumerate_best(iter([A[None], A[None]]))
+        assert (val, index) == (ref_val, 0)
+        np.testing.assert_array_equal(s, ref_s)
+        # a weaker first stack, also one below float32 resolution, does not
+        # hide the later maximum
+        for factor in (0.5, 1.0 - 2.0**-30):
+            B = A * factor
+            assert lexicographic_first_max(B)[0] < ref_val
+            val, index, s = taxicab._enumerate_best(iter([B[None], A[None]]))
+            assert (val, index) == (ref_val, 1)
+            np.testing.assert_array_equal(s, ref_s)
+            val, index, s = taxicab._enumerate_best(iter([A[None], B[None]]))
+            assert (val, index) == (ref_val, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_after_a_finite_one_raises(self, bad):
+        A = np.random.default_rng(27).normal(size=(12, 6))
+        C = A.copy()
+        C[3, 2] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
+            taxicab._enumerate_best(iter([A[None], C[None]]))
 
 
 class TestLowSignGrid:
