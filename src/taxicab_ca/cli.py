@@ -21,7 +21,7 @@ from .ca_classic import ca, compare_ca_tca
 from .clustering import maximize
 from .datasets import DATASETS, dataset_bytes
 from .dispersion import relative_contributions
-from .io import LabeledMatrix, parse_counts_csv, parse_tensor
+from .io import LabeledMatrix, _decode, parse_counts_csv, parse_tensor
 from .residual import (
     CENTERING_TOL,
     CorrespondenceMatrix,
@@ -116,14 +116,6 @@ def _parser() -> argparse.ArgumentParser:
     # parse_args keeps no state between calls: every call fills a fresh
     # namespace from the actions' defaults
     return build_parser()
-
-
-def _decode(raw: bytes, source: str) -> str:
-    """``raw`` as UTF-8 text; a ``ValueError`` names the source and the offset of a bad byte."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{source}: not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
 
 
 def _load_matrix(args: argparse.Namespace) -> tuple[LabeledMatrix, str, bytes]:

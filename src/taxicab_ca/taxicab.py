@@ -44,16 +44,16 @@ best lies within twice the stack's proven rounding margin
 best float64 score so far, so the maximizer, ties included, is the one a
 full float64 scan returns.  Working memory stays at a few MiB whatever q is.
 
-A large screen runs in shares at once, one per CPU the process may use
+A large screen scans in shares at once, one per CPU the process may use
 (``_SCREEN_WORKERS``): ranges of matrices when the whole grid fits, else
-ranges of the high prefixes.  The calling thread runs the first share and
-a short-lived thread each other one, under a copy of the caller's context,
-and all are joined before the screen returns.  Only a screen with
-``_SHARE_WORK`` table entries for each share splits.  The caller allocates
-the shares' buffers, and each share runs on its own matrices or prefixes
-exactly the operations a one-share screen runs, so the maxima and the
-margin are bit-identical however the screen is split; with one usable CPU
-no thread starts.
+ranges of the high prefixes.  The calling thread casts each stack to
+float32 once and allocates every buffer, then runs the first share while
+a short-lived thread runs each other one under a copy of the caller's
+context; all are joined before the screen returns.  Only a screen with
+``_SHARE_WORK`` table entries for each share splits.  The shares only
+scan, each on its own matrices or prefixes with exactly the operations a
+one-share screen runs, so the maxima and the margin are bit-identical
+however the screen is split; with one usable CPU no thread starts.
 """
 
 from __future__ import annotations
@@ -292,10 +292,8 @@ def _share_bounds(items: int, item_work: int, most: int) -> list[int]:
     return [items * i // shares for i in range(shares + 1)]
 
 
-def _run_shares(
-    share: Callable[[int, int, int], float | None], bounds: list[int],
-) -> list[float | None]:
-    """``share(i, lo, hi)`` for each share of ``bounds``, all at once; their results in order.
+def _run_shares(share: Callable[[int, int, int], None], bounds: list[int]) -> None:
+    """``share(i, lo, hi)`` for each share of ``bounds``, all at once.
 
     The calling thread runs share 0, and each other share runs in a thread
     of its own, under its own copy of the caller's context, so that
@@ -304,29 +302,27 @@ def _run_shares(
     an exception raised in a share is re-raised here after the joins, the
     caller's own first, then the first by share.
     """
-    results: list[float | None] = [None] * (len(bounds) - 1)
-    errors: list[BaseException | None] = [None] * len(results)
+    errors: list[BaseException | None] = [None] * (len(bounds) - 1)
 
     def run(i: int, context: contextvars.Context) -> None:
         try:
-            results[i] = context.run(share, i, bounds[i], bounds[i + 1])
+            context.run(share, i, bounds[i], bounds[i + 1])
         except BaseException as exc:  # re-raised in the caller
             errors[i] = exc
 
     threads = []
     try:
-        for i in range(1, len(results)):
+        for i in range(1, len(errors)):
             thread = threading.Thread(target=run, args=(i, contextvars.copy_context()), daemon=True)
             thread.start()
             threads.append(thread)
-        results[0] = share(0, bounds[0], bounds[1])
+        share(0, bounds[0], bounds[1])
     finally:
         for thread in threads:
             thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
 
 
 def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
@@ -335,28 +331,28 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     Returns the screened maximum over each reference prefix (the 2^k_ref
     candidates the float64 scan scores in one step), B x 2^(q-1-k_ref) in
     the input's units, and the stack's ``_rounding_margin``.  The stack is
-    scaled by a power of two to a largest magnitude in [1/2, 1) before the
-    cast, so no float32 value overflows and the scaling itself is exact.
-    Scores are the row sums of |table|, the table holding one candidate per
-    row: the whole sign grid times M' when all candidates fit the budget,
-    else the low-suffix table plus one high-prefix projection at a time.
+    scaled by a power of two to a largest magnitude in [1/2, 1) and cast
+    once, transposed, to float32 (half its bytes), so nothing overflows and
+    the scaling is exact; the margin takes the largest of the matrices'
+    sums of |float32 entries| (``max``, which keeps a nan).  Scores are
+    the row sums of |table|, the table holding one candidate per row: the
+    whole sign grid times M' when all candidates fit the budget, else the
+    low-suffix table plus one high-prefix projection at a time.
 
-    The work is split into shares that run at once (``_run_shares``): a
+    The scan is split into shares that run at once (``_run_shares``): a
     range of matrices when the whole grid fits, else a range of the
     prefixes of one block of high-prefix projections.  A screen splits only
     where each share gets at least ``_SHARE_WORK`` table entries, so small
-    screens stay on the calling thread.  That thread allocates the shares'
-    buffers.  A whole-grid share gets its part of the one-share block of
-    tables, and casts as many matrices at a time as the rest of
-    ``_ENUM_BLOCK_BYTES`` holds, so together they fit the budget.  A prefix
-    share reads the low-suffix table and the projections the calling
-    thread computed, and adds into a sum buffer of its own of 2^k x n
-    float32 values, which fits the budget; the buffers of the shares beyond
-    the first together fit it too.
-    Each share writes its own rows or prefixes of the maxima, with the
-    operations a one-share screen runs on them, and the margin takes the
-    largest of the shares' sums of |M| (``np.max``, which keeps a nan), so
-    maxima and margin are bit-identical however the screen is split.
+    screens stay on the calling thread.  That thread casts the stack and
+    allocates every buffer, and the shares only scan.  A whole-grid share
+    gets its part of the one-share block of tables, so together they fit
+    ``_ENUM_BLOCK_BYTES``.  A prefix share reads the low-suffix table and
+    the projections the calling thread computed, and adds into a sum
+    buffer of its own of 2^k x n float32 values, which fits the budget; the
+    buffers of the shares beyond the first together fit it too.  Each
+    share writes its own rows or prefixes of the maxima, with the
+    operations a one-share screen runs on them, so the maxima are
+    bit-identical however the screen is split.
     """
     count, n, q = stack.shape
     shift = _float32_shift(stack)
@@ -365,48 +361,30 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     maxima = np.empty((count, 1 << (q - 1 - k_ref)), dtype=np.float32)
     per_table = maxima.shape[1] // prefixes  # reference prefixes per screened table
     ones = np.ones(n, dtype=np.float32)
-
-    def cast(start: int, stop: int, out: np.ndarray) -> float:
-        """Matrices start:stop into ``out``, transposed, scaled and rounded to float32.
-
-        Returns the largest of their sums of |float32 entries|.
-        """
-        _to_float32(stack[start:stop].transpose(0, 2, 1), shift, out)
-        return np.abs(out).sum(axis=(1, 2), dtype=float).max()
-
+    parts = _to_float32(stack.transpose(0, 2, 1), shift, np.empty((count, q, n), dtype=np.float32))
+    abs_sum = np.abs(parts).sum(axis=(1, 2), dtype=float).max()
     if prefixes == 1:
         grid = _low_sign_grid(q)[: 1 << (q - 1)].astype(np.float32)
-        table_bytes = 4 * grid.shape[0] * n
-        step = min(count, max(1, _ENUM_BLOCK_BYTES // table_bytes))
+        step = min(count, max(1, _ENUM_BLOCK_BYTES // (4 * grid.shape[0] * n)))
         bounds = _share_bounds(count, grid.shape[0] * n, step)
         shares = len(bounds) - 1
         step //= shares
-        # each share casts as many matrices at a time as the tables leave room for
-        chunk = max(step, (_ENUM_BLOCK_BYTES - shares * step * table_bytes) // (shares * 4 * q * n))
-        parts = np.empty((shares, min(chunk, -(-count // shares)), q, n), dtype=np.float32)
         tables = np.empty((shares, step, grid.shape[0], n), dtype=np.float32)
         scores = np.empty((shares, step, grid.shape[0]), dtype=np.float32)
 
-        def grid_share(i: int, lo: int, hi: int) -> float:
-            """Matrices lo:hi; returns the largest of their sums of |float32 entries|."""
-            abs_sum = 0.0
-            for first in range(lo, hi, chunk):
-                last = min(first + chunk, hi)
-                part = parts[i, :last - first]
-                abs_sum = np.maximum(abs_sum, cast(first, last, part))  # nan stays nan
-                for start in range(first, last, step):
-                    stop = min(start + step, last)
-                    table, score = tables[i, :stop - start], scores[i, :stop - start]
-                    np.matmul(grid, part[start - first:stop - first], out=table)
-                    np.abs(table, out=table)
-                    np.matmul(table, ones, out=score)
-                    score.reshape(stop - start, per_table, -1).max(axis=2, out=maxima[start:stop])
-            return abs_sum
+        def grid_share(i: int, lo: int, hi: int) -> None:
+            """Matrices lo:hi, ``step`` at a time."""
+            for start in range(lo, hi, step):
+                stop = min(start + step, hi)
+                table, score = tables[i, :stop - start], scores[i, :stop - start]
+                np.matmul(grid, parts[start:stop], out=table)
+                np.abs(table, out=table)
+                np.matmul(table, ones, out=score)
+                score.reshape(stop - start, per_table, -1).max(axis=2, out=maxima[start:stop])
 
-        abs_sum = np.max(_run_shares(grid_share, bounds))
+        _run_shares(grid_share, bounds)
     else:
         grid = _low_sign_grid(k).astype(np.float32)
-        part = np.empty((1, q, n), dtype=np.float32)
         extra = _ENUM_BLOCK_BYTES // (4 * n << k)  # sum buffers beyond the first: at least 1
         most = len(_share_bounds(min(block, prefixes), n << k, 1 + extra)) - 1
         bufs = np.empty((most, 1 << k, n), dtype=np.float32)
@@ -426,10 +404,8 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
                 scores.reshape(last - first, per_table, -1).max(
                     axis=2, out=maxima[b, first * per_table:last * per_table].reshape(-1, per_table))
 
-        abs_sum = 0.0
         for b in range(count):
-            abs_sum = np.maximum(abs_sum, cast(b, b + 1, part))
-            m = part[0]
+            m = parts[b]
             table = grid @ m[q - k:]  # (2^k, n)
             for start in range(0, prefixes, block):
                 stop = min(start + block, prefixes)

@@ -15,10 +15,10 @@ score of each matrix and prefix, and rescores in float64, with the matrix
 search's own arithmetic, only the matrices and prefixes within the proven
 rounding margin (``taxicab._rounding_margin``) of the stack's screened best
 and of the best float64 score so far, so the signs, and every report byte,
-are those of scanning all pairs in float64.  A stack with at least
-``taxicab._SHARE_WORK`` table entries a share (the 11 x 11 x 72 and
-11 x 11 x 48 stacks have) is screened in shares of its matrices, one per
-usable CPU, within one stack's buffer budget and with bit-identical maxima.
+are those of scanning all pairs in float64.  The calling thread casts
+each stack to float32 once and allocates every buffer; the shares of a
+stack with ``taxicab._SHARE_WORK`` table entries each (11 x 11 x 72 and
+11 x 11 x 48 have) only scan its matrices, one share per usable CPU.
 """
 
 from __future__ import annotations

@@ -226,6 +226,17 @@ _NEAR_CONSTANT = additive_double_center(
     np.array([[0.6, 0.6000000112329102], [0.6000000112329102, 0.6]]))
 
 
+# residuals near 1e-277, which ``_tie_prone_residuals`` can draw: at p = 1.5
+# every block term underflows to 0
+_TINY = ResidualMatrix(x=np.array([[5.49e-278, -5.49e-278], [-5.49e-278, 5.49e-278]]))
+
+
+def _underflows(X: ResidualMatrix, r: int, c: int, p: float) -> bool:
+    """Whether ``maximize`` rejects X, r, c at p because f_p underflows."""
+    peak = float(np.abs(X.x).max())
+    return r > 1 and c > 1 and 0.0 < peak < 1.0 and peak ** p == 0.0
+
+
 def _same_as_oracle(res, oracle, r: int, c: int) -> None:
     rows, cols, obj = oracle
     assert repr(res.objective) == repr(obj)
@@ -250,8 +261,13 @@ class TestScreenedSearch:
     @settings(max_examples=60, deadline=None)
     @given(X=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
            p=st.sampled_from([1.0, 1.5, 2.0]))
+    @example(X=_TINY, r=2, c=2, p=1.5)
     def test_exhaustive_matches_loop(self, X, r, c, p):
         r, c = min(r, X.shape[0]), min(c, X.shape[1])
+        if _underflows(X, r, c, p):
+            with pytest.raises(ValueError, match="f_p underflows"):
+                maximize(X, r, c, p=p, method="exhaustive")
+            return
         res = maximize(X, r, c, p=p, method="exhaustive")
         _same_as_oracle(res, loop_exhaustive(X.x, r, c, p), r, c)
 
@@ -259,8 +275,13 @@ class TestScreenedSearch:
     @given(X=_tie_prone_residuals(), r=st.integers(1, 3), c=st.integers(1, 3),
            p=st.sampled_from([1.0, 1.5, 2.0]))
     @example(X=_NEAR_CONSTANT, r=1, c=1, p=1.0)
+    @example(X=_TINY, r=2, c=2, p=1.5)
     def test_local_search_matches_loop(self, X, r, c, p):
         r, c = min(r, X.shape[0]), min(c, X.shape[1])
+        if _underflows(X, r, c, p):
+            with pytest.raises(ValueError, match="f_p underflows"):
+                maximize(X, r, c, p=p, method="local_search")
+            return
         res = maximize(X, r, c, p=p, method="local_search")
         _same_as_oracle(res, loop_local_search(X.x, r, c, p), r, c)
 
@@ -270,8 +291,13 @@ class TestScreenedSearch:
            method=st.sampled_from(["exhaustive", "local_search"]))
     @example(X=additive_double_center(np.random.default_rng(4).normal(size=(6, 5))),
              r=3, c=2, p=1.5, method="exhaustive")
+    @example(X=_TINY, r=2, c=2, p=1.5, method="exhaustive")
     def test_objective_of_result_partition_is_result_objective(self, X, r, c, p, method):
         r, c = min(r, X.shape[0]), min(c, X.shape[1])
+        if _underflows(X, r, c, p):
+            with pytest.raises(ValueError, match="f_p underflows"):
+                maximize(X, r, c, p=p, method=method)
+            return
         res = maximize(X, r, c, p=p, method=method)
         assert repr(objective(X, res.partition, p)) == repr(res.objective)
 

@@ -41,6 +41,13 @@ class TestCountsCsv:
         data = load_counts_csv(path)
         np.testing.assert_allclose(data.values, [[1, 2], [3, 4]])
 
+    def test_load_names_file_and_offset_of_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\nr\u00e9,1,2\n".encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            load_counts_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 at byte offset 5: invalid continuation byte"
+
     def test_ragged_row_positional(self):
         with pytest.raises(ValueError, match="row 3 has 2 cells, expected 3"):
             parse_counts_csv("a,b\nr1,1,2\nr2,1")
@@ -193,6 +200,13 @@ class TestTensorFormat:
         path = tmp_path / "t.txt"
         path.write_text("1 2 1\n3 4\n")
         np.testing.assert_allclose(load_tensor(path), [[[3.0], [4.0]]])
+
+    def test_load_names_file_and_offset_of_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1 2 1\n3 4 # caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            load_tensor(path)
+        assert str(info.value) == f"{path}: not UTF-8 at byte offset 15: invalid continuation byte"
 
     def test_utf8_bom_dropped(self, tmp_path):
         np.testing.assert_array_equal(parse_tensor("\ufeff1 2 1\n3 4\n"), [[[3.0], [4.0]]])

@@ -422,18 +422,29 @@ class TestScreenShares:
             taxicab._screen(stack, taxicab._enum_split(*shape[1:])[0])
         assert max(shares) == 1
 
+    @pytest.mark.parametrize("shape,split", [((40, 30, 9), 2), ((3, 30, 17), 1)])
+    def test_each_stack_is_cast_once(self, shape, split):
+        # the whole grid (k = q - 1) in two shares, and three matrices of 16 prefixes each
+        stack = np.random.default_rng(27).normal(size=shape)
+        k, _ = taxicab._enum_split(*shape[1:], itemsize=4)
+        assert (k == shape[2] - 1) == (split == 2)
+        with screen_split(split) as shares, \
+                mock.patch.object(taxicab, "_to_float32", wraps=taxicab._to_float32) as cast:
+            taxicab._screen(stack, taxicab._enum_split(*shape[1:])[0])
+        assert max(shares) == split
+        assert cast.call_count == 1
+
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                         reason="np.errstate is a context variable from numpy 2 on")
     def test_shares_run_under_the_callers_context(self):
         seen = {}
 
         def share(i, lo, hi):
-            seen[i] = (np.geterr()["over"], threading.get_ident())
-            return float(hi - lo)
+            seen[i] = (np.geterr()["over"], threading.get_ident(), (lo, hi))
 
         with np.errstate(over="raise"):
-            results = taxicab._run_shares(share, [0, 2, 5, 9])
-        assert results == [2.0, 3.0, 4.0]
+            assert taxicab._run_shares(share, [0, 2, 5, 9]) is None
+        assert [seen[i][2] for i in range(3)] == [(0, 2), (2, 5), (5, 9)]
         assert [seen[i][0] for i in range(3)] == ["raise"] * 3
         assert seen[0][1] == threading.get_ident()
         assert threading.get_ident() not in (seen[1][1], seen[2][1])
