@@ -9,7 +9,6 @@ ordered in third-mode-major slabs.
 from __future__ import annotations
 
 import csv
-import io as _io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +55,14 @@ def _decode(raw: bytes, source: str) -> str:
 
 
 def _csv_rows(text: str, source: str) -> list[list[str]]:
-    reader = csv.reader(_io.StringIO(text))
+    # the lines a text stream of ``text`` yields, each ending in its "\n":
+    # a stream would first copy the whole text at four bytes a character
+    lines = text.split("\n")
+    for i in range(len(lines) - 1):
+        lines[i] += "\n"
+    if not lines[-1]:
+        lines.pop()
+    reader = csv.reader(lines)
     try:
         return list(reader)
     except csv.Error as exc:

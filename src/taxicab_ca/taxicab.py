@@ -14,10 +14,12 @@ sign-iteration heuristic with deterministic restarts is available.
 
 The heuristic walks all its column restarts at once, in blocks of restarts
 that fit ``_ENUM_BLOCK_BYTES``, on a float32 copy of the matrix scaled by a
-power of two so that nothing overflows.  A block holds three float32 buffers
-(u signs, v signs and one product) and a bool mask, and each half-step is
-one whole-width float32 GEMM over the block's active restarts, one sign
-vector per row.  A float32 GEMM does not add up the values of the float64
+power of two so that nothing overflows.  A large walk splits its restarts
+into contiguous ranges, one per share (below), and each share walks its
+range in 1 MiB blocks of its own.  A block holds three float32 buffers (u
+signs, v signs and one product) and a bool mask, and each half-step is one
+whole-width float32 GEMM over the block's active restarts, one sign vector
+per row.  A float32 GEMM does not add up the values of the float64
 reference gemv, so every sign is certified: ``_sign_bands`` bounds the
 rounding of both, from the float64 line sums of |x|, so an entry above the
 bound has the gemv's sign, and a row with an entry inside it is recomputed
@@ -44,16 +46,19 @@ best lies within twice the stack's proven rounding margin
 best float64 score so far, so the maximizer, ties included, is the one a
 full float64 scan returns.  Working memory stays at a few MiB whatever q is.
 
-A large screen scans in shares at once, one per CPU the process may use
-(``_SCREEN_WORKERS``): ranges of matrices when the whole grid fits, else
-ranges of the high prefixes.  The calling thread casts each stack to
-float32 once and allocates every buffer, then runs the first share while
-a short-lived thread runs each other one under a copy of the caller's
-context; all are joined before the screen returns.  Only a screen with
-``_SHARE_WORK`` table entries for each share splits.  The shares only
-scan, each on its own matrices or prefixes with exactly the operations a
-one-share screen runs, so the maxima and the margin are bit-identical
-however the screen is split; with one usable CPU no thread starts.
+A large screen or walk runs in shares at once, one per CPU the process may
+use (``_SCREEN_WORKERS``): for a screen, ranges of matrices when the whole
+grid fits, else ranges of the high prefixes; for a walk, ranges of column
+restarts.  The calling thread casts the matrices to float32 once and
+allocates every buffer, then runs the first share while a short-lived
+thread runs each other one under a copy of the caller's context; all are
+joined before the screen or walk returns.  Only work with ``_SHARE_WORK``
+units for each share splits: table entries for a screen, n m products
+for each restart of a walk.  Each share runs exactly the operations a
+one-share run gives its own matrices, prefixes or restarts, and writes
+only their results, so the maxima, the margin and every restart's end
+are bit-identical however the work is split; with one usable CPU no
+thread starts.
 """
 
 from __future__ import annotations
@@ -96,16 +101,20 @@ _IDENTITY_TOL = 1e-10
 # flip) counts as not lowering the value
 _ASCENT_SLACK = 1e-12
 _ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
-# threads that may screen at once: one per CPU this process may run on
+# threads that may screen or walk at once: one per CPU this process may run on
 _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-# float32 table entries (candidates x n) each share of a screen must get.  On
-# two CPUs with one BLAS thread a thread start and join took 30-50 us and one
-# thread screened about 4 entries a ns, yet forced splits only broke even at
-# about 1.3M entries in all on the prefix path and 4.4M on whole grids of
-# 72 x 11 matrices: the shares' numpy calls contend for the GIL and for the
-# shared cache.  2^21 a share keeps the 22 x 15 (0.36M) and 40 x 15 (0.66M)
-# screens on one thread and splits the 12M of an 11 x 11 x 72 tensor stack.
+# units of work each share of a screen or walk must get: float32 table
+# entries (candidates x n) for a screen, n m products a restart for a walk
+# on n x m.  On two CPUs with one BLAS thread a thread start and join took
+# 30-50 us and one thread screened about 4 entries a ns, yet forced splits
+# only broke even at about 1.3M entries in all on the prefix path and 4.4M
+# on whole grids of 72 x 11 matrices: the shares' numpy calls contend for
+# the GIL and for the shared cache.  2^21 a share keeps the 22 x 15 (0.36M)
+# and 40 x 15 (0.66M) screens on one thread and splits the 12M of an
+# 11 x 11 x 72 tensor stack.  A walk of m restarts is n m^2 units, so the
+# 400 x 300 (36M), 300 x 200 (12M) and 16 x 1500 (36M) walks split and the
+# 200 x 120 (2.9M) and smaller ones stay on one thread.
 _SHARE_WORK = 1 << 21
 
 
@@ -283,10 +292,10 @@ def _to_float32(values: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
 def _share_bounds(items: int, item_work: int, most: int) -> list[int]:
     """Bounds of the shares that split ``range(items)`` into contiguous ranges.
 
-    One share per screen worker (``_SCREEN_WORKERS``), at most ``most``, and
-    only as many as each get ``_SHARE_WORK`` table entries at ``item_work``
-    entries an item; share i is ``bounds[i]:bounds[i + 1]``, and the sizes
-    differ by at most one.
+    One share per worker (``_SCREEN_WORKERS``), at most ``most``, and only
+    as many as each get ``_SHARE_WORK`` units of work at ``item_work`` units
+    an item; share i is ``bounds[i]:bounds[i + 1]``, and the sizes differ by
+    at most one.
     """
     shares = max(1, min(_SCREEN_WORKERS, most, items, items * item_work // _SHARE_WORK))
     return [items * i // shares for i in range(shares + 1)]
@@ -644,24 +653,26 @@ def _certified_product(
     np.greater(magnitude, band, out=sure)
     unsure = np.flatnonzero(~sure.all(axis=1))
     if unsure.size:
-        _reference_rows(signs, reference, shift, unsure, out)
-        magnitude[unsure] = np.abs(out[unsure])
+        _reference_rows(signs, reference, shift, unsure, out, magnitude)
 
 
 def _reference_rows(
     signs: np.ndarray, mat: np.ndarray, shift: int, rows: np.ndarray, out: np.ndarray,
+    magnitude: np.ndarray,
 ) -> None:
     """Rows ``rows`` of ``signs @ mat`` by the float64 reference matvec, one sign vector at a time.
 
-    Each row goes to ``out`` times 2^shift, rounded to float32.  A negative
-    value that rounds to -0 there is written as the negative float32 nearest
-    zero, so that ``sign_pm`` gives it -1, as it gives the float64 value.
+    Each row goes to ``out`` times 2^shift, rounded to float32, and its
+    absolute value to ``magnitude``.  A negative value that rounds to -0
+    there is written as the negative float32 nearest zero, so that
+    ``sign_pm`` gives it -1, as it gives the float64 value.
     """
     nearest = np.nextafter(np.float32(0.0), np.float32(-1.0))
     for r in rows.tolist():
         value = mat.T @ signs[r].astype(float)
         row = _to_float32(value, shift, out[r])
         np.copyto(row, nearest, where=(row == 0.0) & (value < 0.0))
+        np.abs(row, out=magnitude[r])
 
 
 def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -685,10 +696,20 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     whose dispersion falls by more than two margins raises
     ``InvariantError``.
 
+    The restarts split into contiguous ranges, one per share
+    (``_share_bounds``, ``_run_shares``), and each share walks its range in
+    blocks of its own.  The calling thread makes the float32 copy, the
+    bands and the margin, and allocates every block; a share writes only
+    its own restarts' ``finals`` and ``deltas``.  A restart's signs do not
+    depend on the block it walks in, so the results are bit-identical
+    however the restarts are split.
+
     A block holds three float32 buffers, reused across steps: u signs
     (k x m), v signs (k x n) and one product of k x max(n, m), plus a bool
     buffer of the product's size: 4 (m + n + max(n, m)) + max(n, m) bytes a
-    restart, and k restarts fit ``_ENUM_BLOCK_BYTES`` (218 on 400 x 300).
+    restart.  k is at most a share's restarts, and k restarts fit
+    ``_ENUM_BLOCK_BYTES`` (1 MiB): on 400 x 300 each of two shares walks
+    its 150 restarts in one block.
     Half-step A puts U X' in the product, |U X'| in V (its row sums, a
     float32 matvec with ones, are the dispersions) and then the signs in
     V.  Half-step B puts V X in the product, |V X| in U, which the old u no
@@ -703,57 +724,65 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     margin = _rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
     x32 = _to_float32(x, shift, np.empty((n, m), dtype=np.float32))
     ones = np.ones(n, dtype=np.float32)
-    size = max(1, min(m, _ENUM_BLOCK_BYTES // (4 * (m + n + w) + w)))
-    u = np.empty((size, m), dtype=np.float32)
-    v = np.empty((size, n), dtype=np.float32)
-    prod = np.empty(size * w, dtype=np.float32)
-    flags = np.empty(size * w, dtype=bool)
+    bounds = _share_bounds(m, n * m, m)
+    shares = len(bounds) - 1
+    size = max(1, min(-(-m // shares), _ENUM_BLOCK_BYTES // (4 * (m + n + w) + w)))
+    us = np.empty((shares, size, m), dtype=np.float32)
+    vs = np.empty((shares, size, n), dtype=np.float32)
+    prods = np.empty((shares, size * w), dtype=np.float32)
+    masks = np.empty((shares, size * w), dtype=bool)
     finals = np.empty((m, (m + 7) // 8), dtype=np.uint8)
     deltas = np.empty(m)
 
-    def step_u(k: int) -> np.ndarray:
-        """u = sign(X' v) for the first k rows, and the packed bits of u < 0."""
-        b, negative = prod[:k * m].reshape(k, m), flags[:k * m].reshape(k, m)
-        _certified_product(v[:k], x32, x, shift, col_band, b, u[:k], negative)
-        sign_pm(b, out=u[:k])
-        np.less(u[:k], 0.0, out=negative)
-        return np.packbits(negative, axis=1)
+    def walk_share(i: int, lo: int, hi: int) -> None:
+        """Restarts lo:hi, ``size`` at a time, in share i's block."""
+        u, v, prod, flags = us[i], vs[i], prods[i], masks[i]
 
-    for start in range(0, m, size):
-        ids = np.arange(start, min(start + size, m))
-        k = ids.size
-        sign_pm(x[:, start:start + k].T, out=v[:k])
-        keys = step_u(k)
-        seen = [{key.tobytes()} for key in keys]
-        delta_prev = np.full(k, -np.inf)
-        while k:
-            a = prod[:k * n].reshape(k, n)
-            _certified_product(
-                u[:k], x32.T, x.T, shift, row_band, a, v[:k], flags[:k * n].reshape(k, n))
-            delta = v[:k] @ ones
-            fell = ~(delta >= delta_prev - 2.0 * margin)
-            if fell.any():
-                r = int(np.argmax(fell))
-                before, after = np.ldexp([delta_prev[r], delta[r]], -shift).tolist()
-                raise InvariantError(f"dispersion decreased from {before!r} to {after!r}")
-            sign_pm(a, out=v[:k])
-            new_keys = step_u(k)
-            stop = np.zeros(k, dtype=bool)
-            for r, key in enumerate(new_keys):
-                key = key.tobytes()
-                if key in seen[r]:
-                    stop[r] = True
-                else:
-                    seen[r].add(key)
-            finals[ids[stop]] = keys[stop]
-            deltas[ids[stop]] = delta[stop]
-            go = np.flatnonzero(~stop)
-            k = go.size
-            for i, r in enumerate(go.tolist()):
-                if r != i:  # go ascends: row r is read before any copy writes it
-                    u[i] = u[r]
-            ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
-            seen = [seen[r] for r in go.tolist()]
+        def step_u(k: int) -> np.ndarray:
+            """u = sign(X' v) for the first k rows, and the packed bits of u < 0."""
+            b, negative = prod[:k * m].reshape(k, m), flags[:k * m].reshape(k, m)
+            _certified_product(v[:k], x32, x, shift, col_band, b, u[:k], negative)
+            sign_pm(b, out=u[:k])
+            np.less(u[:k], 0.0, out=negative)
+            return np.packbits(negative, axis=1)
+
+        for start in range(lo, hi, size):
+            ids = np.arange(start, min(start + size, hi))
+            k = ids.size
+            sign_pm(x[:, start:start + k].T, out=v[:k])
+            keys = step_u(k)
+            seen = [{key.tobytes()} for key in keys]
+            delta_prev = np.full(k, -np.inf)
+            while k:
+                a = prod[:k * n].reshape(k, n)
+                _certified_product(
+                    u[:k], x32.T, x.T, shift, row_band, a, v[:k], flags[:k * n].reshape(k, n))
+                delta = v[:k] @ ones
+                fell = ~(delta >= delta_prev - 2.0 * margin)
+                if fell.any():
+                    r = int(np.argmax(fell))
+                    before, after = np.ldexp([delta_prev[r], delta[r]], -shift).tolist()
+                    raise InvariantError(f"dispersion decreased from {before!r} to {after!r}")
+                sign_pm(a, out=v[:k])
+                new_keys = step_u(k)
+                stop = np.zeros(k, dtype=bool)
+                for r, key in enumerate(new_keys):
+                    key = key.tobytes()
+                    if key in seen[r]:
+                        stop[r] = True
+                    else:
+                        seen[r].add(key)
+                finals[ids[stop]] = keys[stop]
+                deltas[ids[stop]] = delta[stop]
+                go = np.flatnonzero(~stop)
+                k = go.size
+                for j, r in enumerate(go.tolist()):
+                    if r != j:  # go ascends: row r is read before any copy writes it
+                        u[j] = u[r]
+                ids, keys, delta_prev = ids[go], new_keys[go], delta[go]
+                seen = [seen[r] for r in go.tolist()]
+
+    _run_shares(walk_share, bounds)
     return finals, deltas, margin
 
 
@@ -798,16 +827,18 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
 
     All restarts run at once, in blocks that fit ``_ENUM_BLOCK_BYTES``,
     each half-step one float32 GEMM over the block's active restarts and a
-    float32 copy of X scaled by a power of two (``_restart_walks``).  Every
-    sign is certified: an entry outside the rounding band of
-    ``_sign_bands`` has the float64 reference matvec's sign, and a row with
-    an entry inside it is recomputed by the reference matvec, so each
-    restart walks exactly the one-at-a-time trajectory and stops where it
-    does.  Only the restarts whose batched final dispersion lies within
-    twice the proven float32 margin (``_rounding_margin``) of the best one
-    are rescored with the reference arithmetic, in restart order
-    (``_confirm_restarts``), so the winner and its bits are those of the
-    one-at-a-time float64 loop.  A matrix holding nan or inf raises
+    float32 copy of X scaled by a power of two (``_restart_walks``).  A
+    large walk splits its restarts into ranges that run in shares at once,
+    one per usable CPU, as the exact solver's screen does, each share in
+    1 MiB blocks of its own.  Every sign is certified: an entry outside the
+    rounding band of ``_sign_bands`` has the float64 reference matvec's
+    sign, and a row with an entry inside it is recomputed by the reference
+    matvec, so each restart walks exactly the one-at-a-time trajectory and
+    stops where it does.  Only the restarts whose batched final dispersion
+    lies within twice the proven float32 margin (``_rounding_margin``) of
+    the best one are rescored with the reference arithmetic, in restart
+    order (``_confirm_restarts``), so the winner and its bits are those of
+    the one-at-a-time float64 loop.  A matrix holding nan or inf raises
     ``InvariantError`` before the first step.
     """
     x = X.x

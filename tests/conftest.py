@@ -51,11 +51,12 @@ def align_sign(computed, expected):
 
 @contextmanager
 def screen_split(workers: int | None, share_work: int | None = 1):
-    """Screen with ``workers`` shares where the work allows, and record every split.
+    """Screen and walk with ``workers`` shares where the work allows, and record every split.
 
     ``share_work`` replaces the work a share needs (1 splits every screen
-    of two items or more; None keeps the module's threshold).  Yields the
-    list of share counts of the ``_screen`` rounds run inside the block.
+    or walk of two items or more; None keeps the module's threshold).
+    Yields the list of share counts of the ``_run_shares`` rounds of the
+    screens and walks run inside the block.
     """
     shares: list[int] = []
     real = taxicab._run_shares

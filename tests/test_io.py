@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import report_json
 from taxicab_ca.io import (
+    _csv_rows,
     format_tensor,
     load_counts_csv,
     load_tensor,
@@ -170,6 +171,30 @@ class TestCountsCsvFuzz:
             row, col = divmod(first_bad, 2)
             with pytest.raises(ValueError, match=f"at row {row + 2}, column '{'ab'[col]}'"):
                 parse_counts_csv(out.getvalue())
+
+
+class TestCsvLines:
+    """The CSV rows come from the lines a text stream of the input yields."""
+
+    @staticmethod
+    def _stream_rows(text):
+        reader = csv.reader(io.StringIO(text))
+        try:
+            return list(reader), None
+        except csv.Error as exc:
+            return None, f"malformed CSV at line {reader.line_num}: {exc}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "1", ",", '"', "\n", "\r", "\r\n", " ", "\x0b",
+                                     "\x1c", "\u2028", "\x85", "é"]), max_size=20).map("".join))
+    def test_rows_match_a_text_stream(self, text):
+        rows, error = self._stream_rows(text)
+        if error is None:
+            assert _csv_rows(text, "s") == rows
+        else:
+            with pytest.raises(ValueError) as info:
+                _csv_rows(text, "s")
+            assert str(info.value) == f"s: {error}"
 
 
 class TestTensorFormat:

@@ -752,33 +752,54 @@ class TestBatchedHeuristic:
             _assert_same_axis(got, loop_norm_heuristic(X))
             X = deflate(X, got)
 
-    def test_block_boundaries_do_not_matter(self):
+    @pytest.mark.parametrize(("workers", "sizes"), [(1, (1, 20, 33)), (2, (1, 17, 17)),
+                                                    (3, (1, 11, 11))])
+    def test_block_boundaries_do_not_matter(self, workers, sizes):
         # a restart of 40 x 33 takes 492 block bytes: one restart per block,
-        # blocks of 20 and a last one of 13, and a single block of 33
+        # blocks of 20 and a last one of 13, and a single block of 33; split
+        # into shares of 17 and 16 or of 11 restarts, a share's block holds
+        # at most its own restarts
         X = _poisson_residual(4, 40, 33)
         ref = loop_norm_heuristic(X)
-        for budget, size in ((64, 1), (20 * 492, 20), (33 * 492, 33)):
-            assert _block_size(X.x, budget) == size
-            with _budget(budget):
-                _assert_same_axis(norm_heuristic(X), ref)
+        for budget, size in zip((64, 20 * 492, 33 * 492), sizes):
+            with screen_split(workers) as shares:
+                assert _block_size(X.x, budget) == size
+                with _budget(budget):
+                    _assert_same_axis(norm_heuristic(X), ref)
+            assert set(shares) == {workers}
 
-    @pytest.mark.parametrize(("shape", "budget", "size"), [
-        ((40, 33), 20 * 492 - 1, 19),
-        ((40, 33), None, 33),
-        ((400, 300), None, 218),
+    @pytest.mark.parametrize(("shape", "budget", "shares", "size"), [
+        ((40, 33), 20 * 492 - 1, 1, 19),
+        ((40, 33), None, 1, 33),
+        # two shares of 150 restarts, each in a block of its own
+        ((400, 300), None, 2, 150),
         # the property tests' budgets: 64 walks one restart at a time, 4096
         # one block of a small table and several of a wide one, the last
         # of them partial on 3 x 25 (17, 8)
-        ((6, 6), 64, 1),
-        ((6, 6), 4096, 6),
-        ((3, 25), 4096, 17),
-        ((4, 40), 4096, 10),
+        ((6, 6), 64, 1, 1),
+        ((6, 6), 4096, 1, 6),
+        ((3, 25), 4096, 1, 17),
+        ((4, 40), 4096, 1, 10),
     ])
-    def test_block_size(self, shape, budget, size):
+    def test_block_size(self, shape, budget, shares, size):
         x = _poisson_residual(sum(shape), *shape).x
         limit = taxicab._ENUM_BLOCK_BYTES if budget is None else budget
-        assert size == max(1, min(shape[1], limit // _restart_bytes(*shape)))
-        assert _block_size(x, budget) == size
+        assert size == max(1, min(-(-shape[1] // shares), limit // _restart_bytes(*shape)))
+        with screen_split(2, share_work=None) as split:
+            assert _block_size(x, budget) == size
+        assert split == [shares]
+
+    @pytest.mark.parametrize(("shape", "shares"), [
+        ((400, 300), 2), ((300, 200), 2), ((16, 1500), 2),
+        ((200, 120), 1), ((110, 92), 1), ((40, 15), 1),
+    ])
+    def test_walks_split_at_the_share_threshold(self, shape, shares):
+        # n m^2 products a step of all restarts: two shares need 2^22
+        x = _poisson_residual(sum(shape), *shape).x
+        assert (x.size * shape[1] >= 2 * taxicab._SHARE_WORK) == (shares == 2)
+        with screen_split(2, share_work=None) as split:
+            _walks(x)
+        assert split == [shares]
 
     @pytest.mark.parametrize("budget", [4 * 370, None])
     def test_rows_behind_a_stopped_restart_walk_on(self, budget):
@@ -793,9 +814,11 @@ class TestBatchedHeuristic:
             assert _unpacked(finals[j], 25).tobytes() == u.tobytes(), j
 
     @settings(max_examples=100, deadline=None)
-    @given(x=_tie_prone_residuals(), budget=st.sampled_from([64, 4096, None]))
-    def test_every_restart_ends_where_the_loop_does(self, x, budget):
-        finals, deltas, margin = _walks(x, budget)
+    @given(x=_tie_prone_residuals(), budget=st.sampled_from([64, 4096, None]),
+           workers=st.sampled_from([1, 2, 3]))
+    def test_every_restart_ends_where_the_loop_does(self, x, budget, workers):
+        with screen_split(workers):
+            finals, deltas, margin = _walks(x, budget)
         for j, u in enumerate(loop_restart_finals(x)):
             assert _unpacked(finals[j], x.shape[1]).tobytes() == u.tobytes(), j
             assert abs(deltas[j] - float(np.abs(x @ u).sum())) <= margin
@@ -888,6 +911,65 @@ class TestBatchedHeuristic:
                 assert finals.tobytes() == expected.tobytes()
         assert len(dispersions) >= 2
 
+    def test_share_errors_are_raised_after_every_share_ends(self):
+        # in two shares, share 1 (restarts 12-24, its own thread) reports a
+        # zero dispersion for its first row at its second step, while share
+        # 0 on the calling thread is slowed down; the error surfaces only
+        # after share 0 has walked every one of its restarts
+        x = _poisson_residual(11, 30, 25).x
+        real = taxicab._certified_product
+        caller = threading.get_ident()
+        calls = []
+
+        def counted(signs, mat, reference, shift, band, out, magnitude, sure):
+            real(signs, mat, reference, shift, band, out, magnitude, sure)
+            calls.append(threading.get_ident())
+
+        with screen_split(2), mock.patch.object(taxicab, "_certified_product", side_effect=counted):
+            taxicab._restart_walks(x)
+        own = calls.count(caller)  # share 0's products in a clean run
+        calls.clear()
+        worker_steps = []
+
+        def failing(signs, mat, reference, shift, band, out, magnitude, sure):
+            real(signs, mat, reference, shift, band, out, magnitude, sure)
+            if threading.get_ident() == caller:
+                time.sleep(0.005)
+                calls.append(caller)
+            elif out.shape[1] == 30:  # half-step A, whose magnitudes sum to the dispersions
+                worker_steps.append(len(calls))
+                if len(worker_steps) == 2:
+                    magnitude[0] = 0.0
+
+        threads = threading.active_count()
+        with screen_split(2) as shares, \
+                mock.patch.object(taxicab, "_certified_product", side_effect=failing):
+            with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
+                taxicab._restart_walks(x)
+        assert shares == [2]
+        assert worker_steps[1] < own  # share 1 failed while share 0 was walking
+        assert len(calls) == own
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="np.errstate is a context variable from numpy 2 on")
+    def test_walk_shares_run_under_the_callers_context(self):
+        x = _poisson_residual(11, 30, 25).x
+        real = taxicab._certified_product
+        seen = {}
+
+        def recorded(*args):
+            # keyed by the thread object: a finished share's thread id may be reused
+            seen.setdefault(threading.current_thread(), set()).add(np.geterr()["over"])
+            real(*args)
+
+        with np.errstate(over="raise"), screen_split(3) as shares, \
+                mock.patch.object(taxicab, "_certified_product", side_effect=recorded):
+            taxicab._restart_walks(x)
+        assert shares == [3]
+        assert threading.current_thread() in seen and len(seen) == 3
+        assert all(modes == {"raise"} for modes in seen.values())
+
     def test_confirmation_looks_past_the_batched_order(self):
         # u and -u score the same bits; the batched values may rank -u first
         # by up to two margins, and the first restart must still win
@@ -920,23 +1002,32 @@ class TestBatchedHeuristic:
 
     @pytest.mark.parametrize("shape", [(400, 300), (16, 1500)])
     def test_working_memory_is_bounded(self, shape):
-        # a block's buffers fit _ENUM_BLOCK_BYTES; the float32 copy of x
-        # takes 4 n m bytes; finals and deltas keep a row of packed u bits
-        # and a float per restart; a block's seen sets
-        # keep one packed key per distinct u of its restarts; 128 KiB
-        # covers one step's temporaries (numpy's 64 KiB ufunc buffer for
-        # the broadcast band compare, the packed keys)
+        # both walks split into two shares that run at once, and the bound
+        # sums over them: each share's block of ``size`` restarts, within
+        # _ENUM_BLOCK_BYTES; the seen sets of its largest block, one packed
+        # key per distinct u of its restarts; and 128 KiB for one step's
+        # temporaries (numpy's 64 KiB ufunc buffer for the broadcast band
+        # compare, the packed keys).  Once for the walk: the float32 copy
+        # of x takes 4 n m bytes, and finals and deltas keep a row of
+        # packed u bits and a float per restart.
         X = _poisson_residual(1, *shape)
         m = shape[1]
-        size, visits = _block_size(X.x), loop_restart_visits(X.x)
+        with screen_split(2, share_work=None) as split:
+            size = _block_size(X.x)
+            bounds = taxicab._share_bounds(m, X.x.size, m)
+        assert split == [2] and len(bounds) == 3
+        visits = loop_restart_visits(X.x)
         key = sys.getsizeof(bytes((m + 7) // 8))
-        seen = max(sum(sys.getsizeof(set(range(c))) + c * key for c in visits[s:s + size])
-                   for s in range(0, m, size))
-        bound = (taxicab._ENUM_BLOCK_BYTES + 4 * X.x.size + m * ((m + 7) // 8 + 8)
-                 + seen + 128 * 1024)
+        seen = sum(max(sum(sys.getsizeof(set(range(c))) + c * key
+                           for c in visits[s:min(s + size, hi)])
+                       for s in range(lo, hi, size))
+                   for lo, hi in zip(bounds, bounds[1:]))
+        bound = (2 * (size * _restart_bytes(*shape) + 128 * 1024) + seen
+                 + 4 * X.x.size + m * ((m + 7) // 8 + 8))
         tracemalloc.start()
         try:
-            norm_heuristic(X)
+            with screen_split(2, share_work=None):
+                norm_heuristic(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
