@@ -157,7 +157,7 @@ def _rgs_range(counts: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 def _blocks_from_assign(assign: np.ndarray, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(int(i) for i in np.flatnonzero(assign == label)) for label in range(r)
+        tuple(np.flatnonzero(assign == label).tolist()) for label in range(r)
     )
 
 

@@ -148,7 +148,7 @@ def cut_norm_vec(
     _check_centered(x, tol)
     mask = x >= 0.0
     value = float(x[mask].sum())
-    return value, tuple(int(i) for i in np.flatnonzero(mask))
+    return value, tuple(np.flatnonzero(mask).tolist())
 
 
 def gain_d(
@@ -219,9 +219,9 @@ def relative_contributions(values: Sequence[float] | np.ndarray) -> DispersionRe
     heavy = np.flatnonzero(np.abs(rc_d - 0.5) <= HEAVYWEIGHT_TOL)
     return DispersionReport(
         d=d, s=s, s2=s2, lad=lad_, median=med, mean=mean_,
-        rc_d=tuple(float(v) for v in rc_d),
-        rc_s2=tuple(float(v) for v in rc_s2),
-        rc_lad=tuple(float(v) for v in rc_lad),
-        heavyweight_indices=tuple(int(i) for i in heavy),
+        rc_d=tuple(rc_d.tolist()),
+        rc_s2=tuple(rc_s2.tolist()),
+        rc_lad=tuple(rc_lad.tolist()),
+        heavyweight_indices=tuple(heavy.tolist()),
         degenerate=False,
     )

@@ -101,12 +101,13 @@ def _raise_cell_error(data_rows: list[list[str]], col_labels: tuple[str, ...],
 def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
     """Parse labeled counts from CSV text; errors carry row/column positions.
 
-    A leading UTF-8 byte-order mark and trailing blank lines are ignored, and
-    an empty corner cell before the column labels (R ``write.csv`` output)
-    is dropped.
+    A leading UTF-8 byte-order mark and trailing blank lines (empty or
+    whitespace only) are ignored, and an empty corner cell before the column
+    labels (R ``write.csv`` output) is dropped.  A blank line between data
+    rows is an error that names its row.
     """
     rows = _csv_rows(text.removeprefix("\ufeff"), source)
-    while rows and not rows[-1]:
+    while rows and not "".join(rows[-1]).strip():
         rows.pop()
     if not rows or not rows[0]:
         raise ValueError(f"{source}: empty CSV")

@@ -33,18 +33,26 @@ those of the one-at-a-time loop.
 The enumeration kernel, shared with the tensor norm, screens and then
 confirms each stack of matrices in turn.  The screen scores every sign
 candidate in float32, after scaling the stack by a power of two so that
-nothing overflows: one table row per candidate, so that adding a
-high-prefix projection to the table of low-suffix projections is a
-contiguous add, and the whole sign grid in a single matmul when all
-candidates fit ``_ENUM_BLOCK_BYTES`` (1 MiB, inside a per-core L2).  It
-keeps only the best screened score of each matrix and float64 prefix.  The
-confirmation then rescores in float64, in lexicographic order and with the
-reference arithmetic (a column-per-candidate table of the 2^k low suffixes
-plus one prefix at a time), only the (matrix, prefix) pairs whose screened
-best lies within twice the stack's proven rounding margin
-(``_rounding_margin``) of its best screened score and within one of the
-best float64 score so far, so the maximizer, ties included, is the one a
-full float64 scan returns.  Working memory stays at a few MiB whatever q is.
+nothing overflows: the whole sign grid in a single matmul, then abs and
+row sums, when all candidates fit ``_ENUM_BLOCK_BYTES``
+(1 MiB, as large as one core's L2, so a block fills it rather than fitting
+inside it), else a table of the 2^k low-suffix projections l, one row per
+candidate, and one high-prefix projection h at a time.  A prefix scores
+its 2^k candidates in two passes, through |h + l| = 2 max(l, -h) + h - l:
+one ``np.maximum`` over rows of several table rows side by side against
+as many copies of -h (``_TILE_VALUES``), then one matrix-vector product
+with twos, less the row sums of l (once a matrix) and plus the sum of h
+(once a block of prefixes).  It keeps only the best screened score of
+each matrix and float64 prefix.  The confirmation then rescores in
+float64, in lexicographic order and with the reference arithmetic (a
+column-per-candidate table of the 2^k low suffixes plus one prefix at a
+time), only the (matrix, prefix) pairs whose screened best lies within
+twice the stack's proven rounding margin (``_rounding_margin`` for the
+whole grid, ``_prefix_margin`` for the two-pass score) of its best
+screened score and within one of the best float64 score so far, a floor
+that rises as the rescoring goes, so the maximizer, ties included, is the
+one a full float64 scan returns.  Working memory stays at a few MiB
+whatever q is.
 
 A large screen or walk runs in shares at once, one per CPU the process may
 use (``_SCREEN_WORKERS``): for a screen, ranges of matrices when the whole
@@ -100,7 +108,7 @@ _IDENTITY_TOL = 1e-10
 # rounding slack, times 1 + value, within which a sign-ascent step (or an axis
 # flip) counts as not lowering the value
 _ASCENT_SLACK = 1e-12
-_ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block, within a per-core L2
+_ENUM_BLOCK_BYTES = 1 << 20  # working set of one enumeration block: fills a 1 MiB per-core L2
 # threads that may screen or walk at once: one per CPU this process may run on
 _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
@@ -116,6 +124,17 @@ _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinit
 # 400 x 300 (36M), 300 x 200 (12M) and 16 x 1500 (36M) walks split and the
 # 200 x 120 (2.9M) and smaller ones stay on one thread.
 _SHARE_WORK = 1 << 21
+# values in one row of the prefix screen's tiled table: it lays the smallest
+# power of two r of table rows side by side with n r at least this many
+# (``_tile_reps``), so that np.maximum broadcasts the tiled prefix over long
+# rows.  On two CPUs with one BLAS thread, norm_exact over the 24 axes of
+# the exact benchmark tables at seeds 1-3 took 35.4-36.8 ms a seed with
+# rows of at least 4096 values, against 37.0-38.0 at 8192, 39.6-40.1 at
+# 2048, 41-42 at 16384 and 51.0 untiled (medians of 9; 49-51 with an add,
+# an abs and a sum per prefix).  On 2048 x 48 (r = 128), 1024 x 60 (128),
+# 32 x 3000 (2), 64 x 2000 (4) and 64 x 1500 (4) each row then holds
+# 6144 to 8000 values, 24-32 KiB.
+_TILE_VALUES = 1 << 12
 
 
 class EnumerationBudgetError(ValueError):
@@ -262,10 +281,63 @@ def _rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
     float64 ones.  The bound is (n + q - 1) eps of ``dtype`` for the two
     (eps is two unit roundoffs) plus five eps, which cover the second-order
     terms, the rounding of ``abs_sum`` and the entries that a scaling or a
-    cast made subnormal.  The enumeration screen and the batched restarts of
-    the heuristic both take float32.
+    cast made subnormal.  The whole-grid enumeration screen and the batched
+    restarts of the heuristic take it in float32; a prefix screen scores in
+    two passes and has a bound of its own (``_prefix_margin``).
     """
     return (n + q + 4) * float(np.finfo(dtype).eps) * abs_sum
+
+
+def _prefix_margin(n: int, q: int, abs_sum: float) -> float:
+    """Bound on the gap between a prefix screen's score of ||M s||_1 and the float64 reference's.
+
+    M is n x q, in the screen's units (scaled by a power of two), and
+    ``abs_sum`` the float64 sum of the |entries| of its float32 copy; u is
+    the float32 unit roundoff and gamma_k = k u / (1 - k u).  A candidate s
+    splits into a high prefix and a low suffix.  With h~ and l~ the float32
+    projections of the two column blocks, the screen takes t_i =
+    max(l~_i, -h~_i), which is exact, and scores fl(fl(2 S - L) + H), where
+    S, L and H are the float32 sums over i of t_i, l~_i and h~_i.  As
+    |h + l| = 2 max(l, -h) + h - l, that expression is sum_i |h~_i + l~_i|
+    in exact arithmetic.  Let A = sum |M_ij| and h, l be the exact
+    projections.
+
+    - Each term M_ij s_j reaches h~_i or l~_i through the cast and at most
+      q - 1 additions, so sum_i (|h~_i - h_i| + |l~_i - l_i|) <= gamma_q A
+      and sum_i (|h~_i| + |l~_i|) <= (1 + gamma_q) A.
+    - t_i, l~_i and h~_i each pass through the n - 1 additions of their
+      sum (doubling is exact) and then at most the two roundings of the
+      score, so the score lies within gamma_(n+1) sum_i (2 |t_i| + |l~_i|
+      + |h~_i|) of sum_i |h~_i + l~_i|.  As |t_i| <= max(|l~_i|, |h~_i|),
+      that is at most 3 gamma_(n+1) (1 + gamma_q) A.
+
+    As gamma_j + gamma_k + gamma_j gamma_k <= gamma_(j+k), the score lies
+    within gamma_(3n+q+3) A of sum_i |h_i + l_i|.  A exceeds ``abs_sum`` by
+    at most a factor (1 + u) (the cast) times 1 + n q float64 unit
+    roundoffs (its sum), which the next gamma covers.  The float64
+    reference lies within float64's gamma_(n+q-2) A of the exact value,
+    entries and partial sums in float32's subnormal range add at most
+    (n q + 3 n) 2^-126 in all (also where BLAS flushes them to zero), and A
+    is at least 1/2 for the stack's largest matrix, so one more float32
+    unit covers these and the rounding of the bound.  The margin is thus
+    gamma_(3n+q+5) ``abs_sum``, and infinite once (3n + q + 5) u reaches 1.
+    That is about (1.5 n + 0.5 q + 2.5) float32 eps (2 u) times
+    ``abs_sum``, against (n + q + 4) for the whole-grid screen's abs and
+    row sums (``_rounding_margin``).
+    """
+    terms = (3 * n + q + 5) * float(np.finfo(np.float32).eps) / 2
+    return terms / (1.0 - terms) * abs_sum if terms < 1.0 else np.inf
+
+
+def _tile_reps(n: int, k: int) -> int:
+    """Table rows r that the prefix screen lays side by side in one row of n r values.
+
+    The smallest power of two with n r >= ``_TILE_VALUES``, at most 2^k.
+    """
+    reps = 1
+    while reps < 1 << k and reps * n < _TILE_VALUES:
+        reps <<= 1
+    return reps
 
 
 def _float32_shift(values: np.ndarray) -> int:
@@ -339,14 +411,22 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
 
     Returns the screened maximum over each reference prefix (the 2^k_ref
     candidates the float64 scan scores in one step), B x 2^(q-1-k_ref) in
-    the input's units, and the stack's ``_rounding_margin``.  The stack is
+    the input's units, and the stack's rounding margin.  The stack is
     scaled by a power of two to a largest magnitude in [1/2, 1) and cast
     once, transposed, to float32 (half its bytes), so nothing overflows and
     the scaling is exact; the margin takes the largest of the matrices'
-    sums of |float32 entries| (``max``, which keeps a nan).  Scores are
-    the row sums of |table|, the table holding one candidate per row: the
-    whole sign grid times M' when all candidates fit the budget, else the
-    low-suffix table plus one high-prefix projection at a time.
+    sums of |float32 entries| (``max``, which keeps a nan).  The table
+    holds one candidate per row.  When all candidates fit the budget it is
+    the whole sign grid times M', and scores are the row sums of |table|
+    (``_rounding_margin``).  Else it holds the low-suffix projections l,
+    and each high-prefix projection h scores its 2^k candidates as
+    fl(2 S - L) + H (``_prefix_margin``): S the row sums of max(l, -h), L
+    those of l (once a matrix) and H the sum of h (once a block of
+    prefixes).  The max runs on the table viewed as rows of r table rows
+    (``_tile_reps``), against r copies of -h laid side by side; a share
+    makes the copies for eight prefixes at once, in one broadcast
+    ``np.negative``.  The best of fl(2 S - L) over each reference prefix
+    plus H is the best of its scores, as adding H is monotone.
 
     The scan is split into shares that run at once (``_run_shares``): a
     range of matrices when the whole grid fits, else a range of the
@@ -355,10 +435,11 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     screens stay on the calling thread.  That thread casts the stack and
     allocates every buffer, and the shares only scan.  A whole-grid share
     gets its part of the one-share block of tables, so together they fit
-    ``_ENUM_BLOCK_BYTES``.  A prefix share reads the low-suffix table and
-    the projections the calling thread computed, and adds into a sum
-    buffer of its own of 2^k x n float32 values, which fits the budget; the
-    buffers of the shares beyond the first together fit it too.  Each
+    ``_ENUM_BLOCK_BYTES``.  A prefix share reads the low-suffix table, the
+    projections and the sums the calling thread computed, and writes into a
+    max buffer of its own of 2^k x n float32 values, which fits the budget
+    (the buffers of the shares beyond the first together fit it too), and
+    into copies of -h of its own, at most 8 x max(n, 8191) values.  Each
     share writes its own rows or prefixes of the maxima, with the
     operations a one-share screen runs on them, so the maxima are
     bit-identical however the screen is split.
@@ -394,34 +475,44 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
         _run_shares(grid_share, bounds)
     else:
         grid = _low_sign_grid(k).astype(np.float32)
+        reps = _tile_reps(n, k)
         extra = _ENUM_BLOCK_BYTES // (4 * n << k)  # sum buffers beyond the first: at least 1
         most = len(_share_bounds(min(block, prefixes), n << k, 1 + extra)) - 1
         bufs = np.empty((most, 1 << k, n), dtype=np.float32)
         rows = 8  # prefixes whose sums one max reduces: fewer calls for the shares to contend on
         sums = np.empty((most, rows, 1 << k), dtype=np.float32)
+        tiles = np.empty((most, rows, reps, n), dtype=np.float32)
+        twos = np.full(n, 2.0, dtype=np.float32)
 
         def prefix_share(i: int, lo: int, hi: int) -> None:
             """Prefixes lo:hi of matrix b, from its ``table`` and the ``heads`` from ``start``."""
-            buf = bufs[i]
+            buf, tile = bufs[i], tiles[i]
+            tiled = buf.reshape(-1, reps * n)
             for first in range(lo, hi, rows):
                 last = min(first + rows, hi)
                 scores = sums[i, :last - first]
-                for row, prefix in enumerate(range(first, last)):
-                    np.add(table, heads[prefix - start], out=buf)
-                    np.abs(buf, out=buf)
-                    np.matmul(buf, ones, out=scores[row])
-                scores.reshape(last - first, per_table, -1).max(
-                    axis=2, out=maxima[b, first * per_table:last * per_table].reshape(-1, per_table))
+                np.negative(heads[first - start:last - start, None], out=tile[:last - first])
+                for row in range(last - first):
+                    np.maximum(table, tile[row].reshape(-1), out=tiled)
+                    np.matmul(buf, twos, out=scores[row])
+                np.subtract(scores, low_sums, out=scores)
+                best = maxima[b, first * per_table:last * per_table].reshape(-1, per_table)
+                scores.reshape(last - first, per_table, -1).max(axis=2, out=best)
+                np.add(best, head_sums[first - start:last - start, None], out=best)
 
         for b in range(count):
             m = parts[b]
             table = grid @ m[q - k:]  # (2^k, n)
+            low_sums = table @ ones
+            table = table.reshape(-1, reps * n)
             for start in range(0, prefixes, block):
                 stop = min(start + block, prefixes)
                 heads = _sign_grid(q - k, start, stop).astype(np.float32) @ m[:q - k]
+                head_sums = heads @ ones
                 bounds = _share_bounds(stop - start, n << k, most)
                 _run_shares(prefix_share, [start + bound for bound in bounds])
-    margin = _rounding_margin(n, q, float(abs_sum), np.float32)
+    margin = (_rounding_margin(n, q, float(abs_sum), np.float32) if prefixes == 1
+              else _prefix_margin(n, q, float(abs_sum)))
     return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
 
 
@@ -438,16 +529,15 @@ def _enumerate_best(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarra
     screened maximum of each (matrix, reference prefix) pair and the
     stack's margin m, and then the pairs whose screened maximum reaches the
     floor max(S - 2m, best - m) are rescored in float64 with the reference
-    scan, in order; S is the stack's best screened score and best the best
-    reference score so far.  A screened maximum lies within m of the
-    pair's reference maximum, so S is at most the global reference maximum
-    plus m.  The first pair that reaches the global reference maximum thus
-    has a screened maximum of at least S - 2m, and, as every reference score
-    before it is lower, above best - m: it is rescored, and the strict
-    ``>`` keeps it against every later pair.  The reference scan splits q
-    into the high prefix and the low suffix of ``_enum_split`` and scores
-    each prefix h = M_high s_high over all 2^k suffixes at once as the
-    column sums of |L + h|, L = M_low S_low'.
+    scan (``_reference_scan``), in order; S is the stack's best screened
+    score and best the best reference score so far, which rises as the
+    rescoring goes.  A screened maximum lies within m of the pair's
+    reference maximum, so S is at most the global reference maximum plus m,
+    and a pair below best - m has a reference maximum below best, which the
+    strict ``>`` would not take.  The first pair that reaches the global
+    reference maximum thus has a screened maximum of at least S - 2m, and,
+    as every reference score before it is lower, of at least best - m: it
+    is rescored, and the strict ``>`` keeps it against every later pair.
     """
     best_val = -np.inf
     best: tuple[int, int] | None = None
@@ -456,10 +546,10 @@ def _enumerate_best(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarra
         q = stack.shape[2]
         maxima, margin = _screen(stack, _enum_split(*stack.shape[1:])[0])
         floor = np.maximum(maxima.max() - 2.0 * margin, best_val - margin)  # nan propagates
-        if not np.isfinite(floor):
+        if np.isnan(floor):
             raise InvariantError("sign enumeration confirmed no candidate (non-finite input?)")
         for b in np.flatnonzero((maxima >= floor).any(axis=1)).tolist():
-            found = _rescore(stack[b], np.flatnonzero(maxima[b] >= floor).tolist(), best_val)
+            found = _rescore(stack[b], maxima[b], floor, margin, best_val)
             if found is not None:
                 best_val, candidate = found
                 best = (offset + b, candidate)
@@ -470,13 +560,41 @@ def _enumerate_best(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarra
     return best_val, index, _sign_grid(q, candidate, candidate + 1)[0]
 
 
-def _rescore(M: np.ndarray, prefixes: list[int], best_val: float) -> tuple[float, int] | None:
-    """Reference float64 scan of the given prefixes of M, in ascending order.
+def _rescore(
+    M: np.ndarray, screened: np.ndarray, floor: float, margin: float, best_val: float,
+) -> tuple[float, int] | None:
+    """Reference float64 scan of the prefixes of M above a floor that rises, in ascending order.
 
-    Returns the value and index of the best of their candidates (the first
-    of equals) if it beats ``best_val``, else None.  The table and the
-    prefix projections are computed in the blocks of a full scan, so every
-    score has the bits that a scan of all prefixes gives it.
+    ``screened`` holds the screened maximum of each prefix.  A prefix is
+    scanned if its screened maximum reaches ``floor`` and best - ``margin``,
+    best the best reference score so far, from ``best_val`` on.  Returns
+    the value and index of the best candidate scanned (the first of equals)
+    if it beats ``best_val``, else None.
+    """
+    found = None
+    scan = None
+    values = screened.tolist()
+    for prefix in np.flatnonzero(screened >= floor).tolist():
+        if values[prefix] < best_val - margin:
+            continue
+        scan = scan or _reference_scan(M)
+        value, candidate = scan(prefix)
+        if value > best_val:
+            best_val = value
+            found = (value, candidate)
+    return found
+
+
+def _reference_scan(M: np.ndarray) -> Callable[[int], tuple[float, int]]:
+    """The reference float64 scan of M, one high prefix at a time.
+
+    The returned function takes a prefix and gives the best score of its
+    candidates and the index of the first that reaches it.  The scan splits
+    q into the high prefix and the low suffix of ``_enum_split`` and scores
+    each prefix h = M_high s_high over all 2^k suffixes at once as the
+    column sums of |L + h|, L = M_low S_low'.  The table and the prefix
+    projections are computed in the blocks of a full scan, so every score
+    has the bits that a scan of all prefixes gives it.
     """
     n, q = M.shape
     k, block = _enum_split(n, q)
@@ -484,22 +602,21 @@ def _rescore(M: np.ndarray, prefixes: list[int], best_val: float) -> tuple[float
     buf = np.empty_like(table)
     scores = np.empty(table.shape[1])
     m_high = M[:, :q - k]
-    found = None
-    heads_block = -1
-    for prefix in prefixes:
-        if prefix // block != heads_block:
-            heads_block = prefix // block
-            start = heads_block * block
-            stop = min(start + block, 1 << (q - 1 - k))
-            heads = _sign_grid(q - k, start, stop) @ m_high.T  # (stop - start, n)
-        np.add(table, heads[prefix - start][:, None], out=buf)
+
+    @lru_cache(maxsize=1)  # the block of the last prefix scanned
+    def heads(start: int) -> np.ndarray:
+        """The projections of the block of prefixes from ``start``, one row each."""
+        return _sign_grid(q - k, start, min(start + block, 1 << (q - 1 - k))) @ m_high.T
+
+    def scan(prefix: int) -> tuple[float, int]:
+        start = prefix - prefix % block
+        np.add(table, heads(start)[prefix - start][:, None], out=buf)
         np.abs(buf, out=buf)
         np.sum(buf, axis=0, out=scores)
         j = int(np.argmax(scores))
-        if scores[j] > best_val:
-            best_val = float(scores[j])
-            found = (best_val, (prefix << k) | j)
-    return found
+        return float(scores[j]), (prefix << k) | j
+
+    return scan
 
 
 def _transition_fixed_point(
@@ -558,8 +675,8 @@ def _axis_from_state(
     u, v, a, b, delta = state
     if delta > 0.0:
         floor = INDETERMINATE_TOL * delta
-        u_ind = tuple(int(j) for j in np.flatnonzero(np.abs(b) <= floor))
-        v_ind = tuple(int(i) for i in np.flatnonzero(np.abs(a) <= floor))
+        u_ind = tuple(np.flatnonzero(np.abs(b) <= floor).tolist())
+        v_ind = tuple(np.flatnonzero(np.abs(a) <= floor).tolist())
     else:
         u_ind = tuple(range(b.size))
         v_ind = tuple(range(a.size))
@@ -913,7 +1030,7 @@ def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
     neg = np.flatnonzero(signs < 0)
     pos = pos[np.argsort(-scores[pos], kind="stable")]
     neg = neg[np.argsort(-scores[neg], kind="stable")]
-    return tuple(int(i) for i in np.concatenate([pos, neg]))
+    return tuple(np.concatenate([pos, neg]).tolist())
 
 
 def _seriation_from_axis(
@@ -932,8 +1049,8 @@ def _seriation_from_axis(
     rs = axis.a if row_scores is None else row_scores
     cs = axis.b if col_scores is None else col_scores
     return SeriationReport(
-        s_opt=tuple(int(i) for i in np.flatnonzero(s_mask)),
-        t_opt=tuple(int(j) for j in np.flatnonzero(t_mask)),
+        s_opt=tuple(np.flatnonzero(s_mask).tolist()),
+        t_opt=tuple(np.flatnonzero(t_mask).tolist()),
         block_sums=(b_st, b_st_c, b_sc_t, b_sc_tc),
         cut_norm=b_st,
         row_order=_grouped_order(axis.v, rs),
@@ -970,12 +1087,12 @@ def rc_axis(decomposition: TcaDecomposition, axis_index: int) -> AxisContributio
     axis = axes[axis_index - 1]
     rc_rows = np.abs(axis.a) / axis.delta
     rc_cols = np.abs(axis.b) / axis.delta
-    heavy_rows = tuple(int(i) for i in np.flatnonzero(np.abs(rc_rows - 0.5) <= HEAVYWEIGHT_TOL))
-    heavy_cols = tuple(int(j) for j in np.flatnonzero(np.abs(rc_cols - 0.5) <= HEAVYWEIGHT_TOL))
+    heavy_rows = tuple(np.flatnonzero(np.abs(rc_rows - 0.5) <= HEAVYWEIGHT_TOL).tolist())
+    heavy_cols = tuple(np.flatnonzero(np.abs(rc_cols - 0.5) <= HEAVYWEIGHT_TOL).tolist())
     cells = tuple((i, j) for i in heavy_rows for j in heavy_cols)
     return AxisContributions(
-        rc_rows=tuple(float(r) for r in rc_rows),
-        rc_cols=tuple(float(c) for c in rc_cols),
+        rc_rows=tuple(rc_rows.tolist()),
+        rc_cols=tuple(rc_cols.tolist()),
         heavyweight_rows=heavy_rows,
         heavyweight_cols=heavy_cols,
         heavyweight_cells=cells,

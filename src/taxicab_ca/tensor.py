@@ -13,9 +13,10 @@ those stacks, each built once, to the matrix kernel
 second-mode) sign pair of a stack in float32, keeps only the best screened
 score of each matrix and prefix, and rescores in float64, with the matrix
 search's own arithmetic, only the matrices and prefixes within the proven
-rounding margin (``taxicab._rounding_margin``) of the stack's screened best
-and of the best float64 score so far, so the signs, and every report byte,
-are those of scanning all pairs in float64.  The calling thread casts
+rounding margin (``taxicab._rounding_margin`` for a whole sign grid,
+``taxicab._prefix_margin`` for a prefix screen) of the stack's screened
+best and of the best float64 score so far, so the signs, and every report
+byte, are those of scanning all pairs in float64.  The calling thread casts
 each stack to float32 once and allocates every buffer; the shares of a
 stack with ``taxicab._SHARE_WORK`` table entries each (11 x 11 x 72 and
 11 x 11 x 48 have) only scan its matrices, one share per usable CPU.
@@ -197,7 +198,7 @@ def octant_report(X: Tensor3, axis: TensorAxis) -> OctantReport:
     sums = _octant_sums(X.x, axis.u, axis.v, axis.w)
     return OctantReport(
         sums=sums,
-        s_opt=tuple(int(i) for i in np.flatnonzero(axis.u > 0)),
-        t_opt=tuple(int(j) for j in np.flatnonzero(axis.v > 0)),
-        w_opt=tuple(int(k) for k in np.flatnonzero(axis.w > 0)),
+        s_opt=tuple(np.flatnonzero(axis.u > 0).tolist()),
+        t_opt=tuple(np.flatnonzero(axis.v > 0).tolist()),
+        w_opt=tuple(np.flatnonzero(axis.w > 0).tolist()),
     )

@@ -89,9 +89,20 @@ class TestCountsCsv:
         assert data.row_labels == ("r1", "r2")
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("blank", ["   ", "\t", "\r", " \t, "])
+    def test_trailing_whitespace_lines(self, blank):
+        data = parse_counts_csv(f"a,b\nr1,1,2\nr2,3,4\n{blank}\n{blank}")
+        assert data.row_labels == ("r1", "r2")
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
+
     def test_inner_blank_line_positional(self):
         with pytest.raises(ValueError, match="row 3 has 0 cells, expected 3"):
             parse_counts_csv("a,b\nr1,1,2\n\nr2,3,4\n")
+
+    @pytest.mark.parametrize("blank,cells", [("   ", 1), ("\t", 1), ("\r", 0)])
+    def test_inner_whitespace_line_positional(self, blank, cells):
+        with pytest.raises(ValueError, match=f"row 3 has {cells} cells, expected 3"):
+            parse_counts_csv(f"a,b\nr1,1,2\n{blank}\nr2,3,4\n{blank}\n")
 
     def test_r_write_csv_corner_cell(self):
         data = parse_counts_csv('"","a","b"\n"r1",1,2\n"r2",3,4\n')

@@ -278,19 +278,56 @@ class TestScreenedKernel:
         np.testing.assert_array_equal(s, ref_s)
         assert s[1] == -1.0  # not the first of the candidates the screen ties
 
-    @pytest.mark.parametrize("shape", [(7, 3), (60, 9), (400, 8)])
+    # (shape, budget, tile values, table rows r side by side): at a 64-byte
+    # budget k is 0 or 1; the others are prefix screens with k = q / 2,
+    # whose rows hold r > 1 table rows, or one on 5000 rows or with tiling off
+    @pytest.mark.parametrize("shape,budget,tile,reps", [
+        ((7, 3), 64, None, 2), ((60, 9), 64, None, 1), ((400, 8), 64, None, 1),
+        ((7, 8), 1024, None, 16), ((60, 8), 4096, None, 16), ((60, 8), 4096, 1, 1),
+        ((5000, 4), 1 << 17, None, 1)])
+    @pytest.mark.parametrize("cancel", [False, True])
     @pytest.mark.parametrize("exponent", [0, 700, -700])
-    def test_margin_bounds_the_screen_error(self, shape, exponent):
-        # at a 64-byte budget every candidate is its own prefix, so the
+    def test_margin_bounds_the_screen_error(self, shape, budget, tile, reps, cancel, exponent):
+        # k_ref = 0 makes every reference prefix one candidate, so the
         # screened maxima are the screened scores of single candidates
         rng = np.random.default_rng(13)
-        m = np.ldexp(rng.normal(size=shape), exponent)
-        with _budget(64):
+        n, q = shape
+        m = rng.normal(size=shape)
+        if cancel:
+            # the last q // 2 columns are minus the first a few float32 units
+            # off: where the signs of the two halves agree, the row sums
+            # nearly cancel, and with k = q / 2 the screen's h = -l nearly
+            half = q // 2
+            off = rng.uniform(-2.0**-20, 2.0**-20, size=(n, half))
+            m[:, q - half:] = -m[:, :half] * (1.0 + off)
+        m = np.ldexp(m, exponent)
+        tiling = nullcontext() if tile is None else mock.patch.object(taxicab, "_TILE_VALUES", tile)
+        with _budget(budget), tiling:
+            k, _ = taxicab._enum_split(n, q, itemsize=4)
+            assert k < q - 1 and taxicab._tile_reps(n, k) == reps
             maxima, margin = taxicab._screen(m[None], 0)
-        signs = taxicab._sign_grid(shape[1], 0, 1 << (shape[1] - 1))
+        signs = taxicab._sign_grid(q, 0, 1 << (q - 1))
         reference = np.abs(m @ signs.T).sum(axis=0)
         error = np.abs(maxima[0] - reference)
         assert 0.0 < error.max() <= margin
+
+    @pytest.mark.parametrize("shape,whole", [((3, 30, 9), True), ((2, 72, 11), True),
+                                             ((3, 30, 17), False), ((1, 3000, 14), False)])
+    def test_margin_of_each_path(self, shape, whole):
+        # integers up to 2^10 times 2^-7: every sum of |entries| is exact
+        stack = np.random.default_rng(28).integers(-1024, 1025, size=shape) * 2.0**-7
+        count, n, q = shape
+        k, _ = taxicab._enum_split(n, q, itemsize=4)
+        assert (k == q - 1) == whole
+        _, margin = taxicab._screen(stack, taxicab._enum_split(n, q)[0])
+        abs_sum = np.abs(stack).sum(axis=(1, 2)).max()
+        eps = float(np.finfo(np.float32).eps)
+        if whole:  # the whole grid keeps _rounding_margin
+            assert margin == (n + q + 4) * eps * abs_sum
+        else:  # gamma_(3n+q+5) of float32
+            terms = (3 * n + q + 5) * eps / 2
+            assert margin == terms / (1.0 - terms) * abs_sum
+            assert (n + q + 4) * eps * abs_sum < margin < 2 * (n + q + 4) * eps * abs_sum
 
     def test_float32_misranking_is_confirmed_away(self):
         # one candidate per prefix, and entries a few float32 units off the
@@ -524,6 +561,57 @@ class TestEnumerationStacks:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
             taxicab._enumerate_best(iter([A[None], C[None]]))
+
+
+def _rescored(call) -> tuple[list[int], list[tuple[np.ndarray, float]], object]:
+    """The prefixes the reference scan scores while ``call()`` runs, the screens, and its result."""
+    scanned, result = [], []
+    real = taxicab._reference_scan
+
+    def recorded(M):
+        scan = real(M)
+
+        def scored(prefix):
+            scanned.append(prefix)
+            return scan(prefix)
+        return scored
+
+    with mock.patch.object(taxicab, "_reference_scan", recorded):
+        screens = _screens(lambda: result.append(call()))
+    return scanned, screens, result[0]
+
+
+class TestRisingFloor:
+    """Prefixes below best - margin, best the best reference score so far, are not rescored."""
+
+    @staticmethod
+    def _static(maxima: np.ndarray, margin: float) -> list[int]:
+        """The prefixes of a one-matrix screen that reach the stack's floor S - 2m."""
+        return np.flatnonzero(maxima[0] >= maxima.max() - 2.0 * margin).tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_tie_prone_matrices(), budget=st.sampled_from([64, 1024, None]))
+    def test_rescores_a_subset_of_the_static_floor(self, m, budget):
+        with _budget(budget):
+            scanned, screens, (val, s) = _rescored(lambda: _kernel(m))
+        (maxima, margin), = screens
+        assert scanned == sorted(set(scanned))  # ascending, each prefix once
+        assert set(scanned) <= set(self._static(maxima, margin))
+        ref_val, ref_s = lexicographic_first_max(m)
+        assert val == ref_val
+        np.testing.assert_array_equal(s, ref_s)
+
+    def test_skips_prefixes_on_a_tall_table(self):
+        # 14 prefixes of this 3000 x 14 residual reach the static floor and 6
+        # the rising one (another BLAS may round a few prefixes differently)
+        x = _poisson_residual(3, 3000, 14).x
+        scanned, screens, (val, s) = _rescored(lambda: _kernel(x))
+        (maxima, margin), = screens
+        static = self._static(maxima, margin)
+        assert set(scanned) < set(static)
+        ref_val, ref_s = lexicographic_first_max(x)
+        np.testing.assert_array_equal(s, ref_s)
+        assert val == pytest.approx(ref_val, rel=1e-12)
 
 
 class TestLowSignGrid:
