@@ -20,12 +20,15 @@ whatever S(n, r) S(m, c) is.  Only candidates within a rounding tolerance of
 the block's best are rescored with the reference arithmetic, and the earliest
 of the best rescored candidates wins.  Local search keeps the block sums and
 each line's sums over the other mode's blocks.  From them it screens every
-move of every line in O(r c), and rescores only the moves the screen cannot
-rule out.  The reference arithmetic is ``_objective_from_assign``, the one
-scorer that ``objective()`` also uses, so a result's objective is bit for bit
-the ``objective()`` of its partition.  Either way the partitions and the
-objective bits are those of scoring every candidate with it; the tolerance
-(``_screen_tol``) bounds the rounding gap between the screens and it.
+move of every line in O(r c): a move whose screened gain is at most -tol is
+rejected and one whose gain exceeds tol is taken, both without scoring, and
+only a move with a gain in (-tol, tol] is scored.  A run's objective is the
+score of the state it ends in.  The reference arithmetic is
+``_objective_from_assign``, the one scorer that ``objective()`` also uses, so
+a result's objective is bit for bit the ``objective()`` of its partition.
+Either way the partitions and the objective bits are those of scoring every
+candidate with it; the tolerance (``_screen_tol``) bounds the rounding gap
+between the screens and it, on either side.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def _balanced_starts(size: int, blocks: int) -> list[np.ndarray]:
 
 
 def _screen_tol(x: np.ndarray, p: float) -> float:
-    """Bound on |screened - reference| f_p, and on the same for a change of f_p.
+    """Bound tol on |screened - reference| f_p, and on the same for a change of f_p.
 
     A block sum over cells of mass S, added in any order, is off by at most
     n*m*eps*S; through the term s (|b|/s)^p that moves f_p by at most p times
@@ -179,6 +182,13 @@ def _screen_tol(x: np.ndarray, p: float) -> float:
     own rounding is relative to f_p <= sum |x|^p.  The floor leaves room.
     Both values lie in [0, sum |x|^p], so a relative bound past 1 (a huge p)
     is capped there.
+
+    The bound is two-sided: a finite screened change d means a reference
+    change in [d - tol, d + tol].  So d <= -tol proves the reference value
+    does not rise (the candidate loses a strict ``>``), and d > tol proves it
+    rises (the candidate wins); a d in (-tol, tol] leaves the outcome to the
+    reference score.  A screen term that overflows makes d infinite or nan,
+    and an overflowing sum |x|^p makes tol infinite; either proves nothing.
     """
     n, m = x.shape
     rel = min(max(_SCREEN_RTOL, 32 * p * n * m * np.finfo(float).eps), 1.0)
@@ -270,36 +280,6 @@ def _exhaustive(
     return best
 
 
-def _move_gains(
-    lines: np.ndarray, assign: np.ndarray, count: int,
-    other: np.ndarray, other_count: int, p: float,
-) -> np.ndarray:
-    """Screened change of f_p when line i moves to block t, as a (lines, count) array.
-
-    ``lines`` holds the lines being moved (rows of x, or rows of x.T for
-    columns); ``other`` labels the other mode.  From the block sums and each
-    line's sums over the other mode's blocks, every move costs O(other_count).
-    """
-    other_hot = _indicators(other, other_count).T                  # (other, oc)
-    g = lines @ other_hot                                          # (L, oc)
-    hot = _indicators(assign, count)                               # (count, L)
-    block = hot @ g                                                # (count, oc)
-    sizes = hot.sum(axis=1)
-    other_sizes = other_hot.sum(axis=0)
-
-    def terms(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-        t = np.abs(b)
-        if p != 1:
-            t = t ** p * (s[..., None] * other_sizes) ** (1 - p)
-        return t.sum(axis=-1)
-
-    base = terms(block, sizes)
-    # a line alone in its block never moves; clamping keeps its (unused) gain finite
-    leave = terms(block[assign] - g, np.maximum(sizes[assign] - 1, 1)) - base[assign]
-    join = terms(block + g[:, None, :], sizes + 1) - base
-    return leave[:, None] + join
-
-
 def _local_search(
     x: np.ndarray, r: int, c: int, p: float,
     row_assign: np.ndarray, col_assign: np.ndarray,
@@ -307,16 +287,27 @@ def _local_search(
     """Single-element moves in sweep order while ``_objective_from_assign`` rises.
 
     Lines are swept in order and each line's targets in order, and a move is
-    taken when its ``_objective_from_assign`` value is strictly larger.
-    ``_move_gains`` screens every target of every line at once; a move it
-    shows cannot raise f_p by more than the rounding tolerance is rejected
-    without scoring, as the reference score would reject it, so the
-    trajectory is the same as scoring every move.
+    taken when its ``_objective_from_assign`` value is strictly larger.  The
+    screened gain of a move comes from the block sums and each line's sums
+    over the other mode's blocks, O(other count) a move; by ``_screen_tol``
+    it is within tol of the reference change.  So a move whose gain is at
+    most -tol is rejected and one whose gain exceeds tol is taken, both
+    without scoring, as the reference score would decide them.  Only a move
+    with a gain in (-tol, tol], or with a gain or tol that overflowed, is
+    scored, against the current state's reference value, computed when it
+    is not already known.  The trajectory is that of scoring every move, and
+    the objective is ``_objective_from_assign`` of the state it ends in.
+
+    Within one mode's sweep the other mode's labels are fixed, so the lines'
+    sums g over its blocks and the size weights (s |T|)^(1-p) are built once
+    a sweep.  After each move the gains are rebuilt from one array holding,
+    for every line, its target blocks' sums with it joined and its own
+    block's sum with it gone.
     """
     row_assign = row_assign.copy()
     col_assign = col_assign.copy()
     tol = _screen_tol(x, p)
-    obj = _objective_from_assign(x, row_assign, col_assign, r, c, p)
+    obj: float | None = None  # the reference f_p of the current state, once scored
     moved = True
     while moved:
         moved = False
@@ -324,26 +315,66 @@ def _local_search(
             (row_assign, r, x, col_assign, c),
             (col_assign, c, x.T, row_assign, r),
         ):
+            n_lines = assign.size
+            other_hot = _indicators(other, other_count).T              # (other, oc)
+            g = lines @ other_hot                                      # (L, oc)
+            # weights[s] = (max(s, 1) |T|)^(1-p) over the other mode's block
+            # sizes |T|, for s up to L + 1 (a line joined to its own block); a
+            # line alone in its block never moves, and the clamp keeps its
+            # unused leave term finite
+            weights = (np.maximum(np.arange(n_lines + 2.0), 1.0)[:, None]
+                       * other_hot.sum(axis=0)) ** (1 - p)
+            hot = _indicators(assign, count)                           # (count, L)
             sizes = np.bincount(assign, minlength=count)
-            gains = _move_gains(lines, assign, count, other, other_count, p)
-            for i in range(assign.size):
+            # row i < L: line i joined to block t (column t) and gone from its
+            # own block (column count); row L: the blocks as they are
+            cand = np.zeros((n_lines + 1, count + 1, other_count))
+            cand_sizes = np.zeros((n_lines + 1, count + 1), dtype=np.intp)
+
+            def move_gains() -> list[list[float]]:
+                block = np.matmul(hot, g, out=cand[n_lines, :count])   # (count, oc)
+                np.add(block, g[:, None, :], out=cand[:n_lines, :count])
+                np.subtract(block[assign], g, out=cand[:n_lines, count])
+                t = np.abs(cand)
+                if p != 1:
+                    np.add(sizes, 1, out=cand_sizes[:n_lines, :count])
+                    np.subtract(sizes[assign], 1, out=cand_sizes[:n_lines, count])
+                    cand_sizes[n_lines, :count] = sizes
+                    t = t ** p * weights[cand_sizes]
+                t = t.sum(axis=-1)
+                base = t[n_lines, :count]
+                leave = t[:n_lines, count] - base[assign]
+                return (leave[:, None] + (t[:n_lines, :count] - base)).tolist()
+
+            gains = move_gains()
+            for i in range(n_lines):
                 cur = int(assign[i])
                 if sizes[cur] == 1:
                     continue  # moving would empty the source block
                 for tgt in range(count):
-                    if tgt == cur or not gains[i, tgt] > -tol:
-                        continue
-                    assign[i] = tgt
-                    val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
-                    if val > obj:
-                        obj = val
-                        sizes[cur] -= 1
-                        sizes[tgt] += 1
-                        cur = tgt
-                        moved = True
-                        gains = _move_gains(lines, assign, count, other, other_count, p)
+                    gain = gains[i][tgt]
+                    if tgt == cur or -np.inf < gain <= -tol:
+                        continue  # its own block, or a proven fall or tie
+                    if tol < gain < np.inf:
+                        obj = None  # a proven rise; its value is not needed yet
                     else:
+                        if obj is None:
+                            obj = _objective_from_assign(x, row_assign, col_assign, r, c, p)
+                        assign[i] = tgt
+                        val = _objective_from_assign(x, row_assign, col_assign, r, c, p)
                         assign[i] = cur
+                        if not val > obj:
+                            continue
+                        obj = val
+                    assign[i] = tgt
+                    hot[cur, i], hot[tgt, i] = 0.0, 1.0
+                    sizes[cur] -= 1
+                    sizes[tgt] += 1
+                    cur = tgt
+                    moved = True
+                    gains = move_gains()
+    if obj is None:
+        obj = _objective_from_assign(x, row_assign, col_assign, r, c, p)
     return row_assign, col_assign, obj
 
 

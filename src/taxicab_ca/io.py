@@ -160,11 +160,26 @@ def _raise_value_error(cells: list[str], lineno: int, source: str) -> None:
     raise ValueError(f"{source}: values numpy rejects but float() accepts at line {lineno}")
 
 
+def _raise_line_error(data: list[tuple[int, str]], rows: np.ndarray, m: int,
+                      source: str) -> None:
+    """Raise the positional error for the first data line that is not m finite numbers.
+
+    ``rows`` holds the lines converted so far, in reading order; a line with
+    a non-finite value among them comes first, else the line after them.
+    """
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    lineno, line = data[int(bad[0]) if bad.size else len(rows)]
+    cells = line.split()
+    if len(cells) != m:
+        raise ValueError(f"{source}: line {lineno} has {len(cells)} values, expected {m}")
+    _raise_value_error(cells, lineno, source)
+
+
 def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
     """Parse a 3-way array: "n m t" then n*t lines of m numbers (slab-major in t).
 
     A leading UTF-8 byte-order mark and blank lines are skipped; errors name
-    the line of the text they are on.
+    the first faulty line of the text, in reading order.
     """
     text = text.removeprefix("\ufeff")
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
@@ -181,32 +196,28 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
     if n < 1 or m < 1 or t < 1:
         raise ValueError(f"{source}: dimensions on line {dims_line} must be positive")
     expected = n * t
-    if len(lines) - 1 != expected:
+    data = lines[1:]
+    if len(data) != expected:
         raise ValueError(
-            f"{source}: expected {expected} data lines, found {len(lines) - 1}"
+            f"{source}: expected {expected} data lines, found {len(data)}"
         )
-
-    def cells_of(lineno: int, line: str) -> list[str]:
+    # one line checked before allocating keeps the array within the file's size
+    if len(data[0][1].split()) != m:
+        _raise_line_error(data, np.empty((0, m)), m, source)
+    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
+    # as float() would, and the values are checked finite once at the end
+    slabs = np.empty((t, n, m))
+    rows = slabs.reshape(expected, m)
+    for k, ((_, line), out) in enumerate(zip(data, rows)):
         cells = line.split()
         if len(cells) != m:
-            raise ValueError(
-                f"{source}: line {lineno} has {len(cells)} values, expected {m}"
-            )
-        return cells
-
-    # one line checked before allocating keeps the array within the file's size
-    cells_of(*lines[1])
-    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
-    # as float() would
-    slabs = np.empty((t, n, m))
-    for (lineno, line), out in zip(lines[1:], slabs.reshape(expected, m)):
-        cells = cells_of(lineno, line)
+            _raise_line_error(data, rows[:k], m, source)
         try:
             out[:] = cells
         except ValueError:
-            _raise_value_error(cells, lineno, source)
-        if not np.isfinite(out).all():
-            _raise_value_error(cells, lineno, source)
+            _raise_line_error(data, rows[:k], m, source)
+    if not np.isfinite(slabs).all():
+        _raise_line_error(data, rows, m, source)
     return np.ascontiguousarray(slabs.transpose(1, 2, 0))
 
 

@@ -339,6 +339,69 @@ class TestScreenedSearch:
             res = maximize(ResidualMatrix(x=x), r, c, p=p, method="local_search")
             _same_as_oracle(res, loop_local_search(x, r, c, p), r, c)
 
+    @staticmethod
+    def _count_reference_calls(monkeypatch) -> list[int]:
+        calls = [0]
+        reference = clustering._objective_from_assign
+
+        def counted(*args):
+            calls[0] += 1
+            return reference(*args)
+
+        monkeypatch.setattr(clustering, "_objective_from_assign", counted)
+        return calls
+
+    @staticmethod
+    def _starts(n: int, m: int, r: int, c: int) -> int:
+        return len(clustering._balanced_starts(n, r)) * len(clustering._balanced_starts(m, c))
+
+    def test_local_search_scores_only_moves_within_tol(self, monkeypatch):
+        # the benchmark's cluster shape: every move's screened gain is beyond
+        # tol of zero, so each start scores only the state it ends in (one
+        # call per start, plus at most two per move with |gain| <= tol); the
+        # loop that scored every screened-in move made 332 calls here
+        rng = np.random.default_rng(52)
+        x = correspondence_residual(from_counts(rng.poisson(4.0, size=(40, 30)).astype(float))).x
+        calls = self._count_reference_calls(monkeypatch)
+        res = maximize(ResidualMatrix(x=x), 4, 3, p=2.0, method="local_search")
+        assert calls[0] == self._starts(40, 30, 4, 3) == 4
+        _same_as_oracle(res, loop_local_search(x, 4, 3, 2.0), 4, 3)
+
+    def test_local_search_scores_tied_moves(self, monkeypatch):
+        # cells in {-1, 0, 1} at p = 1: many moves change f_p by exactly 0,
+        # so their gains fall within tol and only the reference score can
+        # decide them
+        rng = np.random.default_rng(53)
+        calls = self._count_reference_calls(monkeypatch)
+        for k in range(12):
+            n, m = int(rng.integers(6, 11)), int(rng.integers(6, 11))
+            x = np.zeros((n, m))
+            x[:-1, :-1] = rng.integers(-1, 2, size=(n - 1, m - 1))
+            x[:-1, -1] = -x[:-1, :-1].sum(axis=1)
+            x[-1] = -x[:-1].sum(axis=0)
+            r, c = 2 + k % 2, 3 - k % 2
+            calls[0] = 0
+            res = maximize(ResidualMatrix(x=x), r, c, p=1.0, method="local_search")
+            assert calls[0] > self._starts(n, m, r, c)  # the scored branch ran
+            _same_as_oracle(res, loop_local_search(x, r, c, 1.0), r, c)
+
+    def test_local_search_matches_loop_near_overflow(self):
+        # max |x|^3 near 1e307: a screened |block sum|^3 overflows to inf (or
+        # inf - inf = nan) while the reference terms stay finite, and at the
+        # larger scale sum |x|^3, so tol, overflows too; such a gain proves
+        # nothing, and the move is scored
+        rng = np.random.default_rng(54)
+        for _ in range(4):
+            n, m = int(rng.integers(5, 12)), int(rng.integers(4, 10))
+            counts = rng.poisson(3.0, size=(n, m)).astype(float) + 1.0
+            x0 = correspondence_residual(from_counts(counts)).x
+            for exponent in (307.0, 307.5):
+                x = x0 / np.abs(x0).max() * 10 ** (exponent / 3)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="local_search")
+                    oracle = loop_local_search(x, 3, 2, 3.0)
+                _same_as_oracle(res, oracle, 3, 2)
+
     def test_zero_matrix_keeps_first_partition(self):
         x = np.zeros((5, 4))
         for method, oracle in (("exhaustive", loop_exhaustive), ("local_search", loop_local_search)):
