@@ -21,7 +21,7 @@ from .ca_classic import ca, compare_ca_tca
 from .clustering import maximize
 from .datasets import DATASETS, dataset_bytes
 from .dispersion import relative_contributions
-from .io import LabeledMatrix, _decode, parse_counts_csv, parse_tensor
+from .io import LabeledMatrix, decode_utf8, parse_counts_csv, parse_tensor
 from .residual import (
     CENTERING_TOL,
     CorrespondenceMatrix,
@@ -125,7 +125,7 @@ def _load_matrix(args: argparse.Namespace) -> tuple[LabeledMatrix, str, bytes]:
     if not source:
         raise ValueError("provide a CSV path or --dataset")
     raw = dataset_bytes(source) if args.dataset else Path(source).read_bytes()
-    return parse_counts_csv(_decode(raw, source), source=source), source, raw
+    return parse_counts_csv(decode_utf8(raw, source), source=source), source, raw
 
 
 def _from_counts(data: LabeledMatrix, source: str) -> CorrespondenceMatrix:
@@ -306,7 +306,7 @@ def _cmd_cluster(args: argparse.Namespace) -> _reports.AnalysisReport:
 def _cmd_tensor(args: argparse.Namespace) -> _reports.AnalysisReport:
     path = Path(args.file)
     raw = path.read_bytes()
-    arr = parse_tensor(_decode(raw, str(path)), source=str(path))
+    arr = parse_tensor(decode_utf8(raw, str(path)), source=str(path))
     T = triple_center(arr)
     axis = tensor_norm(T)
     octants = octant_report(T, axis)

@@ -210,11 +210,11 @@ def _exhaustive(
     two modes.  A screen scores a block of candidates at once: one matmul of
     the row-block aggregates with the column indicator stack gives every
     block sum.  Only candidates within 2 * tol of the block's top that might
-    still beat the incumbent are scored with ``_objective_from_assign``, and
-    the incumbent is the largest score, the earliest candidate on ties, so
-    the winner and its objective bits are those of scoring every candidate
-    with ``_objective_from_assign`` in enumeration order under the strict
-    ``>`` rule.
+    still beat the incumbent, or whose screened score or tol overflowed, are
+    scored with ``_objective_from_assign``, and the incumbent is the largest
+    score, the earliest candidate on ties, so the winner and its objective
+    bits are those of scoring every candidate with ``_objective_from_assign``
+    in enumeration order under the strict ``>`` rule.
     """
     n, m = x.shape
     tol = _screen_tol(x, p)
@@ -266,12 +266,19 @@ def _exhaustive(
                 scores = out.reshape(len(rows), r * c, k).sum(axis=1)  # (b, K)
                 first = (b0 + r0) * n_cols + c0
                 top = scores.max()
-                if not may_win(top, first):
-                    continue
-                for flat in np.flatnonzero(scores >= max(top - 2 * tol, best_val - tol)):
+                sure = top < np.inf and tol < np.inf  # every screened score is within tol
+                if sure:
+                    if not may_win(top, first):
+                        continue
+                    picks = scores >= max(top - 2 * tol, best_val - tol)
+                else:  # an overflowed score, or tol, proves nothing: score those candidates
+                    finite = np.isfinite(scores) & (tol < np.inf)
+                    top = scores.max(where=finite, initial=-np.inf)
+                    picks = ~finite | (scores >= max(top - 2 * tol, best_val - tol))
+                for flat in np.flatnonzero(picks):
                     b, s = divmod(int(flat), k)
                     idx = first + b * n_cols + s
-                    if not may_win(scores[b, s], idx):
+                    if (sure or finite[b, s]) and not may_win(scores[b, s], idx):
                         continue
                     val = _objective_from_assign(x, rows[b], cols[s], r, c, p)
                     if val > best_val or (val == best_val and idx < best_idx):

@@ -46,7 +46,7 @@ class LabeledMatrix:
         return total
 
 
-def _decode(raw: bytes, source: str) -> str:
+def decode_utf8(raw: bytes, source: str) -> str:
     """``raw`` as UTF-8 text; a ``ValueError`` names the source and the offset of a bad byte."""
     try:
         return raw.decode("utf-8")
@@ -141,7 +141,7 @@ def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
 def load_counts_csv(path: str | Path) -> LabeledMatrix:
     """Load labeled counts from a CSV file."""
     path = Path(path)
-    return parse_counts_csv(_decode(path.read_bytes(), str(path)), source=str(path))
+    return parse_counts_csv(decode_utf8(path.read_bytes(), str(path)), source=str(path))
 
 
 def _raise_value_error(cells: list[str], lineno: int, source: str) -> None:
@@ -224,7 +224,7 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
 def load_tensor(path: str | Path) -> np.ndarray:
     """Load a 3-way array from a tensor text file."""
     path = Path(path)
-    return parse_tensor(_decode(path.read_bytes(), str(path)), source=str(path))
+    return parse_tensor(decode_utf8(path.read_bytes(), str(path)), source=str(path))
 
 
 def format_tensor(x: np.ndarray) -> str:

@@ -5,21 +5,6 @@ vectors on all three modes.  For a triple-centered array the optimum splits
 the index cube into eight octants whose block sums all have magnitude
 delta/8, the sign given by the parity of complemented subsets.  Only the
 single-axis norm is defined for tensors; there is no deflation.
-
-The exact norm contracts the first enumerated mode with each of its sign
-vectors, ``_ENUM_BLOCK_BYTES`` of contracted matrices at a time, and hands
-those stacks, each built once, to the matrix kernel
-``taxicab._enumerate_best``.  The kernel screens every (first-mode,
-second-mode) sign pair of a stack in float32, keeps only the best screened
-score of each matrix and prefix, and rescores in float64, with the matrix
-search's own arithmetic, only the matrices and prefixes within the proven
-rounding margin (``taxicab._rounding_margin`` for a whole sign grid,
-``taxicab._prefix_margin`` for a prefix screen) of the stack's screened
-best and of the best float64 score so far, so the signs, and every report
-byte, are those of scanning all pairs in float64.  The calling thread casts
-each stack to float32 once and allocates every buffer; the shares of a
-stack with ``taxicab._SHARE_WORK`` table entries each (11 x 11 x 72 and
-11 x 11 x 48 have) only scan its matrices, one share per usable CPU.
 """
 
 from __future__ import annotations
@@ -28,17 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .dispersion import sign_pm
 from .residual import Tensor3
-from .taxicab import (
-    _ASCENT_SLACK,
-    _ENUM_BLOCK_BYTES,
-    _IDENTITY_TOL,
-    EnumerationBudgetError,
-    InvariantError,
-    _enumerate_best,
-    _sign_grid,
-)
+from .taxicab import ASCENT_SLACK, IDENTITY_TOL, EnumerationBudgetError, InvariantError
 
 __all__ = [
     "TENSOR_ENUM_LIMIT",
@@ -78,7 +56,7 @@ class TensorAxis:
                 raise ValueError("sign vectors must have entries exactly +-1")
         if len(self.octant_sums) != 8:
             raise ValueError("expected eight octant sums")
-        slack = _IDENTITY_TOL * (1.0 + abs(self.delta))
+        slack = IDENTITY_TOL * (1.0 + abs(self.delta))
         eighth = self.delta / 8.0
         for sum_, sign in zip(self.octant_sums, _OCTANT_SIGNS):
             if abs(sum_ - sign * eighth) > slack:
@@ -119,6 +97,8 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     third mode's optimal signs follow from the contracted fiber sums.  On
     ties the lexicographically first (first-mode, second-mode) pair wins.
     The two smallest mode sizes must sum to at most ``TENSOR_ENUM_LIMIT``.
+    The first mode's contractions reach ``kernels.enumerate_best`` in stacks
+    of ``kernels.BLOCK_BYTES``, each built once.
     """
     x = X.x
     dims = x.shape
@@ -133,11 +113,11 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     xp = np.transpose(x, (e1, e2, free))
     flat = xp.reshape(q1, q2 * q3)
     count = 1 << (q1 - 1)
-    block = max(1, _ENUM_BLOCK_BYTES // (8 * q2 * q3))
-    _, index, s2 = _enumerate_best(
-        (_sign_grid(q1, start, min(start + block, count)) @ flat)
+    block = max(1, kernels.BLOCK_BYTES // (8 * q2 * q3))
+    _, index, s2 = kernels.enumerate_best(
+        (kernels.sign_grid(q1, start, min(start + block, count)) @ flat)
         .reshape(-1, q2, q3).transpose(0, 2, 1) for start in range(0, count, block))
-    s1 = _sign_grid(q1, index, index + 1)[0]
+    s1 = kernels.sign_grid(q1, index, index + 1)[0]
     fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
     s3 = sign_pm(fiber)
     by_mode: dict[int, np.ndarray] = {e1: s1, e2: s2, free: s3}
@@ -169,7 +149,7 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
             fiber = np.einsum("ijk,i,j->k", x, u, v)
             w = sign_pm(fiber)
             delta = float(np.abs(fiber).sum())
-            if not delta >= delta_prev - _ASCENT_SLACK * (1.0 + delta):
+            if not delta >= delta_prev - ASCENT_SLACK * (1.0 + delta):
                 raise InvariantError(f"trilinear value decreased from {delta_prev!r} to {delta!r}")
             delta_prev = delta
             key = (u.tobytes(), v.tobytes(), w.tobytes())

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from taxicab_ca import taxicab
+from taxicab_ca import kernels
 from taxicab_ca.datasets import load_dataset
 from taxicab_ca.residual import from_counts
 
@@ -59,7 +59,7 @@ def screen_split(workers: int | None, share_work: int | None = 1):
     screens and walks run inside the block.
     """
     shares: list[int] = []
-    real = taxicab._run_shares
+    real = kernels._run_shares
 
     def counted(share, bounds):
         shares.append(len(bounds) - 1)
@@ -67,8 +67,8 @@ def screen_split(workers: int | None, share_work: int | None = 1):
 
     with ExitStack() as stack:
         if workers is not None:
-            stack.enter_context(mock.patch.object(taxicab, "_SCREEN_WORKERS", workers))
+            stack.enter_context(mock.patch.object(kernels, "_SCREEN_WORKERS", workers))
         if share_work is not None:
-            stack.enter_context(mock.patch.object(taxicab, "_SHARE_WORK", share_work))
-        stack.enter_context(mock.patch.object(taxicab, "_run_shares", counted))
+            stack.enter_context(mock.patch.object(kernels, "_SHARE_WORK", share_work))
+        stack.enter_context(mock.patch.object(kernels, "_run_shares", counted))
         yield shares

@@ -385,11 +385,9 @@ class TestScreenedSearch:
             assert calls[0] > self._starts(n, m, r, c)  # the scored branch ran
             _same_as_oracle(res, loop_local_search(x, r, c, 1.0), r, c)
 
-    def test_local_search_matches_loop_near_overflow(self):
-        # max |x|^3 near 1e307: a screened |block sum|^3 overflows to inf (or
-        # inf - inf = nan) while the reference terms stay finite, and at the
-        # larger scale sum |x|^3, so tol, overflows too; such a gain proves
-        # nothing, and the move is scored
+    @staticmethod
+    def _near_overflow(method: str, oracle) -> None:
+        """Both searches against their loops on tables with max |x|^3 near 1e307, at p = 3."""
         rng = np.random.default_rng(54)
         for _ in range(4):
             n, m = int(rng.integers(5, 12)), int(rng.integers(4, 10))
@@ -398,9 +396,38 @@ class TestScreenedSearch:
             for exponent in (307.0, 307.5):
                 x = x0 / np.abs(x0).max() * 10 ** (exponent / 3)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    res = maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="local_search")
-                    oracle = loop_local_search(x, 3, 2, 3.0)
-                _same_as_oracle(res, oracle, 3, 2)
+                    res = maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method=method)
+                    expected = oracle(x, 3, 2, 3.0)
+                _same_as_oracle(res, expected, 3, 2)
+
+    def test_local_search_matches_loop_near_overflow(self):
+        # a screened |block sum|^3 overflows to inf (or inf - inf = nan)
+        # while the reference terms stay finite, and at the larger scale
+        # sum |x|^3, so tol, overflows too; such a gain proves nothing, and
+        # the move is scored
+        self._near_overflow("local_search", loop_local_search)
+
+    def test_exhaustive_matches_loop_near_overflow(self):
+        # the exhaustive screen's |block sum|^3 times the size weights
+        # overflows the same way; such a candidate (every candidate, when
+        # tol overflowed) is scored
+        self._near_overflow("exhaustive", loop_exhaustive)
+
+    def test_exhaustive_scores_nan_screens(self):
+        # at p = 600 to 1500 with max |x| in [1.5, 4), a size weight
+        # s^(1-p) underflows to 0 while |block sum|^p overflows: the screened
+        # score is inf * 0 = nan, and the candidate is scored
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            n, m = int(rng.integers(4, 8)), int(rng.integers(3, 6))
+            counts = rng.poisson(3.0, size=(n, m)).astype(float) + 1.0
+            x = correspondence_residual(from_counts(counts)).x
+            x = x / np.abs(x).max() * float(rng.uniform(1.5, 4.0))
+            p = float(rng.choice([600.0, 900.0, 1100.0, 1500.0]))
+            with np.errstate(all="ignore"):
+                res = maximize(ResidualMatrix(x=x), 3, 2, p=p, method="exhaustive")
+                expected = loop_exhaustive(x, 3, 2, p)
+            _same_as_oracle(res, expected, 3, 2)
 
     def test_zero_matrix_keeps_first_partition(self):
         x = np.zeros((5, 4))

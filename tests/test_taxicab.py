@@ -25,7 +25,7 @@ from oracles import (
     loop_restart_visits,
     random_double_centered,
 )
-from taxicab_ca import taxicab
+from taxicab_ca import kernels, taxicab
 from taxicab_ca.dispersion import sign_pm
 from taxicab_ca.residual import (
     ResidualMatrix,
@@ -69,7 +69,7 @@ def _zero_residual(n, m) -> ResidualMatrix:
 
 def _kernel(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximum and first maximizer of ||m s||_1 from the kernel, m as a stack of one."""
-    val, index, s = taxicab._enumerate_best([m[None]])
+    val, index, s = kernels.enumerate_best([m[None]])
     assert index == 0
     return val, s
 
@@ -78,7 +78,7 @@ def _budget(budget: int | None):
     """Shrink the kernel's working-set budget, or leave it as it is."""
     if budget is None:
         return nullcontext()
-    return mock.patch.object(taxicab, "_ENUM_BLOCK_BYTES", budget)
+    return mock.patch.object(kernels, "BLOCK_BYTES", budget)
 
 
 # 2^-30 (about 1e-9) is below float32 resolution, so the screen cannot
@@ -188,7 +188,7 @@ class TestEnumerationKernel:
 
     @pytest.mark.parametrize("budget", [64, 1024, 8192])
     def test_small_budgets_split_and_agree(self, monkeypatch, budget):
-        monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", budget)
         rng = np.random.default_rng(budget)
         for q in (1, 2, 5, 9):
             m = rng.normal(size=(12, q))
@@ -200,7 +200,7 @@ class TestEnumerationKernel:
     def test_tall_table_splits_into_blocks(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(4000, 12))
-        k, block = taxicab._enum_split(*m.shape)
+        k, block = kernels._enum_split(*m.shape)
         assert k < 11 and (1 << (11 - k)) > block  # several prefix blocks
         val, s = _kernel(m)
         ref_val, ref_s = lexicographic_first_max(m)
@@ -210,7 +210,7 @@ class TestEnumerationKernel:
     @pytest.mark.parametrize("budget", [64, None])
     def test_exact_ties_resolve_lexicographically_first(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(taxicab, "_ENUM_BLOCK_BYTES", budget)
+            monkeypatch.setattr(kernels, "BLOCK_BYTES", budget)
         rng = np.random.default_rng(8)
         for _ in range(30):
             q = int(rng.integers(2, 9))
@@ -301,12 +301,12 @@ class TestScreenedKernel:
             off = rng.uniform(-2.0**-20, 2.0**-20, size=(n, half))
             m[:, q - half:] = -m[:, :half] * (1.0 + off)
         m = np.ldexp(m, exponent)
-        tiling = nullcontext() if tile is None else mock.patch.object(taxicab, "_TILE_VALUES", tile)
+        tiling = nullcontext() if tile is None else mock.patch.object(kernels, "_TILE_VALUES", tile)
         with _budget(budget), tiling:
-            k, _ = taxicab._enum_split(n, q, itemsize=4)
-            assert k < q - 1 and taxicab._tile_reps(n, k) == reps
-            maxima, margin = taxicab._screen(m[None], 0)
-        signs = taxicab._sign_grid(q, 0, 1 << (q - 1))
+            k, _ = kernels._enum_split(n, q, itemsize=4)
+            assert k < q - 1 and kernels._tile_reps(n, k) == reps
+            maxima, margin = kernels._screen(m[None], 0)
+        signs = kernels.sign_grid(q, 0, 1 << (q - 1))
         reference = np.abs(m @ signs.T).sum(axis=0)
         error = np.abs(maxima[0] - reference)
         assert 0.0 < error.max() <= margin
@@ -317,9 +317,9 @@ class TestScreenedKernel:
         # integers up to 2^10 times 2^-7: every sum of |entries| is exact
         stack = np.random.default_rng(28).integers(-1024, 1025, size=shape) * 2.0**-7
         count, n, q = shape
-        k, _ = taxicab._enum_split(n, q, itemsize=4)
+        k, _ = kernels._enum_split(n, q, itemsize=4)
         assert (k == q - 1) == whole
-        _, margin = taxicab._screen(stack, taxicab._enum_split(n, q)[0])
+        _, margin = kernels._screen(stack, kernels._enum_split(n, q)[0])
         abs_sum = np.abs(stack).sum(axis=(1, 2)).max()
         eps = float(np.finfo(np.float32).eps)
         if whole:  # the whole grid keeps _rounding_margin
@@ -348,8 +348,8 @@ class TestScreenedKernel:
     def test_all_ties_confirm_every_candidate(self, budget, shape):
         zero = np.zeros(shape)
         with _budget(budget):
-            k_ref, _ = taxicab._enum_split(*shape)
-            maxima, margin = taxicab._screen(zero[None], k_ref)
+            k_ref, _ = kernels._enum_split(*shape)
+            maxima, margin = kernels._screen(zero[None], k_ref)
             val, s = _kernel(zero)
         assert margin == 0.0 and np.all(maxima == 0.0)  # every pair reaches the floor
         assert val == 0.0
@@ -374,13 +374,13 @@ class TestScreenedKernel:
 def _screens(call) -> list[tuple[np.ndarray, float]]:
     """Every (maxima, margin) that ``_screen`` returns while ``call()`` runs."""
     results = []
-    real = taxicab._screen
+    real = kernels._screen
 
     def recorded(stack, k_ref):
         results.append(real(stack, k_ref))
         return results[-1]
 
-    with mock.patch.object(taxicab, "_screen", recorded):
+    with mock.patch.object(kernels, "_screen", recorded):
         call()
     return results
 
@@ -405,12 +405,12 @@ class TestScreenShares:
     def test_maxima_and_margin_are_bit_identical(self, shape, budget, most, workers):
         stack = np.random.default_rng(21).normal(size=shape)
         with _budget(budget):
-            k_ref, _ = taxicab._enum_split(*shape[1:])
+            k_ref, _ = kernels._enum_split(*shape[1:])
             with screen_split(1) as shares:
-                maxima, margin = taxicab._screen(stack, k_ref)
+                maxima, margin = kernels._screen(stack, k_ref)
             assert max(shares) == 1
             with screen_split(workers) as shares:
-                split_maxima, split_margin = taxicab._screen(stack, k_ref)
+                split_maxima, split_margin = kernels._screen(stack, k_ref)
         assert max(shares) == min(workers, most)
         np.testing.assert_array_equal(split_maxima, maxima)
         assert split_margin == margin
@@ -436,14 +436,14 @@ class TestScreenShares:
         # sum buffers of 8192 x 4 float32 values, so eight fit the budget.
         rng = np.random.default_rng(25)
         stacks = [rng.normal(size=(40, 30, 9)), rng.normal(size=(1, 4, 20))]
-        k_refs = [taxicab._enum_split(*stack.shape[1:])[0] for stack in stacks]
+        k_refs = [kernels._enum_split(*stack.shape[1:])[0] for stack in stacks]
         with screen_split(1):
-            expected = [taxicab._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
+            expected = [kernels._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with screen_split(8) as shares:
-                got = [taxicab._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
+                got = [kernels._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
         finally:
             sys.setswitchinterval(interval)
         assert shares == [8, 8]
@@ -456,18 +456,18 @@ class TestScreenShares:
         # at most 2.5M table entries in all: under two shares of _SHARE_WORK
         stack = np.random.default_rng(24).normal(size=shape)
         with screen_split(2, share_work=None) as shares:
-            taxicab._screen(stack, taxicab._enum_split(*shape[1:])[0])
+            kernels._screen(stack, kernels._enum_split(*shape[1:])[0])
         assert max(shares) == 1
 
     @pytest.mark.parametrize("shape,split", [((40, 30, 9), 2), ((3, 30, 17), 1)])
     def test_each_stack_is_cast_once(self, shape, split):
         # the whole grid (k = q - 1) in two shares, and three matrices of 16 prefixes each
         stack = np.random.default_rng(27).normal(size=shape)
-        k, _ = taxicab._enum_split(*shape[1:], itemsize=4)
+        k, _ = kernels._enum_split(*shape[1:], itemsize=4)
         assert (k == shape[2] - 1) == (split == 2)
         with screen_split(split) as shares, \
-                mock.patch.object(taxicab, "_to_float32", wraps=taxicab._to_float32) as cast:
-            taxicab._screen(stack, taxicab._enum_split(*shape[1:])[0])
+                mock.patch.object(kernels, "_to_float32", wraps=kernels._to_float32) as cast:
+            kernels._screen(stack, kernels._enum_split(*shape[1:])[0])
         assert max(shares) == split
         assert cast.call_count == 1
 
@@ -480,7 +480,7 @@ class TestScreenShares:
             seen[i] = (np.geterr()["over"], threading.get_ident(), (lo, hi))
 
         with np.errstate(over="raise"):
-            assert taxicab._run_shares(share, [0, 2, 5, 9]) is None
+            assert kernels._run_shares(share, [0, 2, 5, 9]) is None
         assert [seen[i][2] for i in range(3)] == [(0, 2), (2, 5), (5, 9)]
         assert [seen[i][0] for i in range(3)] == ["raise"] * 3
         assert seen[0][1] == threading.get_ident()
@@ -499,7 +499,7 @@ class TestScreenShares:
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match=f"share {min(failing)}"):
-            taxicab._run_shares(share, [0, 1, 2, 3])
+            kernels._run_shares(share, [0, 1, 2, 3])
         assert sorted(done) == sorted({0, 1, 2} - failing)
         assert threading.active_count() == threads
 
@@ -511,7 +511,7 @@ class TestEnumerationStacks:
         # 512 contracted 40 x 10 matrices, in stacks of 327
         T = triple_center(np.random.default_rng(22).poisson(4.0, size=(10, 10, 40)).astype(float))
         built, screened = [], []
-        real_kernel, real_screen = taxicab._enumerate_best, taxicab._screen
+        real_kernel, real_screen = kernels.enumerate_best, kernels._screen
 
         def kernel(stacks):
             assert iter(stacks) is stacks  # a one-shot iterator
@@ -526,8 +526,8 @@ class TestEnumerationStacks:
             screened.append(id(stack))
             return real_screen(stack, k_ref)
 
-        with mock.patch("taxicab_ca.tensor._enumerate_best", kernel), \
-                mock.patch.object(taxicab, "_screen", screen):
+        with mock.patch.object(kernels, "enumerate_best", kernel), \
+                mock.patch.object(kernels, "_screen", screen):
             axis = tensor_norm_exact(T)
         assert len(built) == 2
         assert screened == built
@@ -539,7 +539,7 @@ class TestEnumerationStacks:
         rng = np.random.default_rng(26)
         A = rng.normal(size=(12, 6))
         ref_val, ref_s = lexicographic_first_max(A)
-        val, index, s = taxicab._enumerate_best(iter([A[None], A[None]]))
+        val, index, s = kernels.enumerate_best(iter([A[None], A[None]]))
         assert (val, index) == (ref_val, 0)
         np.testing.assert_array_equal(s, ref_s)
         # a weaker first stack, also one below float32 resolution, does not
@@ -547,10 +547,10 @@ class TestEnumerationStacks:
         for factor in (0.5, 1.0 - 2.0**-30):
             B = A * factor
             assert lexicographic_first_max(B)[0] < ref_val
-            val, index, s = taxicab._enumerate_best(iter([B[None], A[None]]))
+            val, index, s = kernels.enumerate_best(iter([B[None], A[None]]))
             assert (val, index) == (ref_val, 1)
             np.testing.assert_array_equal(s, ref_s)
-            val, index, s = taxicab._enumerate_best(iter([A[None], B[None]]))
+            val, index, s = kernels.enumerate_best(iter([A[None], B[None]]))
             assert (val, index) == (ref_val, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -560,13 +560,13 @@ class TestEnumerationStacks:
         C[3, 2] = bad
         with np.errstate(invalid="ignore"), \
                 pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
-            taxicab._enumerate_best(iter([A[None], C[None]]))
+            kernels.enumerate_best(iter([A[None], C[None]]))
 
 
 def _rescored(call) -> tuple[list[int], list[tuple[np.ndarray, float]], object]:
     """The prefixes the reference scan scores while ``call()`` runs, the screens, and its result."""
     scanned, result = [], []
-    real = taxicab._reference_scan
+    real = kernels._reference_scan
 
     def recorded(M):
         scan = real(M)
@@ -576,7 +576,7 @@ def _rescored(call) -> tuple[list[int], list[tuple[np.ndarray, float]], object]:
             return scan(prefix)
         return scored
 
-    with mock.patch.object(taxicab, "_reference_scan", recorded):
+    with mock.patch.object(kernels, "_reference_scan", recorded):
         screens = _screens(lambda: result.append(call()))
     return scanned, screens, result[0]
 
@@ -616,10 +616,10 @@ class TestRisingFloor:
 
 class TestLowSignGrid:
     def test_built_once_per_width_and_read_only(self):
-        grid = taxicab._low_sign_grid(5)
-        assert taxicab._low_sign_grid(5) is grid
+        grid = kernels._low_sign_grid(5)
+        assert kernels._low_sign_grid(5) is grid
         assert not grid.flags.writeable
-        np.testing.assert_array_equal(grid, taxicab._sign_grid(5, 0, 32))
+        np.testing.assert_array_equal(grid, kernels.sign_grid(5, 0, 32))
 
 
 class TestInvariantErrors:
@@ -785,8 +785,8 @@ def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.nda
     dispersion) and the float32 margin ``norm_heuristic`` confirms them
     with, the last two brought back from the walk's scaled units to x's."""
     with _budget(budget):
-        finals, deltas, margin = taxicab._restart_walks(x)
-    shift = taxicab._float32_shift(x)
+        finals, deltas, margin = kernels._restart_walks(x)
+    shift = kernels._float32_shift(x)
     return finals, np.ldexp(deltas, -shift), float(np.ldexp(margin, -shift))
 
 
@@ -800,7 +800,7 @@ def _restart_bytes(n: int, m: int) -> int:
 def _block_size(x: np.ndarray, budget: int | None = None) -> int:
     """The most restarts ``_restart_walks`` walks at once on x."""
     with mock.patch.object(
-            taxicab, "_certified_product", wraps=taxicab._certified_product) as product:
+            kernels, "_certified_product", wraps=kernels._certified_product) as product:
         _walks(x, budget)
     return max(call.args[0].shape[0] for call in product.call_args_list)
 
@@ -824,7 +824,7 @@ class TestBatchedHeuristic:
     def test_matches_restart_loop(self, x, budget):
         X = ResidualMatrix(x=x)
         with _budget(budget), mock.patch.object(
-                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+                kernels, "_reference_rows", wraps=kernels._reference_rows) as fallback:
             got = norm_heuristic(X)
         _assert_same_axis(got, loop_norm_heuristic(X))
         if np.any(x) and not np.all(np.any(x, axis=0)):
@@ -871,7 +871,7 @@ class TestBatchedHeuristic:
     ])
     def test_block_size(self, shape, budget, shares, size):
         x = _poisson_residual(sum(shape), *shape).x
-        limit = taxicab._ENUM_BLOCK_BYTES if budget is None else budget
+        limit = kernels.BLOCK_BYTES if budget is None else budget
         assert size == max(1, min(-(-shape[1] // shares), limit // _restart_bytes(*shape)))
         with screen_split(2, share_work=None) as split:
             assert _block_size(x, budget) == size
@@ -884,7 +884,7 @@ class TestBatchedHeuristic:
     def test_walks_split_at_the_share_threshold(self, shape, shares):
         # n m^2 products a step of all restarts: two shares need 2^22
         x = _poisson_residual(sum(shape), *shape).x
-        assert (x.size * shape[1] >= 2 * taxicab._SHARE_WORK) == (shares == 2)
+        assert (x.size * shape[1] >= 2 * kernels._SHARE_WORK) == (shares == 2)
         with screen_split(2, share_work=None) as split:
             _walks(x)
         assert split == [shares]
@@ -934,7 +934,7 @@ class TestBatchedHeuristic:
         x[:9, :7], x[9:, 7:] = big, tiny * small
         X = ResidualMatrix(x=np.ldexp(x, exponent))
         with mock.patch.object(
-                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+                kernels, "_reference_rows", wraps=kernels._reference_rows) as fallback:
             got = norm_heuristic(X)
         assert fallback.call_count > 0
         _assert_same_axis(got, loop_norm_heuristic(X))
@@ -968,7 +968,7 @@ class TestBatchedHeuristic:
         # few percent of the product rows inside the band
         X = _poisson_residual(16, 300, 200)
         with mock.patch.object(
-                taxicab, "_reference_rows", wraps=taxicab._reference_rows) as fallback:
+                kernels, "_reference_rows", wraps=kernels._reference_rows) as fallback:
             got = norm_heuristic(X)
         assert fallback.call_count > 0
         _assert_same_axis(got, loop_norm_heuristic(X))
@@ -978,8 +978,8 @@ class TestBatchedHeuristic:
         # restart 0 of this table takes two steps; its second dispersion is
         # forced to its first minus the given number of margins
         x = _poisson_residual(11, 30, 25).x
-        expected, _, margin = taxicab._restart_walks(x)
-        real = taxicab._certified_product
+        expected, _, margin = kernels._restart_walks(x)
+        real = kernels._certified_product
         dispersions = []  # restart 0's, while it leads the block
 
         def lowered(signs, mat, reference, shift, band, out, magnitude, sure):
@@ -990,12 +990,12 @@ class TestBatchedHeuristic:
                     magnitude[0] = 0.0
                     magnitude[0, 0] = dispersions[0] - margins * margin
 
-        with mock.patch.object(taxicab, "_certified_product", side_effect=lowered):
+        with mock.patch.object(kernels, "_certified_product", side_effect=lowered):
             if raises:
                 with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
-                    taxicab._restart_walks(x)
+                    kernels._restart_walks(x)
             else:
-                finals, _, _ = taxicab._restart_walks(x)
+                finals, _, _ = kernels._restart_walks(x)
                 assert finals.tobytes() == expected.tobytes()
         assert len(dispersions) >= 2
 
@@ -1005,7 +1005,7 @@ class TestBatchedHeuristic:
         # 0 on the calling thread is slowed down; the error surfaces only
         # after share 0 has walked every one of its restarts
         x = _poisson_residual(11, 30, 25).x
-        real = taxicab._certified_product
+        real = kernels._certified_product
         caller = threading.get_ident()
         calls = []
 
@@ -1013,8 +1013,8 @@ class TestBatchedHeuristic:
             real(signs, mat, reference, shift, band, out, magnitude, sure)
             calls.append(threading.get_ident())
 
-        with screen_split(2), mock.patch.object(taxicab, "_certified_product", side_effect=counted):
-            taxicab._restart_walks(x)
+        with screen_split(2), mock.patch.object(kernels, "_certified_product", side_effect=counted):
+            kernels._restart_walks(x)
         own = calls.count(caller)  # share 0's products in a clean run
         calls.clear()
         worker_steps = []
@@ -1031,9 +1031,9 @@ class TestBatchedHeuristic:
 
         threads = threading.active_count()
         with screen_split(2) as shares, \
-                mock.patch.object(taxicab, "_certified_product", side_effect=failing):
+                mock.patch.object(kernels, "_certified_product", side_effect=failing):
             with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
-                taxicab._restart_walks(x)
+                kernels._restart_walks(x)
         assert shares == [2]
         assert worker_steps[1] < own  # share 1 failed while share 0 was walking
         assert len(calls) == own
@@ -1043,7 +1043,7 @@ class TestBatchedHeuristic:
                         reason="np.errstate is a context variable from numpy 2 on")
     def test_walk_shares_run_under_the_callers_context(self):
         x = _poisson_residual(11, 30, 25).x
-        real = taxicab._certified_product
+        real = kernels._certified_product
         seen = {}
 
         def recorded(*args):
@@ -1052,8 +1052,8 @@ class TestBatchedHeuristic:
             real(*args)
 
         with np.errstate(over="raise"), screen_split(3) as shares, \
-                mock.patch.object(taxicab, "_certified_product", side_effect=recorded):
-            taxicab._restart_walks(x)
+                mock.patch.object(kernels, "_certified_product", side_effect=recorded):
+            kernels._restart_walks(x)
         assert shares == [3]
         assert threading.current_thread() in seen and len(seen) == 3
         assert all(modes == {"raise"} for modes in seen.values())
@@ -1062,7 +1062,7 @@ class TestBatchedHeuristic:
         # u and -u score the same bits; the batched values may rank -u first
         # by up to two margins, and the first restart must still win
         x, u, score, margin = self._tied_pair()
-        best = taxicab._confirm_restarts(
+        best = kernels._confirm_restarts(
             x, _packed([u, -u]), np.array([score - margin, score + margin]), margin)
         self._assert_state_of(best, x, u, score)
 
@@ -1070,7 +1070,7 @@ class TestBatchedHeuristic:
         # restarts 0 and 2 end at u with different batched values, restart 1
         # at -u with a value between them; restart 0's u wins
         x, u, score, margin = self._tied_pair()
-        best = taxicab._confirm_restarts(
+        best = kernels._confirm_restarts(
             x, _packed([u, -u, u]), np.array([score - margin, score, score + margin]), margin)
         self._assert_state_of(best, x, u, score)
 
@@ -1079,7 +1079,7 @@ class TestBatchedHeuristic:
         rng = np.random.default_rng(14)
         x = _centered_integers(rng.integers(-2, 3, size=(7, 5)).astype(float))
         u = sign_pm(rng.normal(size=5))
-        margin = taxicab._rounding_margin(7, 5, float(np.abs(x).sum()), np.float64)
+        margin = kernels._rounding_margin(7, 5, float(np.abs(x).sum()), np.float64)
         return x, u, float(np.abs(x @ u).sum()), margin
 
     @staticmethod
@@ -1092,7 +1092,7 @@ class TestBatchedHeuristic:
     def test_working_memory_is_bounded(self, shape):
         # both walks split into two shares that run at once, and the bound
         # sums over them: each share's block of ``size`` restarts, within
-        # _ENUM_BLOCK_BYTES; the seen sets of its largest block, one packed
+        # BLOCK_BYTES; the seen sets of its largest block, one packed
         # key per distinct u of its restarts; and 128 KiB for one step's
         # temporaries (numpy's 64 KiB ufunc buffer for the broadcast band
         # compare, the packed keys).  Once for the walk: the float32 copy
@@ -1102,7 +1102,7 @@ class TestBatchedHeuristic:
         m = shape[1]
         with screen_split(2, share_work=None) as split:
             size = _block_size(X.x)
-            bounds = taxicab._share_bounds(m, X.x.size, m)
+            bounds = kernels._share_bounds(m, X.x.size, m)
         assert split == [2] and len(bounds) == 3
         visits = loop_restart_visits(X.x)
         key = sys.getsizeof(bytes((m + 7) // 8))

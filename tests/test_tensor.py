@@ -15,7 +15,7 @@ from oracles import (
     lexicographic_first_tensor_signs,
     random_triple_centered,
 )
-from taxicab_ca import taxicab, tensor
+from taxicab_ca import kernels
 from taxicab_ca.cli import run
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
@@ -82,7 +82,7 @@ class TestTensorNormExact:
     @pytest.mark.parametrize("budget", [64, None])
     def test_blocked_scan_matches_brute_force(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(tensor, "_ENUM_BLOCK_BYTES", budget)
+            monkeypatch.setattr(kernels, "BLOCK_BYTES", budget)
         rng = np.random.default_rng(35)
         for shape in [(5, 4, 3), (2, 6, 3), (4, 4, 4)]:
             T = _rand_tensor(rng, *shape)
@@ -106,8 +106,7 @@ def _budget(budget: int | None) -> ExitStack:
     """Shrink the contraction chunks and the kernel's working sets alike."""
     stack = ExitStack()
     if budget is not None:
-        for module in (taxicab, tensor):
-            stack.enter_context(mock.patch.object(module, "_ENUM_BLOCK_BYTES", budget))
+        stack.enter_context(mock.patch.object(kernels, "BLOCK_BYTES", budget))
     return stack
 
 
