@@ -265,20 +265,14 @@ def _exhaustive(
                     blocks *= col_w
                 scores = out.reshape(len(rows), r * c, k).sum(axis=1)  # (b, K)
                 first = (b0 + r0) * n_cols + c0
-                top = scores.max()
-                sure = top < np.inf and tol < np.inf  # every screened score is within tol
-                if sure:
-                    if not may_win(top, first):
-                        continue
-                    picks = scores >= max(top - 2 * tol, best_val - tol)
-                else:  # an overflowed score, or tol, proves nothing: score those candidates
-                    finite = np.isfinite(scores) & (tol < np.inf)
-                    top = scores.max(where=finite, initial=-np.inf)
-                    picks = ~finite | (scores >= max(top - 2 * tol, best_val - tol))
+                # an overflowed score, or tol, proves nothing: score those candidates
+                finite = np.isfinite(scores) & (tol < np.inf)
+                top = scores.max(where=finite, initial=-np.inf)
+                picks = ~finite | (scores >= max(top - 2 * tol, best_val - tol))
                 for flat in np.flatnonzero(picks):
                     b, s = divmod(int(flat), k)
                     idx = first + b * n_cols + s
-                    if (sure or finite[b, s]) and not may_win(scores[b, s], idx):
+                    if finite[b, s] and not may_win(scores[b, s], idx):
                         continue
                     val = _objective_from_assign(x, rows[b], cols[s], r, c, p)
                     if val > best_val or (val == best_val and idx < best_idx):

@@ -6,6 +6,13 @@ via their shortest-repr form.  Reports contain no timestamps, so identical
 inputs and flags produce byte-identical output.  The report text is
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written by
 ``_dump``, which emits each flat list of floats, ints or strings in one join.
+
+The ``results`` of a dispersion, seriate, cluster or tensor report, and the
+contribution keys of each tca axis, are the fields of the result dataclasses
+(``DispersionReport``, ``SeriationReport``, ``TwoModePartition``,
+``TensorAxis``, ``AxisContributions``) under their own names, plus the few
+keys each builder adds.  The ca and compare results and the other keys of a
+tca axis rename their fields, so those builders map them one by one.
 """
 
 from __future__ import annotations
@@ -163,6 +170,11 @@ class AnalysisReport:
         return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name; ``vars`` would add any other attribute."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _inputs_summary(data: LabeledMatrix, name: str) -> dict:
     return {
         "dataset": name,
@@ -186,11 +198,7 @@ def _tca_axis_record(dec: TcaDecomposition, index: int) -> dict:
         "b": axis.b,
         "row_scores": axis.f,
         "col_scores": axis.g,
-        "rc_rows": contrib.rc_rows,
-        "rc_cols": contrib.rc_cols,
-        "heavyweight_rows": contrib.heavyweight_rows,
-        "heavyweight_cols": contrib.heavyweight_cols,
-        "heavyweight_cells": contrib.heavyweight_cells,
+        **_fields(contrib),
         "block_sums": block.block_sums,
         "cut_norm": block.cut_norm,
         "exact": axis.exact,
@@ -246,19 +254,7 @@ def build_dispersion_report(
         method="dispersion",
         inputs=_inputs_summary(data, name) | {"column": column},
         provenance=provenance,
-        results={
-            "d": rep.d,
-            "s": rep.s,
-            "s2": rep.s2,
-            "lad": rep.lad,
-            "median": rep.median,
-            "mean": rep.mean,
-            "rc_d": rep.rc_d,
-            "rc_s2": rep.rc_s2,
-            "rc_lad": rep.rc_lad,
-            "heavyweight_indices": rep.heavyweight_indices,
-            "degenerate": rep.degenerate,
-        },
+        results=_fields(rep),
     )
 
 
@@ -292,14 +288,8 @@ def build_seriation_report(
         method="seriate",
         inputs=_inputs_summary(data, name),
         provenance=provenance,
-        results={
+        results=_fields(rep) | {
             "axis": axis,
-            "s_opt": rep.s_opt,
-            "t_opt": rep.t_opt,
-            "block_sums": rep.block_sums,
-            "cut_norm": rep.cut_norm,
-            "row_order": rep.row_order,
-            "col_order": rep.col_order,
             "row_order_labels": [data.row_labels[i] for i in rep.row_order],
             "col_order_labels": [data.col_labels[j] for j in rep.col_order],
         },
@@ -313,13 +303,8 @@ def build_cluster_report(
         method="cluster",
         inputs=_inputs_summary(data, name),
         provenance=provenance,
-        results={
-            "row_blocks": res.partition.row_blocks,
-            "col_blocks": res.partition.col_blocks,
-            "objective": res.objective,
-            "p": res.p,
-            "method": res.method,
-        },
+        results=_fields(res.partition) | {
+            "objective": res.objective, "p": res.p, "method": res.method},
     )
 
 
@@ -331,15 +316,6 @@ def build_tensor_report(
         method="tensor",
         inputs={"dataset": name, "shape": shape},
         provenance=provenance,
-        results={
-            "delta": axis.delta,
-            "u": axis.u,
-            "v": axis.v,
-            "w": axis.w,
-            "octant_sums": axis.octant_sums,
-            "s_opt": octants.s_opt,
-            "t_opt": octants.t_opt,
-            "w_opt": octants.w_opt,
-            "exact": axis.exact,
-        },
+        results=_fields(axis) | {
+            "s_opt": octants.s_opt, "t_opt": octants.t_opt, "w_opt": octants.w_opt},
     )

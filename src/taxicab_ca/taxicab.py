@@ -17,6 +17,7 @@ run on the float32 sign search of ``kernels``, where their proofs are.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "SeriationReport",
     "TaxicabAxis",
     "TcaDecomposition",
+    "block_sums",
     "cut_norm_matrix",
     "deflate",
     "norm_exact",
@@ -307,6 +309,17 @@ def tca(
     )
 
 
+def block_sums(x: np.ndarray, *signs: np.ndarray) -> tuple[float, ...]:
+    """Sums of the blocks that one sign vector per axis cuts ``x`` into.
+
+    Blocks come in ``itertools.product`` order, the +1 set before the -1 set
+    on each axis: (S,T), (S,T-bar), (S-bar,T), (S-bar,T-bar) for a matrix,
+    and the eight octants likewise for a 3-way array.
+    """
+    sides = [(mask, ~mask) for mask in (np.asarray(s) > 0 for s in signs)]
+    return tuple(float(x[np.ix_(*sets)].sum()) for sets in product(*sides))
+
+
 def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
     pos = np.flatnonzero(signs > 0)
     neg = np.flatnonzero(signs < 0)
@@ -321,20 +334,14 @@ def _seriation_from_axis(
     row_scores: np.ndarray | None = None,
     col_scores: np.ndarray | None = None,
 ) -> SeriationReport:
-    x = X.x
-    s_mask = axis.v > 0
-    t_mask = axis.u > 0
-    b_st = float(x[np.ix_(s_mask, t_mask)].sum())
-    b_st_c = float(x[np.ix_(s_mask, ~t_mask)].sum())
-    b_sc_t = float(x[np.ix_(~s_mask, t_mask)].sum())
-    b_sc_tc = float(x[np.ix_(~s_mask, ~t_mask)].sum())
+    sums = block_sums(X.x, axis.v, axis.u)
     rs = axis.a if row_scores is None else row_scores
     cs = axis.b if col_scores is None else col_scores
     return SeriationReport(
-        s_opt=tuple(np.flatnonzero(s_mask).tolist()),
-        t_opt=tuple(np.flatnonzero(t_mask).tolist()),
-        block_sums=(b_st, b_st_c, b_sc_t, b_sc_tc),
-        cut_norm=b_st,
+        s_opt=tuple(np.flatnonzero(axis.v > 0).tolist()),
+        t_opt=tuple(np.flatnonzero(axis.u > 0).tolist()),
+        block_sums=sums,
+        cut_norm=sums[0],
         row_order=_grouped_order(axis.v, rs),
         col_order=_grouped_order(axis.u, cs),
     )

@@ -16,7 +16,8 @@ import numpy as np
 from . import kernels
 from .dispersion import sign_pm
 from .residual import Tensor3
-from .taxicab import ASCENT_SLACK, IDENTITY_TOL, EnumerationBudgetError, InvariantError
+from .taxicab import (ASCENT_SLACK, IDENTITY_TOL, EnumerationBudgetError, InvariantError,
+                      block_sums)
 
 __all__ = [
     "TENSOR_ENUM_LIMIT",
@@ -73,21 +74,11 @@ class OctantReport:
     w_opt: tuple[int, ...]
 
 
-def _octant_sums(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[float, ...]:
-    mi, mj, mk = u > 0, v > 0, w > 0
-    sums = []
-    for si in (mi, ~mi):
-        for sj in (mj, ~mj):
-            for sk in (mk, ~mk):
-                sums.append(float(x[np.ix_(si, sj, sk)].sum()))
-    return tuple(sums)
-
-
 def _axis_from_signs(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                      exact: bool) -> TensorAxis:
     delta = float(np.einsum("ijk,i,j,k->", x, u, v, w))
     return TensorAxis(delta=delta, u=u, v=v, w=w,
-                      octant_sums=_octant_sums(x, u, v, w), exact=exact)
+                      octant_sums=block_sums(x, u, v, w), exact=exact)
 
 
 def tensor_norm_exact(X: Tensor3) -> TensorAxis:
@@ -175,7 +166,7 @@ def tensor_norm(X: Tensor3) -> TensorAxis:
 
 def octant_report(X: Tensor3, axis: TensorAxis) -> OctantReport:
     """Eight octant block sums of X with the subset triple of a computed axis."""
-    sums = _octant_sums(X.x, axis.u, axis.v, axis.w)
+    sums = block_sums(X.x, axis.u, axis.v, axis.w)
     return OctantReport(
         sums=sums,
         s_opt=tuple(np.flatnonzero(axis.u > 0).tolist()),

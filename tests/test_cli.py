@@ -83,6 +83,19 @@ class TestTcaCommand:
         capsys.readouterr()
         assert code == 0
 
+    def test_auto_past_the_enumeration_limit_is_heuristic(self, tmp_path, capsys):
+        path, out = tmp_path / "t30x23.csv", tmp_path / "r.json"
+        counts = np.random.default_rng(66).poisson(4.0, size=(30, 23)) + 1
+        header = ",".join(f"c{j}" for j in range(23))
+        rows = [f"r{i}," + ",".join(str(v) for v in row) for i, row in enumerate(counts)]
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert run(["tca", str(path), "--out", str(out)]) == 0
+        assert "heuristic" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["provenance"]["solver"] == "auto"
+        assert report["results"]["axes"]
+        assert all(axis["exact"] is False for axis in report["results"]["axes"])
+
 
 class TestCaCommand:
     def test_asbestos(self, tmp_path, capsys):
@@ -315,6 +328,55 @@ class TestReportMatchesFile:
         path = tmp_path / "t.txt"
         path.write_text(format_tensor(np.random.default_rng(64).normal(size=(2, 3, 4))))
         self._check(tmp_path, monkeypatch, capsys, ["tensor", str(path)])
+
+
+class TestResultKeys:
+    """Each method's ``results`` keys are pinned: a field added to a result
+    dataclass must fail here, not silently change the report bytes."""
+
+    TCA_AXIS = {"axis", "delta", "u", "v", "a", "b", "row_scores", "col_scores",
+                "rc_rows", "rc_cols", "heavyweight_rows", "heavyweight_cols",
+                "heavyweight_cells", "block_sums", "cut_norm", "exact",
+                "indeterminate_u", "indeterminate_v"}
+    CA_AXIS = {"axis", "sigma", "lambda", "row_scores", "col_scores", "row_ctr", "col_ctr"}
+
+    @staticmethod
+    def _results(tmp_path, capsys, argv) -> dict:
+        out = tmp_path / "r.json"
+        assert run([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        return json.loads(out.read_text())["results"]
+
+    @pytest.mark.parametrize("dataset", ["asbestos", "americas"])
+    def test_matrix_methods(self, tmp_path, capsys, dataset):
+        src = ["--dataset", dataset]
+        column = load_dataset(dataset).col_labels[1]
+        res = self._results(tmp_path, capsys, ["dispersion", *src, "--column", column])
+        assert set(res) == {"d", "s", "s2", "lad", "median", "mean", "rc_d", "rc_s2",
+                            "rc_lad", "heavyweight_indices", "degenerate"}
+        for flags in ([], ["--heuristic"]):
+            res = self._results(tmp_path, capsys, ["tca", *src, *flags])
+            assert set(res) == {"axes", "rank_used", "row_masses", "col_masses"}
+            assert res["axes"] and all(set(ax) == self.TCA_AXIS for ax in res["axes"])
+        res = self._results(tmp_path, capsys, ["ca", *src])
+        assert set(res) == {"axes", "total_inertia"}
+        assert res["axes"] and all(set(ax) == self.CA_AXIS for ax in res["axes"])
+        res = self._results(tmp_path, capsys, ["compare", *src, "--axis", "1"])
+        assert set(res) == {"axis", "rows", "cols", "ca_max_contribution",
+                            "tca_max_contribution"}
+        for point in res["rows"] + res["cols"]:
+            assert set(point) == {"label", "ca", "tca"}
+        res = self._results(tmp_path, capsys, ["seriate", *src, "--axis", "1"])
+        assert set(res) == {"axis", "s_opt", "t_opt", "block_sums", "cut_norm", "row_order",
+                            "col_order", "row_order_labels", "col_order_labels"}
+        res = self._results(tmp_path, capsys, ["cluster", *src, "--r", "2", "--c", "2"])
+        assert set(res) == {"row_blocks", "col_blocks", "objective", "p", "method"}
+
+    def test_tensor(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text(format_tensor(np.random.default_rng(67).normal(size=(3, 4, 2))))
+        res = self._results(tmp_path, capsys, ["tensor", str(path)])
+        assert set(res) == {"delta", "u", "v", "w", "octant_sums", "s_opt", "t_opt", "w_opt",
+                            "exact"}
 
 
 class TestCanonicalReportText:

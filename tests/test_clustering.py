@@ -115,6 +115,26 @@ class TestMaximize:
         with pytest.raises(ValueError, match=r"c must be"):
             maximize(X, 2, 0)
 
+    def test_exhaustive_over_the_limit_is_refused(self):
+        X = _rand_residual(np.random.default_rng(54), 30, 4)  # S(30, 2) S(4, 2) > 10**7
+        limit = clustering.EXHAUSTIVE_SPACE_LIMIT
+        with pytest.raises(ValueError, match=f"exceeds exhaustive limit {limit}: use local_search"):
+            maximize(X, 2, 2, method="exhaustive")
+
+    def test_unknown_method_is_refused(self):
+        X = _rand_residual(np.random.default_rng(55), 4, 4)
+        with pytest.raises(ValueError, match="unknown method 'greedy'"):
+            maximize(X, 2, 2, method="greedy")
+
+    @pytest.mark.parametrize("blocks, name", [
+        ({"row_blocks": ((0, 1), (2, 4)), "col_blocks": ((0, 1), (2, 3))}, "row"),
+        ({"row_blocks": ((0, 1), (2, 3)), "col_blocks": ((0,), (1, 2, 3, -1))}, "column"),
+    ])
+    def test_objective_refuses_an_index_out_of_range(self, blocks, name):
+        X = _rand_residual(np.random.default_rng(56), 4, 4)
+        with pytest.raises(ValueError, match=rf"{name} index -?\d+ out of range"):
+            objective(X, TwoModePartition(**blocks))
+
     @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
     def test_p_must_be_finite_and_at_least_one(self, p):
         X = _rand_residual(np.random.default_rng(53), 4, 4)

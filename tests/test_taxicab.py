@@ -35,7 +35,9 @@ from taxicab_ca.residual import (
     triple_center,
 )
 from taxicab_ca.taxicab import (
+    EXACT_ENUM_LIMIT,
     EnumerationBudgetError,
+    block_sums,
     cut_norm_matrix,
     deflate,
     norm_exact,
@@ -1158,6 +1160,19 @@ class TestCutNormMatrix:
             assert b[3] == pytest.approx(c, abs=slack)
 
 
+class TestBlockSums:
+    def test_product_order_plus_set_first(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 3, 5))
+        s, t, w = (np.where(rng.random(q) < 0.5, -1.0, 1.0) for q in x.shape)
+        S, T, W = s > 0, t > 0, w > 0
+        m = x[:, :, 0]
+        assert block_sums(m, s, t) == tuple(
+            float(m[np.ix_(a, b)].sum()) for a, b in ((S, T), (S, ~T), (~S, T), (~S, ~T)))
+        octants = [(a, b, c) for a in (S, ~S) for b in (T, ~T) for c in (W, ~W)]
+        assert block_sums(x, s, t, w) == tuple(float(x[np.ix_(*o)].sum()) for o in octants)
+
+
 class TestDeflate:
     def test_asbestos_heavyweight_column_zeroed(self, asbestos_P):
         X1 = correspondence_residual(asbestos_P)
@@ -1252,6 +1267,32 @@ class TestTca:
             np.testing.assert_allclose(g_clone[3:], ax_base.g[2:], atol=1e-8)
             assert g_clone[1] == pytest.approx(g_clone[2], abs=1e-8)
             assert g_clone[1] == pytest.approx(ax_base.g[1], abs=1e-8)
+
+    def test_auto_takes_the_heuristic_past_the_limit(self, monkeypatch):
+        counts = np.random.default_rng(66).poisson(4.0, size=(30, 23)) + 1.0
+        assert min(counts.shape) == EXACT_ENUM_LIMIT + 1
+        P = from_counts(counts)
+        X = correspondence_residual(P)
+        heur = tca(P, solver="heuristic")
+        best = norm_heuristic(X)
+
+        def refuse(X):
+            raise AssertionError("auto enumerated past EXACT_ENUM_LIMIT")
+
+        monkeypatch.setattr(taxicab, "norm_exact", refuse)
+        auto = tca(P)
+        assert len(auto.axes) == len(heur.axes) > 1
+        for got, want in zip(auto.axes, heur.axes):
+            assert not got.exact
+            assert got.delta == want.delta
+            for name in ("u", "v", "a", "b", "f", "g"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.u_indeterminate == want.u_indeterminate
+            assert got.v_indeterminate == want.v_indeterminate
+        report = cut_norm_matrix(X)
+        assert report.s_opt == tuple(np.flatnonzero(best.v > 0).tolist())
+        assert report.t_opt == tuple(np.flatnonzero(best.u > 0).tolist())
+        assert report.block_sums == block_sums(X.x, best.v, best.u)
 
     def test_solver_override(self, asbestos_P):
         exact = tca(asbestos_P, max_axes=1, solver="exact")
