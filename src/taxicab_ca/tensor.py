@@ -165,10 +165,17 @@ def tensor_norm(X: Tensor3) -> TensorAxis:
 
 
 def octant_report(X: Tensor3, axis: TensorAxis) -> OctantReport:
-    """Eight octant block sums of X with the subset triple of a computed axis."""
-    sums = block_sums(X.x, axis.u, axis.v, axis.w)
+    """Eight octant block sums of X with the subset triple of a computed axis.
+
+    The sums are the axis's own ``octant_sums``: the solver that made the
+    axis from X has summed the octants already.  An axis whose sign vectors
+    do not fit the shape of X raises ``ValueError``.
+    """
+    if (axis.u.size, axis.v.size, axis.w.size) != X.shape:
+        raise ValueError(f"axis of sign lengths {(axis.u.size, axis.v.size, axis.w.size)} "
+                         f"does not fit a tensor of shape {X.shape}")
     return OctantReport(
-        sums=sums,
+        sums=axis.octant_sums,
         s_opt=tuple(np.flatnonzero(axis.u > 0).tolist()),
         t_opt=tuple(np.flatnonzero(axis.v > 0).tolist()),
         w_opt=tuple(np.flatnonzero(axis.w > 0).tolist()),

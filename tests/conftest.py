@@ -42,6 +42,17 @@ def assert_match_up_to_sign(computed, expected, atol):
     )
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, naming the first line that differs.
+
+    pytest's own diff of two texts of thousands of lines takes minutes.
+    """
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((k for k, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        pytest.fail(f"texts differ at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
+
+
 def align_sign(computed, expected):
     """Return +-1 making computed best match expected."""
     computed = np.asarray(computed, dtype=float)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taxicab_ca
+from conftest import assert_same_text
 from taxicab_ca import cli
 from taxicab_ca.cli import build_parser, run
 from taxicab_ca.datasets import load_dataset
@@ -403,6 +405,22 @@ class TestCanonicalReportText:
         path = tmp_path / "t.txt"
         path.write_text(format_tensor(np.random.default_rng(65).normal(size=(3, 2, 4))))
         self._check(tmp_path, capsys, ["tensor", str(path)])
+
+    @pytest.mark.parametrize("solver", [[], ["--heuristic"]])
+    def test_tall_poisson_table(self, tmp_path, capsys, solver):
+        # the masses, signs and projections of 3000 rows repeat most of their
+        # values, so the writer formats each distinct value once
+        path, out = tmp_path / "tall.csv", tmp_path / "r.json"
+        path.write_text(_csv_text(np.random.default_rng(68).poisson(3.0, size=(3000, 14))))
+        with mock.patch.object(AnalysisReport, "to_json", autospec=True,
+                               side_effect=AnalysisReport.to_json) as to_json, \
+             mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            code = run(["tca", str(path), "--axes", "2", *solver, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert unique.call_count > 0
+        payload = vars(to_json.call_args.args[0])
+        assert_same_text(out.read_text(encoding="utf-8"),
+                         json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class TestErrorPaths:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import assert_same_text
 from oracles import report_json
 from taxicab_ca.io import (
     _csv_rows,
@@ -21,7 +23,7 @@ from taxicab_ca.io import (
     parse_counts_csv,
     parse_tensor,
 )
-from taxicab_ca.reports import AnalysisReport, _dump
+from taxicab_ca.reports import _DEDUP_MIN, AnalysisReport, _dump
 
 
 class TestCountsCsv:
@@ -409,6 +411,15 @@ _flat_lists = st.one_of(
     st.just([[], {}, [[], {}], {"": {"a": []}}]),
 )
 
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2]
+
+
+@st.composite
+def _pooled_floats(draw) -> list[float]:
+    """A float list long enough, and with repeats enough, for the bit-keyed writer."""
+    pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=_DEDUP_MIN, max_size=2 * _DEDUP_MIN))
+
 
 class TestDump:
     @settings(max_examples=200, deadline=None)
@@ -418,6 +429,19 @@ class TestDump:
     ), max_leaves=6))
     def test_matches_json_dumps(self, payload):
         assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_pooled_floats(), key=_texts)
+    def test_float_lists_with_repeats(self, values, key):
+        for payload in (values, {key: [values]}):
+            assert_same_text(_dump(payload), json.dumps(payload, sort_keys=True, indent=2))
+
+    def test_zeros_of_both_signs(self):
+        values = [0.0, -0.0] * 2048
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+            text = _dump(values)
+        assert spy.call_count == 1  # the bit-keyed path wrote it
+        assert_same_text(text, json.dumps(values, sort_keys=True, indent=2))
 
     @pytest.mark.parametrize("payload", [{1: 2}, [np.float32(1.0)], {"a": {1}}, [b"x"]])
     def test_rejects_what_is_not_plain_json(self, payload):

@@ -20,7 +20,7 @@ from taxicab_ca.cli import run
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
 from taxicab_ca.residual import Tensor3, triple_center
-from taxicab_ca.taxicab import EnumerationBudgetError
+from taxicab_ca.taxicab import EnumerationBudgetError, block_sums
 from taxicab_ca.tensor import (
     octant_report,
     tensor_norm,
@@ -278,6 +278,21 @@ class TestOctantReport:
         T = Tensor3(x=np.zeros((2, 2, 3)))
         report = octant_report(T, tensor_norm_exact(T))
         assert all(s == 0.0 for s in report.sums)
+
+    def test_axis_of_another_shape(self):
+        axis = tensor_norm_exact(_rand_tensor(np.random.default_rng(39), 3, 4, 2))
+        with pytest.raises(ValueError, match="does not fit a tensor of shape"):
+            octant_report(_rand_tensor(np.random.default_rng(40), 4, 3, 2), axis)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (12, 12, 13)])
+    def test_cli_sums_the_octants_once(self, shape, tmp_path, capsys):
+        # (12, 12, 13) is over the enumeration budget: the heuristic runs
+        path = tmp_path / "t.txt"
+        path.write_text(format_tensor(np.random.default_rng(41).normal(size=shape)))
+        with mock.patch("taxicab_ca.tensor.block_sums", wraps=block_sums) as spy:
+            assert run(["tensor", str(path)]) == 0
+        capsys.readouterr()
+        assert spy.call_count == 1
 
     def test_eight_equal_parts(self):
         rng = np.random.default_rng(36)
