@@ -31,13 +31,13 @@ from .residual import (
 )
 from .svg import render_map
 from .taxicab import (
-    EXACT_ENUM_LIMIT,
+    ENUM_LIMIT,
     STOP_TOL,
     EnumerationBudgetError,
     seriate,
     tca,
 )
-from .tensor import TENSOR_ENUM_LIMIT, octant_report, tensor_norm
+from .tensor import octant_report, tensor_norm
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -158,8 +158,8 @@ def _provenance(raw: bytes, solver: str) -> dict:
         "tolerances": {
             "centering": CENTERING_TOL,
             "axis_stop_rel": STOP_TOL,
-            "exact_enum_limit": EXACT_ENUM_LIMIT,
-            "tensor_enum_limit": TENSOR_ENUM_LIMIT,
+            "exact_enum_limit": ENUM_LIMIT,
+            "tensor_enum_limit": ENUM_LIMIT,
         },
     }
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .residual import CENTERING_TOL
+from .residual import centering_scale
 
 __all__ = [
     "HEAVYWEIGHT_TOL",
@@ -122,17 +122,7 @@ def center(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return _statistic("x", lambda: y - mean_)
 
 
-def _check_centered(x: np.ndarray, tol: float) -> None:
-    mass = float(np.abs(x).sum())
-    if mass <= tol:
-        return
-    if abs(float(x.sum())) > tol * mass:
-        raise ValueError("not centered")
-
-
-def cut_norm_vec(
-    x: Sequence[float] | np.ndarray, tol: float = CENTERING_TOL
-) -> tuple[float, tuple[int, ...]]:
+def cut_norm_vec(x: Sequence[float] | np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Cut-norm of a centered vector: the largest subset sum.
 
     For a centered x the maximizing subset is exactly the nonnegative entries,
@@ -140,20 +130,24 @@ def cut_norm_vec(
     where ``indices`` are the 0-based positions of the maximizing subset.
 
     Raises:
-        ValueError: if x is empty, holds nan or inf, or is not centered
-            within ``tol`` (relative to the entrywise L1 mass; an all-zero
-            vector is trivially centered).
+        ValueError: if x is empty or holds nan or inf, if the cut norm
+            overflows float64, or if x is not centered by
+            ``residual.centering_scale``'s rule, at the scale of the larger
+            of the positive and negative masses (nonzero unless x is zero).
+            A negative mass past float64 beside a finite cut norm is not
+            centered: the scale is then the largest float, and the check
+            fails at it.
     """
     x = _as_sample(x)
-    _check_centered(x, tol)
     mask = x >= 0.0
-    value = float(x[mask].sum())
+    value = _statistic("cut norm", lambda: x[mask].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(value, -float(x[~mask].sum()))
+        centering_scale(x, min(scale, float(np.finfo(float).max)), "not centered")
     return value, tuple(np.flatnonzero(mask).tolist())
 
 
-def gain_d(
-    x: Sequence[float] | np.ndarray, tol: float = CENTERING_TOL
-) -> tuple[float, np.ndarray]:
+def gain_d(x: Sequence[float] | np.ndarray) -> tuple[float, np.ndarray]:
     """Maximum of x'u/n over sign vectors u, with the maximizing u.
 
     Equals twice the cut-norm divided by n, hence equals ``mad_mean`` of the
@@ -162,7 +156,7 @@ def gain_d(
     The maximizer puts +1 on nonnegative entries.
     """
     x = _as_sample(x)
-    value = _statistic("d", lambda: 2.0 * cut_norm_vec(x, tol)[0] / x.size)
+    value = _statistic("d", lambda: 2.0 * cut_norm_vec(x)[0] / x.size)
     return value, sign_pm(x)
 
 

@@ -4,8 +4,11 @@
 float32 screen and a float64 confirmation; ``best_restart`` walks the
 column restarts of the alternating sign iteration in certified float32
 GEMMs.  Each bound is proved once, in the docstring of the function whose
-bound it is.  Other modules use only ``BLOCK_BYTES``, ``sign_grid``,
-``enumerate_best``, ``best_restart`` and ``InvariantError``.
+bound it is; ``certificate_slack`` proves the float64 slack of every
+certificate that the taxicab and tensor modules check.  Other modules use
+only ``BLOCK_BYTES``, ``ENUM_LIMIT``, ``sign_grid``, ``enumerate_best``,
+``best_restart``, ``rounding_margin``, ``certificate_slack``,
+``check_block_sums``, ``EnumerationBudgetError`` and ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 from .dispersion import sign_pm
 
 BLOCK_BYTES = 1 << 20  # working set of one enumeration block: fills a 1 MiB per-core L2
+# sign coordinates an exact search enumerates: min(n, m) of a matrix, the two
+# smallest mode sizes of a 3-way array together
+ENUM_LIMIT = 22
 # threads that may screen or walk at once: one per CPU this process may run on
 _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
@@ -51,6 +57,10 @@ _TILE_VALUES = 1 << 12
 
 class InvariantError(ArithmeticError):
     """A computed result broke an identity that holds in exact arithmetic."""
+
+
+class EnumerationBudgetError(ValueError):
+    """Requested exhaustive search exceeds the enumeration budget."""
 
 
 def sign_grid(width: int, start: int, stop: int) -> np.ndarray:
@@ -116,7 +126,7 @@ def _enum_split(n: int, q: int, itemsize: int = 8) -> tuple[int, int]:
     return k, max(1, BLOCK_BYTES // (itemsize * n))
 
 
-def _rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
+def rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
     """Bound on the gap between two computed values of ||M s||_1, M n x q, s signs.
 
     Both values add up the same terms +-M_ij: q - 1 additions for each row
@@ -132,6 +142,84 @@ def _rounding_margin(n: int, q: int, abs_sum: float, dtype: type) -> float:
     cast made subnormal.
     """
     return (n + q + 4) * float(np.finfo(dtype).eps) * abs_sum
+
+
+def certificate_slack(x: np.ndarray) -> tuple[float, float]:
+    """Float64 slacks of the certificates of a result computed from x: (margin, slack).
+
+    x is an n x m matrix or an n x m x t array, d its number of modes, N
+    its entries and A = sum |x|; u is the float64 unit roundoff, gamma_k =
+    k u / (1 - k u), and a sum of k terms, in any order, lies within
+    gamma_(k-1) times the sum of their magnitudes of the exact sum.  Let W
+    be the sum over the modes of the terms of one entry of the contraction
+    that leaves only that mode: n + m for a matrix, m t + n t + n m for a
+    3-way array.  ``margin`` is ``rounding_margin`` with n + q = W, that is
+    (W + 4) eps A; ``slack`` is 2^(d - 2) L plus ``rounding_margin`` of N
+    and 2 W, with L the sum over the modes of the float64 sum of the
+    |sums of x along that mode|, each a product with a vector of ones (L is
+    zero for an exactly centred x).  Every bit
+    of the results is computed in float64 from x with sign vectors, so each
+    product is exact, and a sum whose value is subnormal is exact too.
+
+    Walks.  A step of a matrix walk takes v = sign(a~), a~ = fl(x u), then u
+    = sign(b~), b~ = fl(x' v); a 3-way walk takes the signs of one mode at a
+    time from the contraction of x with the other two.  Its dispersion
+    delta~ is fl(sum |a~|) (fl(sum |f~|), f~ the third mode's contraction),
+    which lies within gamma_W A of the exact dispersion of the same signs.
+    A sign that differs from that of the exact entry belongs to an entry of
+    magnitude at most its own rounding, gamma_k times the mass of its line,
+    so taking it lowers the exact bilinear (trilinear) form by at most
+    twice that; in exact arithmetic no update lowers the form.  One step thus
+    lowers the exact dispersion by at most 2 gamma_W A, and a computed
+    dispersion falls by at most 4 gamma_W A from one step to the next,
+    within two margins, 4 (W + 4) u A: while N W u < 1/2, the 16 u A to
+    spare cover the second-order terms and the roundings of A and of the
+    check.  This rests on the step alone, so it holds whether the walk then
+    stops at u = sign(b~) or at a u it has visited before.  A walk that
+    falls by more raises; the axis flip of a matrix takes the flipped
+    walk's state unless its dispersion is more than two margins lower.
+
+    Identities.  Each holds for any sign vectors, so at any stop of a walk
+    and for any result of an enumeration.  With v = sign(a~) and delta~ =
+    fl(sum |a~|), the exact v'x u = u'x'v lies within gamma_W A of delta~,
+    and fl(u . b~) within 2 gamma_W A of delta~; at u = sign(b~) that is
+    sum |b~| = delta~.  sum(a) is sum_j u_j c_j, c the column sums of x,
+    so fl(sum a~) lies within the sum of |c| plus gamma_W A of zero, and
+    sum(b) likewise with the row sums.  The 2^d block sums B of the sign
+    vectors (``taxicab.block_sums`` order) give the exact form as P =
+    sum sigma B, sigma the parities.  B - sigma P / 2^d is (I - prod_k
+    (I - M_k)) B, M_k the average over mode k of the 2 x ... x 2 array B:
+    2^d - 1 products of averages, each whose first average is over mode k
+    at most half the sum of |sums along mode k| per entry, and 2^(d - k)
+    of them first average over mode k, so |B - sigma P / 2^d| is at most
+    2^(d - 2) times the exact L.  A computed block sum of at most N terms
+    lies within gamma_N A of B, the matrix delta~ within gamma_W A of P (the
+    tensor's trilinear sum of N terms within gamma_N A), and the exact L
+    within 2 gamma_W A of the computed one.  Each identity thus holds to
+    2^(d - 2) L + (9 N / 8 + 4 W) u A to first order, inside ``slack``'s
+    2^(d - 2) L + (2 N + 4 W + 8) u A.  An identity of a float sum with
+    itself, delta~ = fl(sum |a~|), holds exactly.
+    """
+    abs_sum = float(np.abs(x).sum())
+    widths = [x.size // size for size in x.shape]
+    margin = rounding_margin(widths[-1], sum(widths[:-1]), abs_sum, np.float64)
+    lines = sum(float(np.abs(np.moveaxis(x, mode, -1) @ np.ones(size)).sum())
+                for mode, size in enumerate(x.shape))
+    rounding = rounding_margin(x.size, 2 * sum(widths), abs_sum, np.float64)
+    return margin, (1 << x.ndim) / 4 * lines + rounding
+
+
+def check_block_sums(sums: tuple[float, ...], delta: float, slack: float) -> None:
+    """Raise ``InvariantError`` unless each block sum is its parity times delta / 2^d.
+
+    Each to within ``slack``, ``certificate_slack``'s.  ``sums`` are the 2^d
+    block sums in ``taxicab.block_sums`` order, where the parity of block i
+    is -1 to the number of complemented sets, the one bits of i.
+    """
+    for i, sum_ in enumerate(sums):
+        target = (-1) ** bin(i).count("1") * delta / len(sums)
+        if not abs(sum_ - target) <= slack:
+            raise InvariantError(f"block sum {sum_!r} is not {target!r} to within {slack!r}")
 
 
 def _prefix_margin(n: int, q: int, abs_sum: float) -> float:
@@ -169,7 +257,7 @@ def _prefix_margin(n: int, q: int, abs_sum: float) -> float:
     gamma_(3n+q+5) ``abs_sum``, and infinite once (3n + q + 5) u reaches 1.
     That is about (1.5 n + 0.5 q + 2.5) float32 eps (2 u) times
     ``abs_sum``, against (n + q + 4) for the whole-grid screen's abs and
-    row sums (``_rounding_margin``).
+    row sums (``rounding_margin``).
     """
     terms = (3 * n + q + 5) * float(np.finfo(np.float32).eps) / 2
     return terms / (1.0 - terms) * abs_sum if terms < 1.0 else np.inf
@@ -248,7 +336,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     sums of |float32 entries| (``max``, which keeps a nan).  The table
     holds one candidate per row.  When all candidates fit the budget it is
     the whole sign grid times M', and scores are the row sums of |table|
-    (``_rounding_margin``).  Else it holds the low-suffix projections l,
+    (``rounding_margin``).  Else it holds the low-suffix projections l,
     and each high-prefix projection h scores its 2^k candidates as
     fl(2 S - L) + H (``_prefix_margin``): S the row sums of max(l, -h), L
     those of l (once a matrix) and H the sum of h (once a block of
@@ -332,7 +420,7 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
                 head_sums = heads @ ones
                 bounds = _share_bounds(stop - start, n << k, most)
                 _run_shares(prefix_share, [start + bound for bound in bounds])
-    margin = (_rounding_margin(n, q, float(abs_sum), np.float32) if prefixes == 1
+    margin = (rounding_margin(n, q, float(abs_sum), np.float32) if prefixes == 1
               else _prefix_margin(n, q, float(abs_sum)))
     return np.ldexp(maxima.astype(float), -shift), float(np.ldexp(margin, -shift))
 
@@ -527,7 +615,7 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns ``finals[j]``, the packed bits of u < 0 for restart j's last u,
     ``deltas[j]``, the last dispersion the GEMM computed for it, and the
-    margin (``_rounding_margin`` in float32) within which each of those
+    margin (``rounding_margin`` in float32) within which each of those
     lies of the reference dispersion of the same u.  Dispersions and margin
     are in the units of the float32 copy of x, x times 2^shift
     (``_float32_shift``, ``_to_float32``), made once per call.
@@ -561,7 +649,7 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     w = max(n, m)
     shift = _float32_shift(x)
     row_band, col_band, mass = _sign_bands(x, shift)
-    margin = _rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
+    margin = rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
     x32 = _to_float32(x, shift, np.empty((n, m), dtype=np.float32))
     ones = np.ones(n, dtype=np.float32)
     bounds = _share_bounds(m, n * m, m)

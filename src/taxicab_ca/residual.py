@@ -20,6 +20,7 @@ __all__ = [
     "ResidualMatrix",
     "Tensor3",
     "additive_double_center",
+    "centering_scale",
     "correspondence_residual",
     "from_counts",
     "triple_center",
@@ -104,7 +105,7 @@ def from_counts(counts: np.ndarray) -> CorrespondenceMatrix:
     return CorrespondenceMatrix.from_counts(counts)
 
 
-def _centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
+def centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
     """Check that every line of ``x`` sums to zero within CENTERING_TOL * scale.
 
     ``scale`` is the L1 mass of what ``x`` was computed from: the rounding of
@@ -133,7 +134,7 @@ def _check_overflow(x: np.ndarray, scale: float, step: str) -> None:
 class ResidualMatrix:
     """Double-centered matrix: every row sum and column sum is zero.
 
-    Centering is validated relative to ``scale`` (see ``_centering_scale``):
+    Centering is validated relative to ``scale`` (see ``centering_scale``):
     sum(p) for a correspondence residual, sum(|y|) for an additive one and
     the parent's scale for a deflated one.  It defaults to the entrywise L1
     mass.
@@ -154,7 +155,7 @@ class ResidualMatrix:
             raise ValueError("residual matrix must be a nonempty 2-d array")
         if not np.all(np.isfinite(x)):
             raise ValueError("residual matrix contains non-finite values")
-        object.__setattr__(self, "scale", _centering_scale(
+        object.__setattr__(self, "scale", centering_scale(
             x, self.scale, "matrix is not double-centered"))
 
     @property
@@ -200,7 +201,7 @@ class Tensor3:
             raise ValueError("tensor must be a nonempty 3-d array")
         if not np.all(np.isfinite(x)):
             raise ValueError("tensor contains non-finite values")
-        object.__setattr__(self, "scale", _centering_scale(
+        object.__setattr__(self, "scale", centering_scale(
             x, self.scale, "tensor is not triple-centered"))
 
     @property

@@ -8,10 +8,12 @@ decomposition; applied to a correspondence matrix this is taxicab
 correspondence analysis, with factor scores obtained by dividing the axis
 projections by the row/column masses.
 
-Exhaustive search is exact up to ``EXACT_ENUM_LIMIT`` on the smaller matrix
+Exhaustive search is exact up to ``ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.  Both
-run on the float32 sign search of ``kernels``, where their proofs are.
+run on the float32 sign search of ``kernels``, where their proofs are, and
+each axis is checked against its identities to the float64 slack that
+``kernels.certificate_slack`` proves from the matrix.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from itertools import product
 import numpy as np
 
 from .dispersion import HEAVYWEIGHT_TOL, sign_pm
-from .kernels import InvariantError, best_restart, enumerate_best
+from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart,
+                      certificate_slack, check_block_sums, enumerate_best)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
-    "EXACT_ENUM_LIMIT",
+    "ENUM_LIMIT",
     "STOP_TOL",
     "AxisContributions",
     "EnumerationBudgetError",
@@ -44,28 +47,20 @@ __all__ = [
     "tca",
 ]
 
-EXACT_ENUM_LIMIT = 22
 STOP_TOL = 1e-12          # axis cutoff relative to the first dispersion
 INDETERMINATE_TOL = 1e-9  # |projection| below this (relative to delta) has arbitrary sign
-IDENTITY_TOL = 1e-10
-# rounding slack, times 1 + value, within which a sign-ascent step (or an axis
-# flip) counts as not lowering the value
-ASCENT_SLACK = 1e-12
-
-
-class EnumerationBudgetError(ValueError):
-    """Requested exhaustive search exceeds the enumeration budget."""
 
 
 @dataclass(frozen=True)
 class TaxicabAxis:
     """One taxicab principal axis.
 
-    ``a = X u`` and ``b = X' v`` are the row/column projections; at output the
-    transition identities v = sign(a), u = sign(b) hold exactly under the
-    sign(0) = +1 convention, and delta = ||a||_1 = ||b||_1 with sum(a) =
-    sum(b) = 0.  ``f``/``g`` are mass-standardized factor scores, set only
-    when the axis was computed from a correspondence matrix.  Coordinates
+    ``a = X u`` and ``b = X' v`` are the row/column projections; at output
+    v = sign(a) holds exactly under the sign(0) = +1 convention, and delta
+    = ||a||_1 = u'b with sum(a) = sum(b) = 0, checked when the axis is made
+    from X; u = sign(b), and so delta = ||b||_1, unless the walk stopped at
+    a u it had visited.  ``f``/``g`` are mass-standardized factor scores, set
+    only when the axis was computed from a correspondence matrix.  Coordinates
     listed in ``*_indeterminate`` have projections so small that their sign
     is arbitrary.
     """
@@ -86,13 +81,6 @@ class TaxicabAxis:
         v = np.asarray(self.v, dtype=float)
         if not np.all(np.abs(u) == 1.0) or not np.all(np.abs(v) == 1.0):
             raise ValueError("sign vectors must have entries exactly +-1")
-        slack = IDENTITY_TOL * (1.0 + abs(self.delta))
-        a1 = float(np.abs(self.a).sum())
-        b1 = float(np.abs(self.b).sum())
-        if abs(float(self.a.sum())) > slack or abs(float(self.b.sum())) > slack:
-            raise ValueError("axis projections do not sum to zero")
-        if abs(a1 - self.delta) > slack or abs(b1 - self.delta) > slack:
-            raise ValueError("axis dispersion inconsistent with projections")
 
 
 @dataclass(frozen=True)
@@ -139,13 +127,15 @@ class AxisContributions:
 
 
 def _transition_fixed_point(
-    x: np.ndarray, u0: np.ndarray
+    x: np.ndarray, u0: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Alternate v = sign(Xu), u = sign(X'v) from u0 until (u, v) repeats.
 
     The dispersion estimate is non-decreasing along the iteration, so the
     walk terminates at a fixed point of the transition maps (a cycle through
-    equal-dispersion states is cut short, keeping the current state).
+    equal-dispersion states is cut short, keeping the current state).  A
+    step whose dispersion falls by more than two ``margin`` raises
+    ``InvariantError`` (``kernels.certificate_slack``).
     """
     u = np.asarray(u0, dtype=float)
     seen = {u.tobytes()}
@@ -154,15 +144,13 @@ def _transition_fixed_point(
         a = x @ u
         v = sign_pm(a)
         delta = float(np.abs(a).sum())
-        if not delta >= delta_prev - ASCENT_SLACK * (1.0 + delta):
+        if not delta >= delta_prev - 2.0 * margin:
             raise InvariantError(f"dispersion decreased from {delta_prev!r} to {delta!r}")
         delta_prev = delta
         b = x.T @ v
         u_next = sign_pm(b)
-        if np.array_equal(u_next, u):
-            return u, v, a, b, delta
         key = u_next.tobytes()
-        if key in seen:
+        if key in seen:  # u itself is in seen: a fixed point stops here too
             return u, v, a, b, delta
         seen.add(key)
         u = u_next
@@ -171,8 +159,12 @@ def _transition_fixed_point(
 def _canonical_state(
     x: np.ndarray,
     state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float],
+    margin: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Flip the axis sign so the largest-magnitude b coordinate is positive."""
+    """Flip the axis sign so the largest-magnitude b coordinate is positive.
+
+    A flip whose walk ends more than two ``margin`` below delta is not taken.
+    """
     u, v, a, b, delta = state
     if delta <= 0.0:
         return state
@@ -180,8 +172,8 @@ def _canonical_state(
         j = int(np.argmax(np.abs(b)))
         if b[j] >= 0.0:
             break
-        flipped = _transition_fixed_point(x, -u)
-        if flipped[4] < delta - ASCENT_SLACK * (1.0 + delta):
+        flipped = _transition_fixed_point(x, -u, margin)
+        if flipped[4] < delta - 2.0 * margin:
             break
         u, v, a, b, delta = flipped
     return u, v, a, b, delta
@@ -189,9 +181,20 @@ def _canonical_state(
 
 def _axis_from_state(
     state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float],
+    slack: float,
     exact: bool,
 ) -> TaxicabAxis:
+    """The axis of a walk's state, checked against its identities to ``slack``.
+
+    ``slack`` is ``kernels.certificate_slack``'s for the matrix of the walk.
+    """
     u, v, a, b, delta = state
+    if not delta == float(np.abs(a).sum()):
+        raise InvariantError(f"delta {delta!r} is not the sum of |a|")
+    for name, value in (("sum(a)", float(a.sum())), ("sum(b)", float(b.sum())),
+                        ("u'b - delta", float(u @ b) - delta)):
+        if not abs(value) <= slack:
+            raise InvariantError(f"{name} is {value!r}, outside the rounding slack {slack!r}")
     if delta > 0.0:
         floor = INDETERMINATE_TOL * delta
         u_ind = tuple(np.flatnonzero(np.abs(b) <= floor).tolist())
@@ -210,23 +213,9 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
 
     Enumerates 2^(q-1) sign vectors on the smaller side q = min(n, m); the
     other side follows from the transition formulas.  Requires q <=
-    ``EXACT_ENUM_LIMIT``.
+    ``ENUM_LIMIT``.
     """
-    n, m = X.shape
-    q = min(n, m)
-    if q > EXACT_ENUM_LIMIT:
-        raise EnumerationBudgetError(
-            f"min dimension {q} exceeds exhaustive budget {EXACT_ENUM_LIMIT}: "
-            "use norm_heuristic"
-        )
-    x = X.x
-    if m <= n:
-        _, _, u0 = enumerate_best([x[None]])
-    else:
-        _, _, v0 = enumerate_best([x.T[None]])
-        u0 = sign_pm(x.T @ v0)
-    state = _transition_fixed_point(x, u0)
-    return _axis_from_state(_canonical_state(x, state), exact=True)
+    return _best_axis(X, "exact")[0]
 
 
 def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
@@ -242,23 +231,37 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
     one-at-a-time float64 loop's winner, every bit of it.  A matrix holding
     nan or inf raises ``InvariantError`` before the first step.
     """
+    return _best_axis(X, "heuristic")[0]
+
+
+def _best_axis(X: ResidualMatrix, solver: str = "auto") -> tuple[TaxicabAxis, float]:
+    """The axis that ``solver`` finds on X, with ``kernels.certificate_slack``'s slack.
+
+    ``auto`` enumerates within ``ENUM_LIMIT`` and takes the heuristic past it.
+    """
     x = X.x
-    if not np.isfinite(x).all():
-        raise InvariantError("norm_heuristic: the matrix holds non-finite values")
-    best = best_restart(x)
-    return _axis_from_state(_canonical_state(x, best), exact=False)
-
-
-def _best_axis(X: ResidualMatrix, solver: str = "auto") -> TaxicabAxis:
+    if solver == "auto":
+        solver = "exact" if min(X.shape) <= ENUM_LIMIT else "heuristic"
     if solver == "exact":
-        return norm_exact(X)
-    if solver == "heuristic":
-        return norm_heuristic(X)
-    if solver != "auto":
+        if min(X.shape) > ENUM_LIMIT:
+            raise EnumerationBudgetError(
+                f"min dimension {min(X.shape)} exceeds exhaustive budget {ENUM_LIMIT}: "
+                "use norm_heuristic"
+            )
+        if x.shape[1] <= x.shape[0]:
+            _, _, u0 = enumerate_best([x[None]])
+        else:
+            _, _, v0 = enumerate_best([x.T[None]])
+            u0 = sign_pm(x.T @ v0)
+    elif solver == "heuristic":
+        if not np.isfinite(x).all():
+            raise InvariantError("norm_heuristic: the matrix holds non-finite values")
+    else:
         raise ValueError(f"unknown solver {solver!r}")
-    if min(X.shape) <= EXACT_ENUM_LIMIT:
-        return norm_exact(X)
-    return norm_heuristic(X)
+    margin, slack = certificate_slack(x)
+    exact = solver == "exact"
+    state = _transition_fixed_point(x, u0, margin) if exact else best_restart(x)
+    return _axis_from_state(_canonical_state(x, state, margin), slack, exact), slack
 
 
 def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
@@ -289,7 +292,7 @@ def tca(
     residuals: list[ResidualMatrix] = []
     delta1: float | None = None
     while len(axes) < cap:
-        axis = _best_axis(X, solver)
+        axis = _best_axis(X, solver)[0]
         if delta1 is None:
             delta1 = axis.delta
         # P has total 1, so deltas at the double-precision floor are rank exhaustion
@@ -351,15 +354,12 @@ def cut_norm_matrix(X: ResidualMatrix) -> SeriationReport:
     """Cut-norm of a double-centered matrix with its 4-block certificate.
 
     S and T are the positive-sign index sets of the optimal axis; the four
-    block sums are (+c, -c, -c, +c) with c = cut_norm = delta/4.
+    block sums are (+c, -c, -c, +c) with c = cut_norm = delta/4, each checked
+    to ``kernels.certificate_slack``'s slack.
     """
-    axis = _best_axis(X)
+    axis, slack = _best_axis(X)
     report = _seriation_from_axis(X, axis)
-    slack = IDENTITY_TOL * (1.0 + axis.delta)
-    if not abs(report.cut_norm - axis.delta / 4.0) <= slack:
-        raise InvariantError(
-            f"block sum {report.cut_norm!r} is not a quarter of delta {axis.delta!r}"
-        )
+    check_block_sums(report.block_sums, axis.delta, slack)
     return report
 
 

@@ -16,11 +16,9 @@ import numpy as np
 from . import kernels
 from .dispersion import sign_pm
 from .residual import Tensor3
-from .taxicab import (ASCENT_SLACK, IDENTITY_TOL, EnumerationBudgetError, InvariantError,
-                      block_sums)
+from .taxicab import block_sums
 
 __all__ = [
-    "TENSOR_ENUM_LIMIT",
     "OctantReport",
     "TensorAxis",
     "octant_report",
@@ -29,11 +27,6 @@ __all__ = [
     "tensor_norm_heuristic",
 ]
 
-TENSOR_ENUM_LIMIT = 22  # sum of the two smallest mode sizes
-
-# octant order: (S,T,W),(S,T,W~),(S,T~,W),(S,T~,W~),(S~,T,W),(S~,T,W~),(S~,T~,W),(S~,T~,W~)
-_OCTANT_SIGNS = (1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
-
 
 @dataclass(frozen=True)
 class TensorAxis:
@@ -41,7 +34,8 @@ class TensorAxis:
 
     ``u``, ``v``, ``w`` are sign vectors over the first, second and third
     mode; ``delta`` is the attained trilinear value and each octant block sum
-    has magnitude delta/8 with sign equal to the parity of complemented sets.
+    has magnitude delta/8 with sign equal to the parity of complemented sets,
+    checked when the axis is made from X.
     """
 
     delta: float
@@ -57,11 +51,6 @@ class TensorAxis:
                 raise ValueError("sign vectors must have entries exactly +-1")
         if len(self.octant_sums) != 8:
             raise ValueError("expected eight octant sums")
-        slack = IDENTITY_TOL * (1.0 + abs(self.delta))
-        eighth = self.delta / 8.0
-        for sum_, sign in zip(self.octant_sums, _OCTANT_SIGNS):
-            if abs(sum_ - sign * eighth) > slack:
-                raise ValueError("octant sums violate the 8-equal-parts identity")
 
 
 @dataclass(frozen=True)
@@ -75,10 +64,15 @@ class OctantReport:
 
 
 def _axis_from_signs(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                     exact: bool) -> TensorAxis:
+                     exact: bool, slack: float) -> TensorAxis:
+    """The axis of three sign vectors, its octant sums checked to ``slack``.
+
+    ``slack`` is ``kernels.certificate_slack``'s for x.
+    """
     delta = float(np.einsum("ijk,i,j,k->", x, u, v, w))
-    return TensorAxis(delta=delta, u=u, v=v, w=w,
-                      octant_sums=block_sums(x, u, v, w), exact=exact)
+    sums = block_sums(x, u, v, w)
+    kernels.check_block_sums(sums, delta, slack)
+    return TensorAxis(delta=delta, u=u, v=v, w=w, octant_sums=sums, exact=exact)
 
 
 def tensor_norm_exact(X: Tensor3) -> TensorAxis:
@@ -87,7 +81,7 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     Sign symmetry pins the first entry of both enumerated vectors to +1; the
     third mode's optimal signs follow from the contracted fiber sums.  On
     ties the lexicographically first (first-mode, second-mode) pair wins.
-    The two smallest mode sizes must sum to at most ``TENSOR_ENUM_LIMIT``.
+    The two smallest mode sizes must sum to at most ``kernels.ENUM_LIMIT``.
     The first mode's contractions reach ``kernels.enumerate_best`` in stacks
     of ``kernels.BLOCK_BYTES``, each built once.
     """
@@ -96,10 +90,10 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     order = sorted(range(3), key=lambda ax: (dims[ax], ax))
     e1, e2, free = order
     q1, q2, q3 = dims[e1], dims[e2], dims[free]
-    if q1 + q2 > TENSOR_ENUM_LIMIT:
-        raise EnumerationBudgetError(
+    if q1 + q2 > kernels.ENUM_LIMIT:
+        raise kernels.EnumerationBudgetError(
             f"two smallest mode sizes sum to {q1 + q2}, over budget "
-            f"{TENSOR_ENUM_LIMIT}: use tensor_norm_heuristic"
+            f"{kernels.ENUM_LIMIT}: use tensor_norm_heuristic"
         )
     xp = np.transpose(x, (e1, e2, free))
     flat = xp.reshape(q1, q2 * q3)
@@ -112,7 +106,8 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
     s3 = sign_pm(fiber)
     by_mode: dict[int, np.ndarray] = {e1: s1, e2: s2, free: s3}
-    return _axis_from_signs(x, by_mode[0], by_mode[1], by_mode[2], exact=True)
+    return _axis_from_signs(x, by_mode[0], by_mode[1], by_mode[2], exact=True,
+                            slack=kernels.certificate_slack(x)[1])
 
 
 def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
@@ -121,10 +116,12 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
     One deterministic restart per second-mode slice: the slice's heaviest
     column seeds starting signs for the first and third modes, then the three
     modes are updated cyclically until the sign triple repeats.  The trilinear
-    value is non-decreasing within each run.
+    value is non-decreasing within each run; a step whose value falls by
+    more than two margins of ``kernels.certificate_slack`` raises.
     """
     x = X.x
     n, m, t = x.shape
+    margin, slack = kernels.certificate_slack(x)
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
     for j in range(m):
         slab = x[:, j, :]
@@ -140,8 +137,9 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
             fiber = np.einsum("ijk,i,j->k", x, u, v)
             w = sign_pm(fiber)
             delta = float(np.abs(fiber).sum())
-            if not delta >= delta_prev - ASCENT_SLACK * (1.0 + delta):
-                raise InvariantError(f"trilinear value decreased from {delta_prev!r} to {delta!r}")
+            if not delta >= delta_prev - 2.0 * margin:
+                raise kernels.InvariantError(
+                    f"trilinear value decreased from {delta_prev!r} to {delta!r}")
             delta_prev = delta
             key = (u.tobytes(), v.tobytes(), w.tobytes())
             if key in seen:
@@ -150,16 +148,16 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
         if best is None or delta_prev > best[0]:
             best = (delta_prev, u, v, w)
     if best is None:
-        raise InvariantError("no restart produced a fixed point")
+        raise kernels.InvariantError("no restart produced a fixed point")
     _, u, v, w = best
-    return _axis_from_signs(x, u, v, w, exact=False)
+    return _axis_from_signs(x, u, v, w, exact=False, slack=slack)
 
 
 def tensor_norm(X: Tensor3) -> TensorAxis:
     """Tensor sign norm, exact when the two smallest mode sizes sum to at most
-    ``TENSOR_ENUM_LIMIT`` and the heuristic lower bound otherwise."""
+    ``kernels.ENUM_LIMIT`` and the heuristic lower bound otherwise."""
     q1, q2, _ = sorted(X.shape)
-    if q1 + q2 <= TENSOR_ENUM_LIMIT:
+    if q1 + q2 <= kernels.ENUM_LIMIT:
         return tensor_norm_exact(X)
     return tensor_norm_heuristic(X)
 

@@ -219,7 +219,7 @@ def loop_restart_visits(x: np.ndarray) -> list[int]:
 
 def loop_norm_heuristic(X):
     """The heuristic's axis (a ``TaxicabAxis``) from one restart per column, first best wins."""
-    from taxicab_ca import taxicab
+    from taxicab_ca import kernels, taxicab
 
     x = X.x
     best = None
@@ -227,7 +227,8 @@ def loop_norm_heuristic(X):
         state, _ = _loop_restart(x, j)
         if best is None or state[4] > best[4]:
             best = state
-    return taxicab._axis_from_state(taxicab._canonical_state(x, best), exact=False)
+    margin, slack = kernels.certificate_slack(x)
+    return taxicab._axis_from_state(taxicab._canonical_state(x, best, margin), slack, exact=False)
 
 
 # The two-mode clustering search as it was before the screened rewrite: one

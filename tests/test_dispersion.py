@@ -103,9 +103,15 @@ class TestCutNormVec:
         value, _ = cut_norm_vec(A1 - A1.mean())
         assert value == pytest.approx(0.2664, abs=2e-4)
 
-    def test_not_centered(self):
-        with pytest.raises(ValueError, match="not centered"):
-            cut_norm_vec([1.0, 2.0, 3.0])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("statistic", [cut_norm_vec, gain_d])
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0],
+                                        [5e-11, -3.0, -4.0], [1e308, -1e308, -1e308]])
+    def test_not_centered(self, statistic, values):
+        # no positive mass, or too little to be seen against the centering
+        # tolerance, or a negative mass past float64: none is centered
+        with pytest.raises(ValueError, match="^not centered$"):
+            statistic(values)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("statistic", [cut_norm_vec, gain_d])
@@ -189,6 +195,7 @@ class TestRelativeContributions:
         (mad_mean, [1e308, -1e308], "d"),
         (lad, [1e308, -1e308], "lad"),
         (median, [1e308, 1e308], "median"),
+        (cut_norm_vec, [1e308, 1e308, -1e308, -1e308], "cut norm"),
     ])
     def test_each_statistic_raises_on_overflow(self, statistic, values, name):
         with pytest.raises(ValueError, match=f"^{name} overflows float64"):

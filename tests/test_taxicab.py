@@ -35,7 +35,7 @@ from taxicab_ca.residual import (
     triple_center,
 )
 from taxicab_ca.taxicab import (
-    EXACT_ENUM_LIMIT,
+    ENUM_LIMIT,
     EnumerationBudgetError,
     block_sums,
     cut_norm_matrix,
@@ -324,7 +324,7 @@ class TestScreenedKernel:
         _, margin = kernels._screen(stack, kernels._enum_split(n, q)[0])
         abs_sum = np.abs(stack).sum(axis=(1, 2)).max()
         eps = float(np.finfo(np.float32).eps)
-        if whole:  # the whole grid keeps _rounding_margin
+        if whole:  # the whole grid keeps rounding_margin
             assert margin == (n + q + 4) * eps * abs_sum
         else:  # gamma_(3n+q+5) of float32
             terms = (3 * n + q + 5) * eps / 2
@@ -661,7 +661,9 @@ class TestInvariantErrors:
             real = taxicab._seriation_from_axis
             def skewed(X, axis):
                 report = real(X, axis)
-                return report.__class__(**{**report.__dict__, "cut_norm": 2 * report.cut_norm})
+                sums = (2 * report.cut_norm, *report.block_sums[1:])
+                return report.__class__(
+                    **{**report.__dict__, "cut_norm": sums[0], "block_sums": sums})
             taxicab._seriation_from_axis = skewed
             X = ResidualMatrix(x=np.array([[1.0, -1.0], [-1.0, 1.0]]))
             cases["cut_norm_matrix"] = lambda: taxicab.cut_norm_matrix(X)
@@ -1001,6 +1003,34 @@ class TestBatchedHeuristic:
                 assert finals.tobytes() == expected.tobytes()
         assert len(dispersions) >= 2
 
+    @pytest.mark.parametrize(("margins", "raises"), [(1.5, False), (2.5, True)])
+    def test_float64_ascent_check_allows_two_margins(self, margins, raises):
+        # the float64 walk from restart 0's start takes two steps; its
+        # second product x @ u is scaled, signs kept, so that the second
+        # dispersion is the first minus the given number of margins
+        x = _poisson_residual(11, 30, 25).x
+        margin, _ = kernels.certificate_slack(x)
+        u0 = sign_pm(x.T @ sign_pm(x[:, 0]))
+        dispersions = []
+
+        class Lowered(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                if out.shape == (30,):  # x @ u, whose |entries| sum to the dispersion
+                    dispersions.append(float(np.abs(out).sum()))
+                    if len(dispersions) == 2:
+                        out *= (dispersions[0] - margins * margin) / dispersions[1]
+                return out
+
+        lowered = x.view(Lowered)
+        if raises:
+            with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
+                taxicab._transition_fixed_point(lowered, u0, margin)
+        else:
+            u, *_ = taxicab._transition_fixed_point(lowered, u0, margin)
+            assert u.tobytes() == taxicab._transition_fixed_point(x, u0, margin)[0].tobytes()
+        assert len(dispersions) >= 2
+
     def test_share_errors_are_raised_after_every_share_ends(self):
         # in two shares, share 1 (restarts 12-24, its own thread) reports a
         # zero dispersion for its first row at its second step, while share
@@ -1081,7 +1111,7 @@ class TestBatchedHeuristic:
         rng = np.random.default_rng(14)
         x = _centered_integers(rng.integers(-2, 3, size=(7, 5)).astype(float))
         u = sign_pm(rng.normal(size=5))
-        margin = kernels._rounding_margin(7, 5, float(np.abs(x).sum()), np.float64)
+        margin = kernels.rounding_margin(7, 5, float(np.abs(x).sum()), np.float64)
         return x, u, float(np.abs(x @ u).sum()), margin
 
     @staticmethod
@@ -1270,16 +1300,16 @@ class TestTca:
 
     def test_auto_takes_the_heuristic_past_the_limit(self, monkeypatch):
         counts = np.random.default_rng(66).poisson(4.0, size=(30, 23)) + 1.0
-        assert min(counts.shape) == EXACT_ENUM_LIMIT + 1
+        assert min(counts.shape) == ENUM_LIMIT + 1
         P = from_counts(counts)
         X = correspondence_residual(P)
         heur = tca(P, solver="heuristic")
         best = norm_heuristic(X)
 
-        def refuse(X):
-            raise AssertionError("auto enumerated past EXACT_ENUM_LIMIT")
+        def refuse(stacks):
+            raise AssertionError("auto enumerated past ENUM_LIMIT")
 
-        monkeypatch.setattr(taxicab, "norm_exact", refuse)
+        monkeypatch.setattr(taxicab, "enumerate_best", refuse)
         auto = tca(P)
         assert len(auto.axes) == len(heur.axes) > 1
         for got, want in zip(auto.axes, heur.axes):
@@ -1398,3 +1428,76 @@ class TestLemma3Bridge:
             assert report.cut_norm == pytest.approx(
                 brute_cut_norm_matrix(X.x), rel=1e-12
             )
+
+
+def _moved(target, index: int, value):
+    """``target`` with entry ``index`` of its tuple result replaced by ``value(result)``."""
+    def call(*args):
+        result = list(target(*args))
+        result[index] = value(result)
+        return tuple(result)
+    return call
+
+
+class TestCertificatesAtEveryScale:
+    """Each certificate holds to ``kernels.certificate_slack`` at every scale 2^k.
+
+    Scaling by a power of two is exact, so every result at 2^k is the one at
+    scale 1 scaled, and a result moved past its slack raises at every k.
+    """
+
+    SCALES = range(-600, 601, 100)
+
+    @staticmethod
+    def _matrices(k):
+        X = _poisson_residual(3, 30, 8)
+        second = deflate(X, norm_exact(X))  # deflated at scale 1: the product a b' under/overflows at 2^+-600
+        return [ResidualMatrix(x=np.ldexp(Y.x, k)) for Y in (X, second)]
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_genuine_results_pass(self, k):
+        for X, X1 in zip(self._matrices(k), self._matrices(0)):
+            for solve in (norm_exact, norm_heuristic):
+                axis, axis1 = solve(X), solve(X1)
+                assert axis.delta == np.ldexp(axis1.delta, k)
+                assert axis.u.tobytes() == axis1.u.tobytes()
+                assert axis.v.tobytes() == axis1.v.tobytes()
+            report = cut_norm_matrix(X)
+            assert report.block_sums == tuple(np.ldexp(cut_norm_matrix(X1).block_sums, k))
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_moved_delta_raises(self, k):
+        # delta one unit in the last place above the sum of |a| it was summed as
+        X = self._matrices(k)[0]
+        up = _moved(taxicab._canonical_state, 4, lambda state: np.nextafter(state[4], np.inf))
+        with mock.patch.object(taxicab, "_canonical_state", side_effect=up):
+            for solve in (norm_exact, norm_heuristic):
+                with pytest.raises(taxicab.InvariantError, match="is not the sum of"):
+                    solve(X)
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("block", range(4))
+    def test_block_sum_moved_past_the_slack_raises(self, k, block):
+        X = self._matrices(k)[1]
+        axis = norm_exact(X)
+        _, slack = kernels.certificate_slack(X.x)
+        target = (1.0, -1.0, -1.0, 1.0)[block] * axis.delta / 4.0
+        for slacks, raises in ((0.5, False), (1.5, True)):
+            moved = _moved(taxicab.block_sums, block, lambda sums: target + slacks * slack)
+            with mock.patch.object(taxicab, "block_sums", side_effect=moved):
+                if raises:
+                    with pytest.raises(taxicab.InvariantError, match="block sum"):
+                        cut_norm_matrix(X)
+                else:
+                    cut_norm_matrix(X)
+
+    def test_doubled_delta_of_a_tiny_residual_raises(self):
+        # a 30 x 8 residual of Poisson(4) + 1 counts, scaled by 1e-12: its
+        # delta is 1.4e-13, far below any fixed slack of the form tol (1 + delta)
+        counts = np.random.default_rng(3).poisson(4.0, size=(30, 8)) + 1.0
+        X = ResidualMatrix(x=correspondence_residual(from_counts(counts)).x * 1e-12)
+        assert norm_exact(X).delta < 1e-12
+        walk = _moved(taxicab._transition_fixed_point, 4, lambda state: 2.0 * state[4])
+        with mock.patch.object(taxicab, "_transition_fixed_point", side_effect=walk):
+            with pytest.raises(taxicab.InvariantError):
+                norm_exact(X)

@@ -325,3 +325,44 @@ class TestTripleCenterIntegration:
         x = random_triple_centered(rng, 4, 3, 2)
         again = triple_center(x)
         np.testing.assert_allclose(again.x, x, atol=1e-14)
+
+
+class TestCertificatesAtEveryScale:
+    """The octant certificate holds to ``kernels.certificate_slack`` at every scale 2^k."""
+
+    SCALES = range(-600, 601, 100)
+
+    @staticmethod
+    def _tensor(k) -> Tensor3:
+        counts = np.random.default_rng(5).poisson(3.0, size=(5, 6, 7)).astype(float)
+        return Tensor3(x=np.ldexp(triple_center(counts).x, k))
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_genuine_axes_pass(self, k):
+        X, X1 = self._tensor(k), self._tensor(0)
+        for solve in (tensor_norm_exact, tensor_norm_heuristic):
+            axis, axis1 = solve(X), solve(X1)
+            assert axis.delta == np.ldexp(axis1.delta, k)
+            assert axis.octant_sums == tuple(np.ldexp(axis1.octant_sums, k))
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("octant", range(8))
+    def test_octant_sum_moved_past_the_slack_raises(self, k, octant):
+        X = self._tensor(k)
+        _, slack = kernels.certificate_slack(X.x)
+        sign = (1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0)[octant]
+        for solve, (slacks, raises) in itertools.product(
+                (tensor_norm_exact, tensor_norm_heuristic), ((0.5, False), (1.5, True))):
+            target = sign * solve(X).delta / 8.0
+
+            def moved(*args):
+                sums = list(block_sums(*args))
+                sums[octant] = target + slacks * slack
+                return tuple(sums)
+
+            with mock.patch("taxicab_ca.tensor.block_sums", side_effect=moved):
+                if raises:
+                    with pytest.raises(kernels.InvariantError, match="block sum"):
+                        solve(X)
+                else:
+                    solve(X)
