@@ -8,8 +8,6 @@ data coordinates, so maps are diffable and machine-checkable.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape, quoteattr
-
 from .reports import AnalysisReport
 
 __all__ = ["render_map"]
@@ -17,6 +15,23 @@ __all__ = ["render_map"]
 _WIDTH = 720.0
 _HEIGHT = 540.0
 _MARGIN = 56.0
+
+
+# What xml.sax.saxutils writes, without importing it: that module loads
+# urllib.request, and with it http, email, ssl and socket.
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` escaped, as ``saxutils.escape`` does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an attribute value, as ``saxutils.quoteattr`` does."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
 
 
 def _axis_record(report: AnalysisReport, axis: int) -> dict:
@@ -78,7 +93,7 @@ def render_map(report: AnalysisReport, axes: tuple[int, int] = (1, 2)) -> str:
     ]
     for kind, label, x, y in points:
         px, py = sx(x), sy(y)
-        attrs = (f'data-label={quoteattr(str(label))} '
+        attrs = (f'data-label={_quoteattr(str(label))} '
                  f'data-x="{x!r}" data-y="{y!r}"')
         if kind == "row":
             parts.append(
@@ -91,7 +106,7 @@ def render_map(report: AnalysisReport, axes: tuple[int, int] = (1, 2)) -> str:
             )
         parts.append(
             f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="11" '
-            f'fill="#222222">{escape(str(label))}</text>'
+            f'fill="#222222">{_escape(str(label))}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -62,7 +62,8 @@ class TaxicabAxis:
     a u it had visited.  ``f``/``g`` are mass-standardized factor scores, set
     only when the axis was computed from a correspondence matrix.  Coordinates
     listed in ``*_indeterminate`` have projections so small that their sign
-    is arbitrary.
+    is arbitrary.  ``slack`` is ``kernels.certificate_slack``'s for X: the
+    identities above were checked to it, and so are the axis's block sums.
     """
 
     delta: float
@@ -75,6 +76,7 @@ class TaxicabAxis:
     g: np.ndarray | None = None
     u_indeterminate: tuple[int, ...] = ()
     v_indeterminate: tuple[int, ...] = ()
+    slack: float = 0.0
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
@@ -204,7 +206,7 @@ def _axis_from_state(
         v_ind = tuple(range(a.size))
     return TaxicabAxis(
         delta=delta, u=u, v=v, a=a, b=b, exact=exact,
-        u_indeterminate=u_ind, v_indeterminate=v_ind,
+        u_indeterminate=u_ind, v_indeterminate=v_ind, slack=slack,
     )
 
 
@@ -215,7 +217,20 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
     other side follows from the transition formulas.  Requires q <=
     ``ENUM_LIMIT``.
     """
-    return _best_axis(X, "exact")[0]
+    if min(X.shape) > ENUM_LIMIT:
+        raise EnumerationBudgetError(
+            f"min dimension {min(X.shape)} exceeds exhaustive budget {ENUM_LIMIT}: "
+            "use norm_heuristic"
+        )
+    x = X.x
+    if x.shape[1] <= x.shape[0]:
+        _, _, u0 = enumerate_best([x[None]])
+    else:
+        _, _, v0 = enumerate_best([x.T[None]])
+        u0 = sign_pm(x.T @ v0)
+    margin, slack = certificate_slack(x)
+    state = _transition_fixed_point(x, u0, margin)
+    return _axis_from_state(_canonical_state(x, state, margin), slack, exact=True)
 
 
 def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
@@ -231,37 +246,28 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
     one-at-a-time float64 loop's winner, every bit of it.  A matrix holding
     nan or inf raises ``InvariantError`` before the first step.
     """
-    return _best_axis(X, "heuristic")[0]
+    x = X.x
+    if not np.isfinite(x).all():
+        raise InvariantError("norm_heuristic: the matrix holds non-finite values")
+    margin, slack = certificate_slack(x)
+    state = best_restart(x)
+    return _axis_from_state(_canonical_state(x, state, margin), slack, exact=False)
 
 
-def _best_axis(X: ResidualMatrix, solver: str = "auto") -> tuple[TaxicabAxis, float]:
-    """The axis that ``solver`` finds on X, with ``kernels.certificate_slack``'s slack.
+def _best_axis(X: ResidualMatrix, solver: str = "auto") -> TaxicabAxis:
+    """The axis that ``solver`` finds on X.
 
     ``auto`` enumerates within ``ENUM_LIMIT`` and takes the heuristic past it.
+    The solver is looked up by its module-level name at each call, so a
+    wrapper bound to that name sees every axis.
     """
-    x = X.x
     if solver == "auto":
         solver = "exact" if min(X.shape) <= ENUM_LIMIT else "heuristic"
     if solver == "exact":
-        if min(X.shape) > ENUM_LIMIT:
-            raise EnumerationBudgetError(
-                f"min dimension {min(X.shape)} exceeds exhaustive budget {ENUM_LIMIT}: "
-                "use norm_heuristic"
-            )
-        if x.shape[1] <= x.shape[0]:
-            _, _, u0 = enumerate_best([x[None]])
-        else:
-            _, _, v0 = enumerate_best([x.T[None]])
-            u0 = sign_pm(x.T @ v0)
-    elif solver == "heuristic":
-        if not np.isfinite(x).all():
-            raise InvariantError("norm_heuristic: the matrix holds non-finite values")
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    margin, slack = certificate_slack(x)
-    exact = solver == "exact"
-    state = _transition_fixed_point(x, u0, margin) if exact else best_restart(x)
-    return _axis_from_state(_canonical_state(x, state, margin), slack, exact), slack
+        return norm_exact(X)
+    if solver == "heuristic":
+        return norm_heuristic(X)
+    raise ValueError(f"unknown solver {solver!r}")
 
 
 def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
@@ -292,7 +298,7 @@ def tca(
     residuals: list[ResidualMatrix] = []
     delta1: float | None = None
     while len(axes) < cap:
-        axis = _best_axis(X, solver)[0]
+        axis = _best_axis(X, solver)
         if delta1 is None:
             delta1 = axis.delta
         # P has total 1, so deltas at the double-precision floor are rank exhaustion
@@ -357,9 +363,9 @@ def cut_norm_matrix(X: ResidualMatrix) -> SeriationReport:
     block sums are (+c, -c, -c, +c) with c = cut_norm = delta/4, each checked
     to ``kernels.certificate_slack``'s slack.
     """
-    axis, slack = _best_axis(X)
+    axis = _best_axis(X)
     report = _seriation_from_axis(X, axis)
-    check_block_sums(report.block_sums, axis.delta, slack)
+    check_block_sums(report.block_sums, axis.delta, axis.slack)
     return report
 
 

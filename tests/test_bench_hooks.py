@@ -13,7 +13,12 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import taxicab_ca
+from taxicab_ca import cli
+from taxicab_ca.io import format_tensor
+from taxicab_ca.kernels import ENUM_LIMIT
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -75,3 +80,25 @@ def test_every_wrapped_name_resolves_and_is_restored():
     after = _bindings(modules, spans.WRAPPED)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_every_solver_records_spans(tmp_path):
+    """Each solver layer is reached through the name the tracer wraps."""
+    rng = np.random.default_rng(28)
+    small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+    small.write_text(format_tensor(rng.normal(size=(3, 4, 2))))
+    side = ENUM_LIMIT // 2 + 1  # the two smallest modes sum past the limit
+    large.write_text(format_tensor(rng.normal(size=(side, side, side))))
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        for argv in (["tca", "--dataset", "americas", "--axes", "2"],
+                     ["tca", "--dataset", "americas", "--axes", "2", "--heuristic"],
+                     ["tensor", str(small)], ["tensor", str(large)]):
+            assert cli.run(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for solver in ("taxicab.norm_exact", "taxicab.norm_heuristic",
+                   "tensor.tensor_norm_exact", "tensor.tensor_norm_heuristic"):
+        assert solver in names, solver

@@ -1,8 +1,12 @@
-"""No module of the package imports or reads another module's private names."""
+"""No module of the package imports or reads another module's private names,
+and importing the package loads no network or XML stack."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,28 @@ def test_checker_finds_each_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_module_reads_no_private_name_of_another(path):
     assert foreign_private_names(path.read_text()) == []
+
+
+# Modules the package never calls, each with its submodules: importing
+# xml.sax.saxutils for two escape functions loaded every one of them.
+UNUSED_STACKS = ("xml.sax", "urllib.request", "http", "email", "ssl", "_ssl",
+                 "socket", "_socket")
+
+CLOSURE_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import taxicab_ca, taxicab_ca.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_unused_stack():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", CLOSURE_SCRIPT], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "taxicab_ca.cli" in loaded
+    assert [name for name in loaded
+            if any(name == stack or name.startswith(stack + ".") for stack in UNUSED_STACKS)] == []

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import re
+import string
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from taxicab_ca import svg as svg_module
 from taxicab_ca.cli import run
 from taxicab_ca.reports import AnalysisReport, build_tca_report
 from taxicab_ca.svg import render_map
@@ -84,3 +90,31 @@ class TestCliMap:
         svg = out.read_text()
         ET.fromstring(svg)
         assert 'data-label="G0"' in svg
+
+
+class TestEscaping:
+    """The map's own escapers write what ``xml.sax.saxutils`` writes."""
+
+    @given(st.text(alphabet=string.ascii_letters + "&<>\"'\t\n\r"))
+    def test_match_saxutils(self, text):
+        assert svg_module._escape(text) == escape(text)
+        assert svg_module._quoteattr(text) == quoteattr(text)
+
+    def test_special_labels_golden(self):
+        # the sha256 of this map as xml.sax.saxutils escaped it
+        report = AnalysisReport(
+            method="tca",
+            inputs={"row_labels": ["A&B", "<x>", 'say "hi"', "it's", "both\"'", "tab\there"],
+                    "col_labels": ["line\nbreak", "cr\rhere", "a>b", "plain"]},
+            provenance={},
+            results={"axes": [
+                {"axis": 1, "row_scores": [0.5, -0.25, 0.125, -0.375, 0.0, 0.75],
+                 "col_scores": [-0.5, 0.625, 0.25, -0.125]},
+                {"axis": 2, "row_scores": [0.25, 0.5, -0.75, 0.0, -0.125, 0.375],
+                 "col_scores": [0.125, -0.25, 0.5, -0.625]},
+            ]},
+        )
+        svg = render_map(report)
+        assert "data-label='say \"hi\"'" in svg and 'data-label="both&quot;\'"' in svg
+        assert (hashlib.sha256(svg.encode("utf-8")).hexdigest()
+                == "ad940fc5a2f63a444f76123145d443fb433c76a57996752bb0297a1d070f279b")
