@@ -7,7 +7,7 @@ GEMMs.  Each bound is proved once, in the docstring of the function whose
 bound it is; ``certificate_slack`` proves the float64 slack of every
 certificate that the taxicab and tensor modules check.  Other modules use
 only ``BLOCK_BYTES``, ``ENUM_LIMIT``, ``sign_grid``, ``enumerate_best``,
-``best_restart``, ``rounding_margin``, ``certificate_slack``,
+``best_restart``, ``rounding_margin``, ``certificate_slack``, ``block_sums``,
 ``check_block_sums``, ``EnumerationBudgetError`` and ``InvariantError``.
 """
 
@@ -18,6 +18,7 @@ import os
 import threading
 from collections.abc import Callable, Iterable
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -186,7 +187,7 @@ def certificate_slack(x: np.ndarray) -> tuple[float, float]:
     sum |b~| = delta~.  sum(a) is sum_j u_j c_j, c the column sums of x,
     so fl(sum a~) lies within the sum of |c| plus gamma_W A of zero, and
     sum(b) likewise with the row sums.  The 2^d block sums B of the sign
-    vectors (``taxicab.block_sums`` order) give the exact form as P =
+    vectors (``block_sums`` order) give the exact form as P =
     sum sigma B, sigma the parities.  B - sigma P / 2^d is (I - prod_k
     (I - M_k)) B, M_k the average over mode k of the 2 x ... x 2 array B:
     2^d - 1 products of averages, each whose first average is over mode k
@@ -209,17 +210,31 @@ def certificate_slack(x: np.ndarray) -> tuple[float, float]:
     return margin, (1 << x.ndim) / 4 * lines + rounding
 
 
-def check_block_sums(sums: tuple[float, ...], delta: float, slack: float) -> None:
-    """Raise ``InvariantError`` unless each block sum is its parity times delta / 2^d.
+def block_sums(x: np.ndarray, *signs: np.ndarray) -> tuple[float, ...]:
+    """Sums of the blocks that one sign vector per axis cuts ``x`` into.
 
-    Each to within ``slack``, ``certificate_slack``'s.  ``sums`` are the 2^d
-    block sums in ``taxicab.block_sums`` order, where the parity of block i
-    is -1 to the number of complemented sets, the one bits of i.
+    Blocks come in ``itertools.product`` order, the +1 set before the -1 set
+    on each axis: (S,T), (S,T-bar), (S-bar,T), (S-bar,T-bar) for a matrix,
+    and the eight octants likewise for a 3-way array.
     """
+    sides = [(mask, ~mask) for mask in (np.asarray(s) > 0 for s in signs)]
+    return tuple(float(x[np.ix_(*sets)].sum()) for sets in product(*sides))
+
+
+def check_block_sums(x: np.ndarray, delta: float, slack: float,
+                     *signs: np.ndarray) -> tuple[float, ...]:
+    """The ``block_sums`` of x, each checked to be its parity times delta / 2^d.
+
+    Each to within ``slack``, ``certificate_slack``'s for x; a sum outside
+    it raises ``InvariantError``.  The parity of block i is -1 to the number
+    of complemented sets, the one bits of i.
+    """
+    sums = block_sums(x, *signs)
     for i, sum_ in enumerate(sums):
         target = (-1) ** bin(i).count("1") * delta / len(sums)
         if not abs(sum_ - target) <= slack:
             raise InvariantError(f"block sum {sum_!r} is not {target!r} to within {slack!r}")
+    return sums
 
 
 def _prefix_margin(n: int, q: int, abs_sum: float) -> float:

@@ -34,7 +34,7 @@ from .ca_classic import CaDecomposition, CaTcaComparison
 from .clustering import ClusteringResult
 from .dispersion import DispersionReport
 from .io import LabeledMatrix
-from .taxicab import SeriationReport, TcaDecomposition, rc_axis, seriate
+from .taxicab import SeriationReport, TcaDecomposition, rc_axis
 from .tensor import OctantReport, TensorAxis
 
 __all__ = [
@@ -235,7 +235,6 @@ def _inputs_summary(data: LabeledMatrix, name: str) -> dict:
 def _tca_axis_record(dec: TcaDecomposition, index: int) -> dict:
     axis = dec.axes[index - 1]
     contrib = rc_axis(dec, index)
-    block = seriate(dec, index)
     return {
         "axis": index,
         "delta": axis.delta,
@@ -246,8 +245,8 @@ def _tca_axis_record(dec: TcaDecomposition, index: int) -> dict:
         "row_scores": axis.f,
         "col_scores": axis.g,
         **_fields(contrib),
-        "block_sums": block.block_sums,
-        "cut_norm": block.cut_norm,
+        "block_sums": axis.block_sums,
+        "cut_norm": axis.block_sums[0],
         "exact": axis.exact,
         "indeterminate_u": axis.u_indeterminate,
         "indeterminate_v": axis.v_indeterminate,

@@ -165,7 +165,8 @@ class ResidualMatrix:
 
 def correspondence_residual(P: CorrespondenceMatrix) -> ResidualMatrix:
     """Residual of P against the independence model: x_ij = p_ij - p_i* p_*j."""
-    x = P.p - np.outer(P.row_masses, P.col_masses)
+    x = np.outer(P.row_masses, P.col_masses)
+    np.subtract(P.p, x, out=x)
     return ResidualMatrix(x=x, kind="multiplicative", scale=float(P.p.sum()))
 
 

@@ -12,20 +12,19 @@ Exhaustive search is exact up to ``ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.  Both
 run on the float32 sign search of ``kernels``, where their proofs are, and
-each axis is checked against its identities to the float64 slack that
-``kernels.certificate_slack`` proves from the matrix.
+each axis, with its four block sums, is checked against its identities to
+the float64 slack that ``kernels.certificate_slack`` proves from the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from .dispersion import HEAVYWEIGHT_TOL, sign_pm
 from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart,
-                      certificate_slack, check_block_sums, enumerate_best)
+                      block_sums, certificate_slack, check_block_sums, enumerate_best)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
@@ -59,11 +58,12 @@ class TaxicabAxis:
     v = sign(a) holds exactly under the sign(0) = +1 convention, and delta
     = ||a||_1 = u'b with sum(a) = sum(b) = 0, checked when the axis is made
     from X; u = sign(b), and so delta = ||b||_1, unless the walk stopped at
-    a u it had visited.  ``f``/``g`` are mass-standardized factor scores, set
-    only when the axis was computed from a correspondence matrix.  Coordinates
-    listed in ``*_indeterminate`` have projections so small that their sign
-    is arbitrary.  ``slack`` is ``kernels.certificate_slack``'s for X: the
-    identities above were checked to it, and so are the axis's block sums.
+    a u it had visited.  ``block_sums``, of the four blocks v and u cut X
+    into, are (+c, -c, -c, +c) with c = delta/4; they and the identities
+    hold to ``kernels.certificate_slack``'s slack for X.  ``f``/``g`` are
+    mass-standardized factor scores, set only when the axis was computed from
+    a correspondence matrix.  Coordinates listed in ``*_indeterminate`` have
+    projections so small that their sign is arbitrary.
     """
 
     delta: float
@@ -72,11 +72,11 @@ class TaxicabAxis:
     a: np.ndarray
     b: np.ndarray
     exact: bool
+    block_sums: tuple[float, float, float, float]
     f: np.ndarray | None = None
     g: np.ndarray | None = None
     u_indeterminate: tuple[int, ...] = ()
     v_indeterminate: tuple[int, ...] = ()
-    slack: float = 0.0
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
@@ -89,15 +89,14 @@ class TaxicabAxis:
 class TcaDecomposition:
     """Ordered taxicab axes of a correspondence matrix.
 
-    ``residuals[k]`` is the double-centered matrix axis k was computed from
-    (the deflation history); ``rank_used`` is the number of retained axes.
+    Each axis carries its certified block sums on the residual it was
+    computed from; ``rank_used`` is the number of retained axes.
     """
 
     axes: tuple[TaxicabAxis, ...]
     row_masses: np.ndarray
     col_masses: np.ndarray
     rank_used: int
-    residuals: tuple[ResidualMatrix, ...]
 
 
 @dataclass(frozen=True)
@@ -182,13 +181,14 @@ def _canonical_state(
 
 
 def _axis_from_state(
+    x: np.ndarray,
     state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float],
     slack: float,
     exact: bool,
 ) -> TaxicabAxis:
-    """The axis of a walk's state, checked against its identities to ``slack``.
+    """The axis of a walk's state on x, its identities and block sums checked to ``slack``.
 
-    ``slack`` is ``kernels.certificate_slack``'s for the matrix of the walk.
+    ``slack`` is ``kernels.certificate_slack``'s for x.
     """
     u, v, a, b, delta = state
     if not delta == float(np.abs(a).sum()):
@@ -197,6 +197,7 @@ def _axis_from_state(
                         ("u'b - delta", float(u @ b) - delta)):
         if not abs(value) <= slack:
             raise InvariantError(f"{name} is {value!r}, outside the rounding slack {slack!r}")
+    sums = check_block_sums(x, delta, slack, v, u)
     if delta > 0.0:
         floor = INDETERMINATE_TOL * delta
         u_ind = tuple(np.flatnonzero(np.abs(b) <= floor).tolist())
@@ -205,8 +206,8 @@ def _axis_from_state(
         u_ind = tuple(range(b.size))
         v_ind = tuple(range(a.size))
     return TaxicabAxis(
-        delta=delta, u=u, v=v, a=a, b=b, exact=exact,
-        u_indeterminate=u_ind, v_indeterminate=v_ind, slack=slack,
+        delta=delta, u=u, v=v, a=a, b=b, exact=exact, block_sums=sums,
+        u_indeterminate=u_ind, v_indeterminate=v_ind,
     )
 
 
@@ -230,7 +231,7 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
         u0 = sign_pm(x.T @ v0)
     margin, slack = certificate_slack(x)
     state = _transition_fixed_point(x, u0, margin)
-    return _axis_from_state(_canonical_state(x, state, margin), slack, exact=True)
+    return _axis_from_state(x, _canonical_state(x, state, margin), slack, exact=True)
 
 
 def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
@@ -251,7 +252,7 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
         raise InvariantError("norm_heuristic: the matrix holds non-finite values")
     margin, slack = certificate_slack(x)
     state = best_restart(x)
-    return _axis_from_state(_canonical_state(x, state, margin), slack, exact=False)
+    return _axis_from_state(x, _canonical_state(x, state, margin), slack, exact=False)
 
 
 def _best_axis(X: ResidualMatrix, solver: str = "auto") -> TaxicabAxis:
@@ -274,7 +275,9 @@ def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
     """Rank-1 reduction X - a b'/delta; stays double-centered, rank drops by 1."""
     if axis.delta <= 0.0:
         raise ValueError("cannot deflate null axis")
-    x = X.x - np.outer(axis.a, axis.b) / axis.delta
+    x = np.outer(axis.a, axis.b)
+    x /= axis.delta
+    np.subtract(X.x, x, out=x)
     return ResidualMatrix(x=x, kind="deflated", scale=X.scale)
 
 
@@ -295,7 +298,6 @@ def tca(
     n, m = X.shape
     cap = min(n, m) - 1 if max_axes is None else max_axes
     axes: list[TaxicabAxis] = []
-    residuals: list[ResidualMatrix] = []
     delta1: float | None = None
     while len(axes) < cap:
         axis = _best_axis(X, solver)
@@ -306,7 +308,6 @@ def tca(
             break
         axis = replace(axis, f=axis.a / P.row_masses, g=axis.b / P.col_masses)
         axes.append(axis)
-        residuals.append(X)
         if len(axes) < cap:
             X = deflate(X, axis)
     return TcaDecomposition(
@@ -314,19 +315,7 @@ def tca(
         row_masses=P.row_masses,
         col_masses=P.col_masses,
         rank_used=len(axes),
-        residuals=tuple(residuals),
     )
-
-
-def block_sums(x: np.ndarray, *signs: np.ndarray) -> tuple[float, ...]:
-    """Sums of the blocks that one sign vector per axis cuts ``x`` into.
-
-    Blocks come in ``itertools.product`` order, the +1 set before the -1 set
-    on each axis: (S,T), (S,T-bar), (S-bar,T), (S-bar,T-bar) for a matrix,
-    and the eight octants likewise for a 3-way array.
-    """
-    sides = [(mask, ~mask) for mask in (np.asarray(s) > 0 for s in signs)]
-    return tuple(float(x[np.ix_(*sets)].sum()) for sets in product(*sides))
 
 
 def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
@@ -338,19 +327,17 @@ def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
 
 
 def _seriation_from_axis(
-    X: ResidualMatrix,
     axis: TaxicabAxis,
     row_scores: np.ndarray | None = None,
     col_scores: np.ndarray | None = None,
 ) -> SeriationReport:
-    sums = block_sums(X.x, axis.v, axis.u)
     rs = axis.a if row_scores is None else row_scores
     cs = axis.b if col_scores is None else col_scores
     return SeriationReport(
         s_opt=tuple(np.flatnonzero(axis.v > 0).tolist()),
         t_opt=tuple(np.flatnonzero(axis.u > 0).tolist()),
-        block_sums=sums,
-        cut_norm=sums[0],
+        block_sums=axis.block_sums,
+        cut_norm=axis.block_sums[0],
         row_order=_grouped_order(axis.v, rs),
         col_order=_grouped_order(axis.u, cs),
     )
@@ -360,13 +347,10 @@ def cut_norm_matrix(X: ResidualMatrix) -> SeriationReport:
     """Cut-norm of a double-centered matrix with its 4-block certificate.
 
     S and T are the positive-sign index sets of the optimal axis; the four
-    block sums are (+c, -c, -c, +c) with c = cut_norm = delta/4, each checked
-    to ``kernels.certificate_slack``'s slack.
+    block sums are the axis's own, (+c, -c, -c, +c) with c = cut_norm =
+    delta/4, each checked to ``kernels.certificate_slack``'s slack.
     """
-    axis = _best_axis(X)
-    report = _seriation_from_axis(X, axis)
-    check_block_sums(report.block_sums, axis.delta, axis.slack)
-    return report
+    return _seriation_from_axis(_best_axis(X))
 
 
 def rc_axis(decomposition: TcaDecomposition, axis_index: int) -> AxisContributions:
@@ -410,7 +394,4 @@ def seriate(decomposition: TcaDecomposition, axis_index: int) -> SeriationReport
     if not 1 <= axis_index <= len(axes):
         raise ValueError(f"axis {axis_index} not computed")
     axis = axes[axis_index - 1]
-    return _seriation_from_axis(
-        decomposition.residuals[axis_index - 1], axis,
-        row_scores=axis.f, col_scores=axis.g,
-    )
+    return _seriation_from_axis(axis, row_scores=axis.f, col_scores=axis.g)

@@ -16,7 +16,6 @@ import numpy as np
 from . import kernels
 from .dispersion import sign_pm
 from .residual import Tensor3
-from .taxicab import block_sums
 
 __all__ = [
     "OctantReport",
@@ -70,8 +69,7 @@ def _axis_from_signs(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     ``slack`` is ``kernels.certificate_slack``'s for x.
     """
     delta = float(np.einsum("ijk,i,j,k->", x, u, v, w))
-    sums = block_sums(x, u, v, w)
-    kernels.check_block_sums(sums, delta, slack)
+    sums = kernels.check_block_sums(x, delta, slack, u, v, w)
     return TensorAxis(delta=delta, u=u, v=v, w=w, octant_sums=sums, exact=exact)
 
 

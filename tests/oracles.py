@@ -228,7 +228,8 @@ def loop_norm_heuristic(X):
         if best is None or state[4] > best[4]:
             best = state
     margin, slack = kernels.certificate_slack(x)
-    return taxicab._axis_from_state(taxicab._canonical_state(x, best, margin), slack, exact=False)
+    return taxicab._axis_from_state(x, taxicab._canonical_state(x, best, margin), slack,
+                                    exact=False)
 
 
 # The two-mode clustering search as it was before the screened rewrite: one

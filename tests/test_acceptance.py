@@ -31,7 +31,7 @@ from taxicab_ca.dispersion import (
     variance_and_std,
 )
 from taxicab_ca.residual import ResidualMatrix, Tensor3, correspondence_residual, from_counts
-from taxicab_ca.taxicab import cut_norm_matrix, norm_exact, rc_axis, seriate, tca
+from taxicab_ca.taxicab import cut_norm_matrix, deflate, norm_exact, rc_axis, seriate, tca
 from taxicab_ca.tensor import tensor_norm_exact
 
 
@@ -81,12 +81,13 @@ def test_criterion_1_asbestos_axis1():
 def test_criterion_2_asbestos_axis2():
     with criterion(2, "asbestos axis 2: delta, scores, heavyweight deflation"):
         data = load_dataset("asbestos")
-        dec = tca(from_counts(data.values), max_axes=2)
+        P = from_counts(data.values)
+        dec = tca(P, max_axes=2)
         axis2 = dec.axes[1]
         assert axis2.delta == pytest.approx(0.2132, abs=5e-4)
         assert_match_up_to_sign(axis2.b, B2, atol=1e-3)
         assert_match_up_to_sign(axis2.g, G2, atol=1e-3)
-        deflated = dec.residuals[1]
+        deflated = deflate(correspondence_residual(P), dec.axes[0])
         assert np.abs(deflated.x[:, 0]).max() <= 1e-12
         contrib = rc_axis(dec, 1)
         assert contrib.rc_cols[0] == pytest.approx(0.5, abs=1e-10)

@@ -28,6 +28,7 @@ from oracles import (
 from taxicab_ca import kernels, taxicab
 from taxicab_ca.dispersion import sign_pm
 from taxicab_ca.residual import (
+    CorrespondenceMatrix,
     ResidualMatrix,
     Tensor3,
     correspondence_residual,
@@ -630,8 +631,8 @@ class TestInvariantErrors:
     def test_raised_under_optimize_flag(self):
         script = textwrap.dedent("""
             import numpy as np
-            from taxicab_ca import clustering, taxicab, tensor
-            from taxicab_ca.residual import ResidualMatrix, Tensor3
+            from taxicab_ca import ca_classic, clustering, kernels, taxicab, tensor
+            from taxicab_ca.residual import ResidualMatrix, Tensor3, from_counts
 
             assert False, "assertions must be stripped under -O"
 
@@ -658,15 +659,19 @@ class TestInvariantErrors:
                 "cluster_local_search": lambda: clustering.maximize(
                     unchecked(ResidualMatrix, nan), 2, 2, method="local_search"),
             }
-            real = taxicab._seriation_from_axis
-            def skewed(X, axis):
-                report = real(X, axis)
-                sums = (2 * report.cut_norm, *report.block_sums[1:])
-                return report.__class__(
-                    **{**report.__dict__, "cut_norm": sums[0], "block_sums": sums})
-            taxicab._seriation_from_axis = skewed
+            # every matrix axis sums and checks its four blocks where it is
+            # made: a first block sum off by c = delta / 4 raises on each path
+            real = kernels.block_sums
+            def skewed(x, *signs):
+                sums = real(x, *signs)
+                return (2 * sums[0], *sums[1:])
+            kernels.block_sums = skewed
             X = ResidualMatrix(x=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            P = from_counts(np.array([[4.0, 1.0, 2.0], [1.0, 3.0, 2.0]]))
             cases["cut_norm_matrix"] = lambda: taxicab.cut_norm_matrix(X)
+            cases["tca"] = lambda: taxicab.tca(P)
+            cases["seriate"] = lambda: taxicab.seriate(taxicab.tca(P, max_axes=1), 1)
+            cases["compare_ca_tca"] = lambda: ca_classic.compare_ca_tca(P, 1)
             for name, call in cases.items():
                 try:
                     call()
@@ -680,7 +685,9 @@ class TestInvariantErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("raised:") == 10
+        assert proc.stdout.count("raised:") == 13
+        for name in ("cut_norm_matrix", "tca", "seriate", "compare_ca_tca"):
+            assert f"{name} raised: block sum" in proc.stdout
         # the four exact searches stop where the screen confirms no candidate
         assert proc.stdout.count("confirmed no candidate") == 4
         # the heuristic refuses nan and inf before its first step
@@ -777,11 +784,15 @@ def _assert_same_axis(got, ref) -> None:
     assert got.v_indeterminate == ref.v_indeterminate
 
 
-def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
+def _poisson_table(seed: int, n: int, m: int) -> CorrespondenceMatrix:
     counts = np.random.default_rng(seed).poisson(3.0, size=(n, m)).astype(float)
     counts[counts.sum(axis=1) == 0, 0] += 1.0
     counts[0, counts.sum(axis=0) == 0] += 1.0
-    return correspondence_residual(from_counts(counts))
+    return from_counts(counts)
+
+
+def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
+    return correspondence_residual(_poisson_table(seed, n, m))
 
 
 def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -1280,7 +1291,8 @@ class TestTca:
         dec = tca(asbestos_P)
         contrib = rc_axis(dec, 1)
         assert contrib.heavyweight_cols == (0,)
-        assert np.abs(dec.residuals[1].x[:, 0]).max() <= 1e-12
+        deflated = deflate(correspondence_residual(asbestos_P), dec.axes[0])
+        assert np.abs(deflated.x[:, 0]).max() <= 1e-12
 
     def test_equivalent_partitioning(self, asbestos):
         counts = asbestos.values
@@ -1323,6 +1335,28 @@ class TestTca:
         assert report.s_opt == tuple(np.flatnonzero(best.v > 0).tolist())
         assert report.t_opt == tuple(np.flatnonzero(best.u > 0).tolist())
         assert report.block_sums == block_sums(X.x, best.v, best.u)
+
+    @pytest.mark.parametrize("shape", [(400, 300), (300, 200), (3000, 14)])
+    def test_working_memory_holds_one_residual(self, shape):
+        # tca keeps only the residual of the axis it is solving: its peak
+        # exceeds that of one solve on the first residual by that residual
+        # and the next one's buffer at most.  Two workers measured an
+        # excess of 1.01-1.06 n m floats on the heuristic tables and 1.45
+        # on 3000 x 14 (exact); a kept deflation history took 3.0-3.45
+        P = _poisson_table(1, *shape)
+        X = correspondence_residual(P)
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                with screen_split(2, share_work=None):
+                    call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve = peak(lambda: taxicab._best_axis(X))
+        assert peak(lambda: tca(P, max_axes=3)) - solve <= 2 * X.x.size * 8
 
     def test_solver_override(self, asbestos_P):
         exact = tca(asbestos_P, max_axes=1, solver="exact")
@@ -1483,8 +1517,8 @@ class TestCertificatesAtEveryScale:
         _, slack = kernels.certificate_slack(X.x)
         target = (1.0, -1.0, -1.0, 1.0)[block] * axis.delta / 4.0
         for slacks, raises in ((0.5, False), (1.5, True)):
-            moved = _moved(taxicab.block_sums, block, lambda sums: target + slacks * slack)
-            with mock.patch.object(taxicab, "block_sums", side_effect=moved):
+            moved = _moved(kernels.block_sums, block, lambda sums: target + slacks * slack)
+            with mock.patch.object(kernels, "block_sums", side_effect=moved):
                 if raises:
                     with pytest.raises(taxicab.InvariantError, match="block sum"):
                         cut_norm_matrix(X)

@@ -20,7 +20,7 @@ from taxicab_ca.cli import run
 from taxicab_ca.io import format_tensor
 from taxicab_ca.reports import AnalysisReport
 from taxicab_ca.residual import Tensor3, triple_center
-from taxicab_ca.taxicab import EnumerationBudgetError, block_sums
+from taxicab_ca.taxicab import EnumerationBudgetError
 from taxicab_ca.tensor import (
     octant_report,
     tensor_norm,
@@ -289,7 +289,7 @@ class TestOctantReport:
         # (12, 12, 13) is over the enumeration budget: the heuristic runs
         path = tmp_path / "t.txt"
         path.write_text(format_tensor(np.random.default_rng(41).normal(size=shape)))
-        with mock.patch("taxicab_ca.tensor.block_sums", wraps=block_sums) as spy:
+        with mock.patch.object(kernels, "block_sums", wraps=kernels.block_sums) as spy:
             assert run(["tensor", str(path)]) == 0
         capsys.readouterr()
         assert spy.call_count == 1
@@ -355,12 +355,12 @@ class TestCertificatesAtEveryScale:
                 (tensor_norm_exact, tensor_norm_heuristic), ((0.5, False), (1.5, True))):
             target = sign * solve(X).delta / 8.0
 
-            def moved(*args):
-                sums = list(block_sums(*args))
+            def moved(*args, real=kernels.block_sums):
+                sums = list(real(*args))
                 sums[octant] = target + slacks * slack
                 return tuple(sums)
 
-            with mock.patch("taxicab_ca.tensor.block_sums", side_effect=moved):
+            with mock.patch.object(kernels, "block_sums", side_effect=moved):
                 if raises:
                     with pytest.raises(kernels.InvariantError, match="block sum"):
                         solve(X)
