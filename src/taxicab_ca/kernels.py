@@ -6,7 +6,7 @@ column restarts of the alternating sign iteration in certified float32
 GEMMs.  Each bound is proved once, in the docstring of the function whose
 bound it is; ``certificate_slack`` proves the float64 slack of every
 certificate that the taxicab and tensor modules check.  Other modules use
-only ``BLOCK_BYTES``, ``ENUM_LIMIT``, ``sign_grid``, ``enumerate_best``,
+only ``BLOCK_BYTES``, ``ENUM_LIMIT``, ``enum_width``, ``sign_grid``, ``enumerate_best``,
 ``best_restart``, ``rounding_margin``, ``certificate_slack``, ``block_sums``,
 ``check_block_sums``, ``EnumerationBudgetError`` and ``InvariantError``.
 """
@@ -25,23 +25,20 @@ import numpy as np
 from .dispersion import sign_pm
 
 BLOCK_BYTES = 1 << 20  # working set of one enumeration block: fills a 1 MiB per-core L2
-# sign coordinates an exact search enumerates: min(n, m) of a matrix, the two
-# smallest mode sizes of a 3-way array together
-ENUM_LIMIT = 22
+ENUM_LIMIT = 22  # most sign coordinates an exact search enumerates (``enum_width``)
 # threads that may screen or walk at once: one per CPU this process may run on
 _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-# units of work each share of a screen or walk must get: float32 table
-# entries (candidates x n) for a screen, n m products a restart for a walk
-# on n x m.  On two CPUs with one BLAS thread a thread start and join took
-# 30-50 us and one thread screened about 4 entries a ns, yet forced splits
-# only broke even at about 1.3M entries in all on the prefix path and 4.4M
-# on whole grids of 72 x 11 matrices: the shares' numpy calls contend for
-# the GIL and for the shared cache.  2^21 a share keeps the 22 x 15 (0.36M)
-# and 40 x 15 (0.66M) screens on one thread and splits the 12M of an
-# 11 x 11 x 72 tensor stack.  A walk of m restarts is n m^2 units, so the
-# 400 x 300 (36M), 300 x 200 (12M) and 16 x 1500 (36M) walks split and the
-# 200 x 120 (2.9M) and smaller ones stay on one thread.
+# units of work each share of a prefix screen or a walk must get: float32
+# table entries (prefixes x 2^k x n) for a screen, n m products a restart
+# for a walk on n x m.  On two CPUs with one BLAS thread forced splits broke
+# even at about 1.3M entries: the shares' numpy calls contend for the GIL
+# and the shared cache.  2^21 a share keeps the 22 x 15 (0.36M) and 40 x 15
+# (0.66M) screens on one thread and splits 500 x 20 (norm_exact 66-73 ms in
+# two shares, 112-115 in one) and the walks of n m^2 units on 400 x 300
+# (36M; 30-32 ms against 49-54), 300 x 200 and 16 x 1500, not 200 x 120
+# (2.9M).  Whole-grid screens run on the calling thread: the 11 x 11 x 72
+# tensor's took 39-45 ms in two shares, 34-35 in one.
 _SHARE_WORK = 1 << 21
 # values in one row of the prefix screen's tiled table: it lays the smallest
 # power of two r of table rows side by side with n r at least this many
@@ -62,6 +59,12 @@ class InvariantError(ArithmeticError):
 
 class EnumerationBudgetError(ValueError):
     """Requested exhaustive search exceeds the enumeration budget."""
+
+
+def enum_width(shape: tuple[int, ...]) -> int:
+    """Sign coordinates an exact search enumerates on an array of ``shape``: the
+    sum of its d - 1 smallest mode sizes, min(n, m) for a matrix."""
+    return sum(sorted(shape)[:-1])
 
 
 def sign_grid(width: int, start: int, stop: int) -> np.ndarray:
@@ -361,12 +364,11 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     ``np.negative``.  The best of fl(2 S - L) over each reference prefix
     plus H is the best of its scores, as adding H is monotone.
 
-    A share (``_run_shares``) scans a range of matrices when the whole grid
-    fits, else a range of the prefixes of one block of high-prefix
-    projections, and writes their maxima.  Whole-grid shares split the
-    one-share block of tables; each prefix share has a max buffer of 2^k x n
-    float32 values (those beyond the first together fit ``BLOCK_BYTES``) and
-    at most 8 x max(n, 8191) values of copies of -h.
+    A whole grid is scored on the calling thread, as many matrices at a
+    time as one block of tables within ``BLOCK_BYTES`` holds.  Else a share
+    (``_run_shares``) scans a range of prefixes of one block of heads, with
+    a max buffer of 2^k x n float32 values (those beyond the first together
+    fit ``BLOCK_BYTES``) and at most 8 x max(n, 8191) values of copies of -h.
     """
     count, n, q = stack.shape
     shift = _float32_shift(stack)
@@ -380,23 +382,15 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     if prefixes == 1:
         grid = _low_sign_grid(q)[: 1 << (q - 1)].astype(np.float32)
         step = min(count, max(1, BLOCK_BYTES // (4 * grid.shape[0] * n)))
-        bounds = _share_bounds(count, grid.shape[0] * n, step)
-        shares = len(bounds) - 1
-        step //= shares
-        tables = np.empty((shares, step, grid.shape[0], n), dtype=np.float32)
-        scores = np.empty((shares, step, grid.shape[0]), dtype=np.float32)
-
-        def grid_share(i: int, lo: int, hi: int) -> None:
-            """Matrices lo:hi, ``step`` at a time."""
-            for start in range(lo, hi, step):
-                stop = min(start + step, hi)
-                table, score = tables[i, :stop - start], scores[i, :stop - start]
-                np.matmul(grid, parts[start:stop], out=table)
-                np.abs(table, out=table)
-                np.matmul(table, ones, out=score)
-                score.reshape(stop - start, per_table, -1).max(axis=2, out=maxima[start:stop])
-
-        _run_shares(grid_share, bounds)
+        tables = np.empty((step, grid.shape[0], n), dtype=np.float32)
+        scores = np.empty((step, grid.shape[0]), dtype=np.float32)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            table, score = tables[:stop - start], scores[:stop - start]
+            np.matmul(grid, parts[start:stop], out=table)
+            np.abs(table, out=table)
+            np.matmul(table, ones, out=score)
+            score.reshape(stop - start, per_table, -1).max(axis=2, out=maxima[start:stop])
     else:
         grid = _low_sign_grid(k).astype(np.float32)
         reps = _tile_reps(n, k)

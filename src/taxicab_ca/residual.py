@@ -30,8 +30,10 @@ CENTERING_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
+    """``a`` if it is a read-only float64 array that owns its data, else a read-only copy."""
+    if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable or not a.flags.owndata:
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
     return a
 
 
@@ -167,6 +169,7 @@ def correspondence_residual(P: CorrespondenceMatrix) -> ResidualMatrix:
     """Residual of P against the independence model: x_ij = p_ij - p_i* p_*j."""
     x = np.outer(P.row_masses, P.col_masses)
     np.subtract(P.p, x, out=x)
+    x.setflags(write=False)
     return ResidualMatrix(x=x, kind="multiplicative", scale=float(P.p.sum()))
 
 
@@ -181,6 +184,7 @@ def additive_double_center(Y: np.ndarray) -> ResidualMatrix:
         x = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
         scale = float(np.abs(y).sum())
     _check_overflow(x, scale, "double centering")
+    x.setflags(write=False)
     return ResidualMatrix(x=x, kind="additive", scale=scale)
 
 
@@ -232,4 +236,5 @@ def triple_center(Y: np.ndarray) -> Tensor3:
         x = y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
         scale = float(np.abs(y).sum())
     _check_overflow(x, scale, "triple centering")
+    x.setflags(write=False)
     return Tensor3(x=x, scale=scale)

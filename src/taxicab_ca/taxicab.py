@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import HEAVYWEIGHT_TOL, sign_pm
-from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart,
-                      block_sums, certificate_slack, check_block_sums, enumerate_best)
+from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart, block_sums,
+                      certificate_slack, check_block_sums, enum_width, enumerate_best)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
@@ -218,9 +218,9 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
     other side follows from the transition formulas.  Requires q <=
     ``ENUM_LIMIT``.
     """
-    if min(X.shape) > ENUM_LIMIT:
+    if (width := enum_width(X.shape)) > ENUM_LIMIT:
         raise EnumerationBudgetError(
-            f"min dimension {min(X.shape)} exceeds exhaustive budget {ENUM_LIMIT}: "
+            f"min dimension {width} exceeds exhaustive budget {ENUM_LIMIT}: "
             "use norm_heuristic"
         )
     x = X.x
@@ -263,7 +263,7 @@ def _best_axis(X: ResidualMatrix, solver: str = "auto") -> TaxicabAxis:
     wrapper bound to that name sees every axis.
     """
     if solver == "auto":
-        solver = "exact" if min(X.shape) <= ENUM_LIMIT else "heuristic"
+        solver = "exact" if enum_width(X.shape) <= ENUM_LIMIT else "heuristic"
     if solver == "exact":
         return norm_exact(X)
     if solver == "heuristic":
@@ -275,9 +275,11 @@ def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
     """Rank-1 reduction X - a b'/delta; stays double-centered, rank drops by 1."""
     if axis.delta <= 0.0:
         raise ValueError("cannot deflate null axis")
-    x = np.outer(axis.a, axis.b)
-    x /= axis.delta
+    e = int(np.frexp(axis.delta)[1])  # a and delta over 2^e: a b' in range at every scale
+    x = np.outer(np.ldexp(axis.a, -e), axis.b)
+    x /= np.ldexp(axis.delta, -e)
     np.subtract(X.x, x, out=x)
+    x.setflags(write=False)
     return ResidualMatrix(x=x, kind="deflated", scale=X.scale)
 
 

@@ -85,12 +85,11 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     """
     x = X.x
     dims = x.shape
-    order = sorted(range(3), key=lambda ax: (dims[ax], ax))
-    e1, e2, free = order
+    e1, e2, free = sorted(range(3), key=lambda ax: (dims[ax], ax))
     q1, q2, q3 = dims[e1], dims[e2], dims[free]
-    if q1 + q2 > kernels.ENUM_LIMIT:
+    if (width := kernels.enum_width(dims)) > kernels.ENUM_LIMIT:
         raise kernels.EnumerationBudgetError(
-            f"two smallest mode sizes sum to {q1 + q2}, over budget "
+            f"two smallest mode sizes sum to {width}, over budget "
             f"{kernels.ENUM_LIMIT}: use tensor_norm_heuristic"
         )
     xp = np.transpose(x, (e1, e2, free))
@@ -154,8 +153,7 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
 def tensor_norm(X: Tensor3) -> TensorAxis:
     """Tensor sign norm, exact when the two smallest mode sizes sum to at most
     ``kernels.ENUM_LIMIT`` and the heuristic lower bound otherwise."""
-    q1, q2, _ = sorted(X.shape)
-    if q1 + q2 <= kernels.ENUM_LIMIT:
+    if kernels.enum_width(X.shape) <= kernels.ENUM_LIMIT:
         return tensor_norm_exact(X)
     return tensor_norm_heuristic(X)
 

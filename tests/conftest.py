@@ -64,10 +64,11 @@ def align_sign(computed, expected):
 def screen_split(workers: int | None, share_work: int | None = 1):
     """Screen and walk with ``workers`` shares where the work allows, and record every split.
 
-    ``share_work`` replaces the work a share needs (1 splits every screen
-    or walk of two items or more; None keeps the module's threshold).
+    ``share_work`` replaces the work a share needs (1 splits every prefix
+    screen or walk of two items or more; None keeps the module's threshold).
     Yields the list of share counts of the ``_run_shares`` rounds of the
-    screens and walks run inside the block.
+    prefix screens and walks run inside the block; a whole-grid screen runs
+    on the calling thread and records no round.
     """
     shares: list[int] = []
     real = kernels._run_shares

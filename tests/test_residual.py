@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import random_double_centered
+from oracles import random_double_centered, random_triple_centered
 from taxicab_ca.residual import (
     CENTERING_TOL,
     CorrespondenceMatrix,
@@ -149,6 +149,31 @@ class TestResidualMatrixValidation:
         for scale in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="scale"):
                 ResidualMatrix(x=np.zeros((2, 2)), scale=scale)
+
+    def test_callers_arrays_are_copied(self):
+        rng = np.random.default_rng(14)
+        # a writeable array, a read-only view of one, and a 3-way array
+        y = random_double_centered(rng, 4, 3)
+        base = y.copy()
+        view = base[:, :]
+        view.setflags(write=False)
+        t = random_triple_centered(rng, 2, 3, 4)
+        kept = [(ResidualMatrix(x=y), y), (ResidualMatrix(x=view), base), (Tensor3(x=t), t)]
+        before = [X.x.copy() for X, _ in kept]
+        for X, given in kept:
+            assert not X.x.flags.writeable
+            given += 1.0
+        for (X, _), x in zip(kept, before):
+            np.testing.assert_array_equal(X.x, x)
+
+    def test_a_frozen_buffer_is_kept(self):
+        x = random_double_centered(np.random.default_rng(15), 4, 3)
+        x.setflags(write=False)
+        assert ResidualMatrix(x=x).x is x
+        for X in (correspondence_residual(from_counts(np.arange(1.0, 7.0).reshape(2, 3))),
+                  additive_double_center(np.arange(6.0).reshape(2, 3)),
+                  triple_center(np.arange(8.0).reshape(2, 2, 2))):
+            assert X.x.flags.owndata and not X.x.flags.writeable
 
     def test_block_identities(self):
         rng = np.random.default_rng(9)

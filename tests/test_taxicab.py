@@ -166,6 +166,12 @@ class TestNormExact:
             assert abs(np.abs(axis.a).sum() - axis.delta) <= slack
             assert abs(np.abs(axis.b).sum() - axis.delta) <= slack
 
+    @pytest.mark.parametrize(("shape", "width"), [((30, 8), 8), ((8, 30), 8), ((22, 22), 22),
+                                                  ((11, 11, 72), 22), ((72, 5, 11), 16)])
+    def test_enumeration_width(self, shape, width):
+        # the d - 1 smallest mode sizes, which every solver picker and budget check reads
+        assert kernels.enum_width(shape) == width
+
     def test_budget_error(self):
         rng = np.random.default_rng(3)
         X = _rand_residual(rng, 24, 23)
@@ -365,11 +371,12 @@ class TestScreenedKernel:
         ties[:, 3] = ties[:, 5] * NEAR_TIE
         for m in (rng.normal(size=(30, 9)), ties, rng.normal(size=(3000, 12))):
             val, s = _kernel(m)
-            # two workers and the module's threshold: the 3000 x 12 screen
-            # splits, and its worker thread runs under the caller's errstate
+            # two workers and the module's threshold: the 3000 x 12 prefix
+            # screen splits, and its worker thread runs under the caller's
+            # errstate; the whole grids of the others take no share round
             with np.errstate(all="raise"), screen_split(2, share_work=None) as shares:
                 scaled_val, scaled_s = _kernel(np.ldexp(m, exponent))  # no overflow or underflow
-            assert max(shares) == (2 if m.shape == (3000, 12) else 1)
+            assert shares == ([2] if m.shape == (3000, 12) else [])
             np.testing.assert_array_equal(scaled_s, s)
             assert scaled_val == np.ldexp(val, exponent)
 
@@ -398,7 +405,8 @@ def _unchecked(cls, x):
 class TestScreenShares:
     """A screen split into shares returns the bits of a one-share screen."""
 
-    # (stack shape, budget, most shares): the whole grid at once; one block
+    # (stack shape, budget, most shares): the whole grid at once, 34
+    # matrices a block, on the calling thread with no share round; one block
     # of prefix projections; several matrices with two blocks each; several
     # matrices with one block each.  A prefix screen takes one share more
     # than the budget holds sum buffers of 2^k x n float32 values.
@@ -409,25 +417,30 @@ class TestScreenShares:
         stack = np.random.default_rng(21).normal(size=shape)
         with _budget(budget):
             k_ref, _ = kernels._enum_split(*shape[1:])
+            whole = kernels._enum_split(*shape[1:], itemsize=4)[0] == shape[2] - 1
             with screen_split(1) as shares:
                 maxima, margin = kernels._screen(stack, k_ref)
-            assert max(shares) == 1
+            assert set(shares) == (set() if whole else {1})
             with screen_split(workers) as shares:
                 split_maxima, split_margin = kernels._screen(stack, k_ref)
-        assert max(shares) == min(workers, most)
+        assert set(shares) == (set() if whole else {min(workers, most)})
         np.testing.assert_array_equal(split_maxima, maxima)
         assert split_margin == margin
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_tensor_stacks_are_bit_identical(self, workers):
-        # 512 contracted 40 x 10 matrices, in stacks of 327
+        # 512 contracted 40 x 10 matrices, in stacks of 6 under a 20 KiB
+        # budget: prefix screens of eight prefixes, which split in up to
+        # three shares (whole grids do not split:
+        # test_whole_grids_screen_on_the_calling_thread)
         T = triple_center(np.random.default_rng(22).poisson(4.0, size=(10, 10, 40)).astype(float))
-        with screen_split(1):
-            one = _screens(lambda: tensor_norm_exact(T))
-        with screen_split(workers) as shares:
-            split = _screens(lambda: tensor_norm_exact(T))
-        assert max(shares) == workers
-        assert len(one) == len(split) == 2
+        with _budget(20 << 10):
+            with screen_split(1):
+                one = _screens(lambda: tensor_norm_exact(T))
+            with screen_split(workers) as shares:
+                split = _screens(lambda: tensor_norm_exact(T))
+        assert set(shares) == {workers}
+        assert len(one) == len(split) == 86
         for (maxima, margin), (split_maxima, split_margin) in zip(one, split):
             np.testing.assert_array_equal(split_maxima, maxima)
             assert split_margin == margin
@@ -436,7 +449,8 @@ class TestScreenShares:
         # eight shares on any machine, and the interpreter switching threads
         # every microsecond: a share that touched another's buffers or
         # maxima would change some bits.  The prefix screen of 4 x 20 has
-        # sum buffers of 8192 x 4 float32 values, so eight fit the budget.
+        # sum buffers of 8192 x 4 float32 values, so eight fit the budget;
+        # the whole grid of 40 x 30 x 9 stays on the calling thread.
         rng = np.random.default_rng(25)
         stacks = [rng.normal(size=(40, 30, 9)), rng.normal(size=(1, 4, 20))]
         k_refs = [kernels._enum_split(*stack.shape[1:])[0] for stack in stacks]
@@ -449,30 +463,51 @@ class TestScreenShares:
                 got = [kernels._screen(stack, k_ref) for stack, k_ref in zip(stacks, k_refs)]
         finally:
             sys.setswitchinterval(interval)
-        assert shares == [8, 8]
+        assert shares == [8]
         for (maxima, margin), (split_maxima, split_margin) in zip(expected, got):
             np.testing.assert_array_equal(split_maxima, maxima)
             assert split_margin == margin
 
     @pytest.mark.parametrize("shape", [(34, 72, 11), (1, 40, 15), (1, 22, 15)])
     def test_small_screens_stay_on_one_thread(self, shape):
-        # at most 2.5M table entries in all: under two shares of _SHARE_WORK
+        # at most 2.5M table entries in all: the prefix screens are under two
+        # shares of _SHARE_WORK, and the whole grid of 72 x 11 takes no round
         stack = np.random.default_rng(24).normal(size=shape)
         with screen_split(2, share_work=None) as shares:
             kernels._screen(stack, kernels._enum_split(*shape[1:])[0])
-        assert max(shares) == 1
+        assert shares == ([] if shape == (34, 72, 11) else [1])
 
     @pytest.mark.parametrize("shape,split", [((40, 30, 9), 2), ((3, 30, 17), 1)])
     def test_each_stack_is_cast_once(self, shape, split):
-        # the whole grid (k = q - 1) in two shares, and three matrices of 16 prefixes each
+        # the whole grid (k = q - 1) with two workers, on the calling thread,
+        # and three matrices of 16 prefixes each in one share
         stack = np.random.default_rng(27).normal(size=shape)
         k, _ = kernels._enum_split(*shape[1:], itemsize=4)
         assert (k == shape[2] - 1) == (split == 2)
         with screen_split(split) as shares, \
                 mock.patch.object(kernels, "_to_float32", wraps=kernels._to_float32) as cast:
             kernels._screen(stack, kernels._enum_split(*shape[1:])[0])
-        assert max(shares) == split
+        assert shares == ([] if split == 2 else [1, 1, 1])
         assert cast.call_count == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_whole_grids_screen_on_the_calling_thread(self, workers):
+        # a stack of 40 matrices of 30 x 9 and the 11 x 11 x 72 tensor's
+        # stacks of 72 x 11 contractions: every sign grid fits one block, so
+        # no screen asks for shares or makes a round, however many could run
+        rng = np.random.default_rng(26)
+        stack = rng.normal(size=(40, 30, 9))
+        T = triple_center(rng.poisson(4.0, size=(11, 11, 72)).astype(float))
+        k_ref, _ = kernels._enum_split(*stack.shape[1:])
+        expected = [kernels._screen(stack, k_ref)] + _screens(lambda: tensor_norm_exact(T))
+        with screen_split(workers) as shares, \
+                mock.patch.object(kernels, "_share_bounds", wraps=kernels._share_bounds) as bounds:
+            got = [kernels._screen(stack, k_ref)] + _screens(lambda: tensor_norm_exact(T))
+        assert shares == [] and bounds.call_count == 0
+        assert len(got) == len(expected) == 8
+        for (maxima, margin), (got_maxima, got_margin) in zip(expected, got):
+            np.testing.assert_array_equal(got_maxima, maxima)
+            assert got_margin == margin
 
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                         reason="np.errstate is a context variable from numpy 2 on")
@@ -701,12 +736,14 @@ class TestInvariantErrors:
         x[5, 3] = bad
         t = rng.normal(size=(11, 11, 72))
         t[2, 7, 40] = bad
-        for call in (lambda: norm_exact(_unchecked(ResidualMatrix, x)),
-                     lambda: tensor_norm_exact(_unchecked(Tensor3, t))):
+        # the matrix's prefix screen splits in two; the tensor's whole grids
+        # run on the calling thread
+        for call, rounds in ((lambda: norm_exact(_unchecked(ResidualMatrix, x)), [2]),
+                             (lambda: tensor_norm_exact(_unchecked(Tensor3, t)), [])):
             with screen_split(2, share_work=None) as shares, np.errstate(invalid="ignore"):
                 with pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
                     call()
-            assert max(shares) == 2
+            assert shares == rounds
 
 
 class TestNormHeuristic:
@@ -1251,6 +1288,38 @@ class TestDeflate:
         with pytest.raises(ValueError, match="null axis"):
             deflate(X, axis)
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_deflation_scales_bit_for_bit(self, k):
+        # formed directly, a b' / delta underflows to zero at 2^-600 (the
+        # deflated residual would be its input, and axis 2 axis 1) and
+        # overflows at 2^600
+        X1 = _poisson_residual(3, 30, 8)
+        X = ResidualMatrix(x=np.ldexp(X1.x, k))
+        axis, axis1 = norm_exact(X), norm_exact(X1)
+        assert axis.delta == np.ldexp(axis1.delta, k)
+        for name in ("a", "b"):
+            assert getattr(axis, name).tobytes() == np.ldexp(getattr(axis1, name), k).tobytes()
+        second, second1 = deflate(X, axis), deflate(X1, axis1)
+        assert second.x.tobytes() == np.ldexp(second1.x, k).tobytes()
+        axis2, axis2_1 = norm_exact(second), norm_exact(second1)
+        assert axis2.delta == np.ldexp(axis2_1.delta, k) < axis.delta
+        assert (axis2.u.tobytes(), axis2.v.tobytes()) != (axis.u.tobytes(), axis.v.tobytes())
+
+    def test_builders_hand_over_their_buffer(self):
+        # correspondence_residual and deflate each fill one n x m buffer that
+        # the ResidualMatrix keeps; a copy on construction peaks at 2.13 n m floats
+        P = _poisson_table(1, 400, 300)
+        X = correspondence_residual(P)
+        axis = norm_heuristic(X)
+        for build in (lambda: correspondence_residual(P), lambda: deflate(X, axis)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * X.x.size * 8
+
 
 class TestTca:
     def test_asbestos_axis1_scores(self, asbestos_P):
@@ -1485,7 +1554,7 @@ class TestCertificatesAtEveryScale:
     @staticmethod
     def _matrices(k):
         X = _poisson_residual(3, 30, 8)
-        second = deflate(X, norm_exact(X))  # deflated at scale 1: the product a b' under/overflows at 2^+-600
+        second = deflate(X, norm_exact(X))  # deflated at scale 1, then scaled
         return [ResidualMatrix(x=np.ldexp(Y.x, k)) for Y in (X, second)]
 
     @pytest.mark.parametrize("k", SCALES)

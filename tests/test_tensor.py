@@ -210,11 +210,11 @@ class TestScreenedTensorSearch:
                   _integer_centered(rng.integers(0, 3, size=(5, 3, 4)).astype(float)),
                   random_triple_centered(rng, 11, 11, 72)):
             axis = tensor_norm_exact(Tensor3(x=x))
-            # two workers and the module's threshold: the 11 x 11 x 72 stacks
-            # split, and the worker threads run under the caller's errstate
+            # two workers and the module's threshold: every stack is a whole
+            # grid, screened on the calling thread under its errstate
             with np.errstate(all="raise"), screen_split(2, share_work=None) as shares:
                 scaled = tensor_norm_exact(Tensor3(x=np.ldexp(x, exponent)))  # no overflow or underflow
-            assert max(shares) == (2 if x.shape == (11, 11, 72) else 1)
+            assert shares == []
             for got, ref in zip((scaled.u, scaled.v, scaled.w), (axis.u, axis.v, axis.w)):
                 np.testing.assert_array_equal(got, ref)
             assert scaled.delta == np.ldexp(axis.delta, exponent)
