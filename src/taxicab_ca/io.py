@@ -4,6 +4,12 @@ CSV convention (R-style): the header row holds the m column labels; every
 data row holds a row label followed by m nonnegative numbers.  The tensor
 format is a dimension line "n m t" followed by n*t lines of m numbers,
 ordered in third-mode-major slabs.
+
+A well-formed table or tensor file has all its numbers converted by one
+``np.loadtxt`` pass.  Any other input goes through the positional path, which
+reads the text row by row (``csv.reader`` for a table) and raises the error
+that names the first faulty row, line or cell; the one-pass path returns
+only what that path would.
 """
 
 from __future__ import annotations
@@ -105,8 +111,73 @@ def parse_counts_csv(text: str, source: str = "<string>") -> LabeledMatrix:
     whitespace only) are ignored, and an empty corner cell before the column
     labels (R ``write.csv`` output) is dropped.  A blank line between data
     rows is an error that names its row.
+
+    A plain, well-formed table (``_counts_one_pass``) has its numbers
+    converted by one ``np.loadtxt`` pass; any other text is read row by row
+    (``_counts_by_row``), with the same result or the same positional error.
     """
-    rows = _csv_rows(text.removeprefix("\ufeff"), source)
+    text = text.removeprefix("\ufeff")
+    table = _counts_one_pass(text)
+    return _counts_by_row(text, source) if table is None else table
+
+
+# Characters on which csv.reader's rows and np.loadtxt's numbers may part:
+# a quote (csv unquotes), "\r" (csv ends a record there, loadtxt strips it as
+# space), NUL (csv before Python 3.11 rejects it) and \x1c-\x1f (loadtxt
+# strips them around a number, float() does not).  Tried one at a time
+# before, after and between digits, every other character was read alike
+# (numpy 2.4): loadtxt converts only ASCII numbers without underscores, as
+# float() does, and reads each item of a list of lines as one line.
+_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _counts_one_pass(text: str) -> LabeledMatrix | None:
+    """``_counts_by_row(text, ...)`` by one ``np.loadtxt`` pass, or None.
+
+    On text without a character of ``_NOT_PLAIN`` each csv.reader row is its
+    line split at the commas (none for an empty line), so the labels are
+    taken from the lines.  Returns None, leaving the table or its error to
+    ``_counts_by_row``, unless every data line has m + 1 fields within csv's
+    field size limit, loadtxt converts every cell, and the values are finite
+    and nonnegative and the labels distinct.
+    """
+    if any(char in text for char in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    while lines and not lines[-1].replace(",", "").strip():
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(lines) < 2 or not lines[0] or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    header, data = lines[0].split(","), lines[1:]
+    if len(header) > 1 and not header[0].strip() and data[0].count(",") + 1 == len(header):
+        header = header[1:]
+    col_labels = tuple(label.strip() for label in header)
+    m = len(col_labels)
+    # loadtxt fails on a line of fewer than m + 1 fields, drops the fields
+    # past them and skips blank lines: one row a line and m commas a line on
+    # average leave m + 1 fields on every line
+    if "".join(data).count(",") != m * len(data) or len(set(col_labels)) != m:
+        return None
+    try:
+        values = np.loadtxt(data, delimiter=",", comments=None,
+                            usecols=range(1, m + 1), ndmin=2)
+    except ValueError:
+        return None
+    if len(values) != len(data) or not np.isfinite(values).all() or (values < 0).any():
+        return None
+    row_labels = tuple([line.partition(",")[0].strip() for line in data])
+    if len(set(row_labels)) != len(row_labels):
+        return None
+    return LabeledMatrix(values=values, row_labels=row_labels, col_labels=col_labels)
+
+
+def _counts_by_row(text: str, source: str) -> LabeledMatrix:
+    """The table of CSV ``text`` (without a byte-order mark) read row by row.
+
+    Errors name the first faulty row or cell, in reading order.
+    """
+    rows = _csv_rows(text, source)
     while rows and not "".join(rows[-1]).strip():
         rows.pop()
     if not rows or not rows[0]:
@@ -179,7 +250,9 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
     """Parse a 3-way array: "n m t" then n*t lines of m numbers (slab-major in t).
 
     A leading UTF-8 byte-order mark and blank lines are skipped; errors name
-    the first faulty line of the text, in reading order.
+    the first faulty line of the text, in reading order.  The data lines are
+    converted by one ``np.loadtxt`` pass (``_tensor_one_pass``), or line by
+    line (``_tensor_by_line``) when that pass cannot read them all.
     """
     text = text.removeprefix("\ufeff")
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
@@ -201,13 +274,41 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
         raise ValueError(
             f"{source}: expected {expected} data lines, found {len(data)}"
         )
+    rows = _tensor_one_pass(data, m)
+    if rows is None:
+        rows = _tensor_by_line(data, m, source)
+    # data line k*n + i holds x[i, :, k]
+    return np.ascontiguousarray(rows.reshape(t, n, m).transpose(1, 2, 0))
+
+
+def _tensor_one_pass(data: list[tuple[int, str]], m: int) -> np.ndarray | None:
+    """The data lines as a (lines, m) array by one ``np.loadtxt`` pass, or None.
+
+    The lines hold no line break of ``str.splitlines``, and loadtxt splits
+    fields at the same whitespace as ``str.split`` and converts a field as
+    float() does or not at all.  So the array is the per-line loop's
+    whenever loadtxt reads every line, m numbers each, all finite; else None.
+    """
+    try:
+        rows = np.loadtxt([line for _, line in data], comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (len(data), m) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _tensor_by_line(data: list[tuple[int, str]], m: int, source: str) -> np.ndarray:
+    """The data lines as a (lines, m) array, converted line by line.
+
+    Errors name the first faulty line of the text, in reading order.
+    """
     # one line checked before allocating keeps the array within the file's size
     if len(data[0][1].split()) != m:
         _raise_line_error(data, np.empty((0, m)), m, source)
-    # data line k*n + i holds x[i, :, k]; numpy converts a line of strings
-    # as float() would, and the values are checked finite once at the end
-    slabs = np.empty((t, n, m))
-    rows = slabs.reshape(expected, m)
+    # numpy converts a line of strings as float() would, and the values are
+    # checked finite once at the end
+    rows = np.empty((len(data), m))
     for k, ((_, line), out) in enumerate(zip(data, rows)):
         cells = line.split()
         if len(cells) != m:
@@ -216,9 +317,9 @@ def parse_tensor(text: str, source: str = "<string>") -> np.ndarray:
             out[:] = cells
         except ValueError:
             _raise_line_error(data, rows[:k], m, source)
-    if not np.isfinite(slabs).all():
+    if not np.isfinite(rows).all():
         _raise_line_error(data, rows, m, source)
-    return np.ascontiguousarray(slabs.transpose(1, 2, 0))
+    return rows
 
 
 def load_tensor(path: str | Path) -> np.ndarray:

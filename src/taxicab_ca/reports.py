@@ -113,8 +113,11 @@ def _join_floats(values: list, sep: str) -> str:
         sample = values[::_DEDUP_STRIDE]
         if 16 * (len(sample) - len(set(sample))) >= len(sample):
             bits, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
-            texts = np.array(list(map(_float, bits.view(np.float64).tolist())), dtype=object)
-            return sep.join(texts[index].tolist())
+            distinct = bits.view(np.float64).tolist()
+            texts = list(map(float.__repr__, distinct))
+            if "n" in "".join(texts):  # nan or inf
+                texts = list(map(_float, distinct))
+            return sep.join(np.array(texts, dtype=object)[index].tolist())
     text = sep.join(map(float.__repr__, values))
     if "n" in text:  # nan or inf
         text = sep.join(map(_float, values))

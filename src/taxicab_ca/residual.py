@@ -98,8 +98,11 @@ class CorrespondenceMatrix:
         zc = np.flatnonzero(col_sums == 0)
         if zc.size:
             raise ValueError(f"column {int(zc[0])} is all zero")
-        p = c / total
-        return cls(p=p, row_masses=row_sums / total, col_masses=col_sums / total)
+        # frozen buffers are kept by _readonly, not copied
+        p, row_masses, col_masses = c / total, row_sums / total, col_sums / total
+        for a in (p, row_masses, col_masses):
+            a.setflags(write=False)
+        return cls(p=p, row_masses=row_masses, col_masses=col_masses)
 
 
 def from_counts(counts: np.ndarray) -> CorrespondenceMatrix:

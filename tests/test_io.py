@@ -15,7 +15,11 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import assert_same_text
 from oracles import report_json
+from taxicab_ca import io as taxicab_io
 from taxicab_ca.io import (
+    LabeledMatrix,
+    _counts_by_row,
+    _counts_one_pass,
     _csv_rows,
     format_tensor,
     load_counts_csv,
@@ -210,6 +214,140 @@ class TestCsvLines:
             assert str(info.value) == f"s: {error}"
 
 
+# cells and labels on which csv.reader and np.loadtxt could read a table apart
+_csv_traps = st.sampled_from([
+    " 3 ", "\t3", "3\x0b", "-1", "-0", "inf", "nan", "-inf", "1e400", "1_0", "\u0661",
+    "\uff13", "0x10", '"3"', '"r,1"', '""', "#", "# 3", "3#", "\x1c3", "3\x1f", "\x1e",
+    "3\u2028", "\x85", "\x00", "\ufeff", "", " ", "\r", "3\r", "3\r4", "3,4",
+])
+_plain_cells = st.integers(0, 99).map(str) | st.floats(0, 1e6).map(repr)
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """A plain table of 1-3 columns and 1-4 rows with a few traps put in it."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [[f"c{j}" for j in range(m)]]
+    rows += [[f"r{i}"] + [draw(_plain_cells) for _ in range(m)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, k))]
+        at = draw(st.integers(0, len(row) - 1))
+        trap = draw(st.sampled_from(["field", "field", "extra", "missing"]))
+        if trap == "field":
+            row[at] = draw(_csv_traps) if draw(st.booleans()) else draw(_cells)
+        elif trap == "extra":
+            row.insert(at, draw(_plain_cells))
+        elif len(row) > 1:
+            del row[at]
+    if draw(st.booleans()):  # the corner cell R's write.csv puts before the labels
+        rows[0].insert(0, draw(st.sampled_from(["", '""', " "])))
+    lines = [",".join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["", "  ", "\t", ",", "\r"])))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t", " , ", ","]), max_size=2))
+    ends = ["\r\n" if draw(st.integers(0, 7)) == 0 else "\n"] * len(lines)
+    if draw(st.integers(0, 3)) == 0:
+        ends[draw(st.integers(0, len(ends) - 1))] = draw(st.sampled_from(["\r\n", "\r", ""]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _by_row(text: str) -> LabeledMatrix | str:
+    """``_counts_by_row``'s table of ``text``, or its error text."""
+    try:
+        return _counts_by_row(text, "s")
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_table(got: LabeledMatrix, want: LabeledMatrix) -> None:
+    assert got.values.dtype == want.values.dtype and got.shape == want.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.row_labels == want.row_labels and got.col_labels == want.col_labels
+
+
+class TestCountsOnePass:
+    """The one-pass reading of a table returns the row path's table, or nothing."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_csv_texts())
+    def test_agrees_with_the_row_path(self, text):
+        plain = text.removeprefix("\ufeff")
+        want = _by_row(plain)
+        got = _counts_one_pass(plain)
+        if got is not None:
+            assert isinstance(want, LabeledMatrix), want
+            _assert_same_table(got, want)
+        elif isinstance(want, LabeledMatrix):
+            # only what loadtxt cannot read or might read apart falls through
+            assert not plain.isascii() or "_" in plain or any(
+                char in plain for char in taxicab_io._NOT_PLAIN)
+        try:
+            parsed = parse_counts_csv(text, "s")
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert isinstance(want, LabeledMatrix), want
+            _assert_same_table(parsed, want)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\nr1,1,2\nb,3,4,5\n",  # loadtxt would drop the extra field
+        "a\nr1,1,2\n\nr2,3\n",  # loadtxt would skip the blank line: m commas a line on average
+        "a,b\nr1,1,2\n \t \nr2,3,4\n",
+        "a,b\nr1,1,2\r\nr2,3,4\r\n", "a,b\nr1,1,2\nr2,3,\r4\n",
+        'a,b\n"r,1",1,2\n', 'a,b\nr1,"3",2\n', '"",a,b\nr1,1,2\n',
+        "a,b\nr1,1_0,2\n", "a,b\nr1,\u0661,2\n", "a,b\nr1,\uff13,2\n",
+        "a,b\nr1,\x1c3,2\n", "a,b\nr1,3\x1d,2\n", "a,b\nr1,\x1e3,2\n", "a,b\nr1,3\x1f,2\n",
+        "\nr1,1\n", "a,b\nr1,1,2\nr1,3,4\n", "a,a\nr1,1,2\n",
+        "a,b\nr1,-1,2\n", "a,b\nr1,nan,2\n", "a,b\nr1,1e400,2\n",
+    ])
+    def test_traps_take_the_row_path(self, text):
+        assert _counts_one_pass(text) is None
+        want = _by_row(text)
+        try:
+            got = parse_counts_csv(text, "s")
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            _assert_same_table(got, want)
+
+    @pytest.mark.parametrize("text,one_pass", [
+        ("a,b\nr1,1,2\nr2,3,4\n", True),
+        ("a,b\nr1,1,2\nlonglabel,3,4\n", False),  # a line, not a field, past the limit
+        ("a,b\nr1,1,2\nlonglabel1,3,4\n", False),
+    ])
+    def test_fields_past_the_csv_limit(self, text, one_pass):
+        limit = csv.field_size_limit(9)
+        try:
+            assert (_counts_one_pass(text) is not None) == one_pass
+            want = _by_row(text)
+            try:
+                got = parse_counts_csv(text, "s")
+            except ValueError as exc:
+                assert str(exc) == want == "s: malformed CSV at line 3: field larger than field limit (9)"
+            else:
+                _assert_same_table(got, want)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_plain_tables_take_one_pass(self):
+        # the shape the benchmark writes: "c<j>" labels, "r<i>" rows of integers
+        counts = np.random.default_rng(17).poisson(3.0, size=(3000, 14))
+        lines = [",".join(f"c{j + 1}" for j in range(14))]
+        lines += [f"r{i + 1}," + ",".join(map(str, row)) for i, row in enumerate(counts.tolist())]
+        text = "\n".join(lines) + "\n"
+        tensor = np.arange(60.0).reshape(3, 4, 5)
+        with mock.patch.object(taxicab_io, "_counts_by_row", side_effect=AssertionError), \
+                mock.patch.object(taxicab_io, "_tensor_by_line", side_effect=AssertionError):
+            data = parse_counts_csv(text)
+            x = parse_tensor(format_tensor(tensor))
+        assert data.values.tobytes() == counts.astype(float).tobytes()
+        assert data.row_labels == tuple(f"r{i + 1}" for i in range(3000))
+        assert data.col_labels == tuple(f"c{j + 1}" for j in range(14))
+        assert x.tobytes() == tensor.tobytes()
+
+
 class TestTensorFormat:
     def test_scalar(self):
         x = parse_tensor("1 1 1\n5\n")
@@ -335,6 +473,61 @@ class TestTensorFuzz:
             named += at <= named
         with pytest.raises(ValueError, match=rf"line {named + 1}\b"):
             parse_tensor("\n".join(lines) + "\n")
+
+
+# tokens and separators on which str.split and np.loadtxt could read a line apart
+_tensor_tokens = st.one_of(
+    _plain_cells, _plain_cells, _numberish,
+    st.sampled_from(["-2", "nan", "inf", "1e400", "1_0", "\u0661", "\uff13", "0x10", "#", "3#",
+                     '"3"', "\x1f", "3\x1f", "\x1c3", "\ufeff", "3,4", "\x00"]),
+)
+_tensor_gaps = st.sampled_from([" ", " ", "  ", "\t", "\x0b", "\x1f", "\u3000", "\xa0", "\x85"])
+
+
+@st.composite
+def _tensor_texts(draw) -> str:
+    """A 1-3 x 1-3 x 1-3 tensor file with traps in its tokens, gaps and lines."""
+    n, m, t = (draw(st.integers(1, 3)) for _ in range(3))
+    lines = [f"{n} {m} {t}"]
+    for _ in range(n * t):
+        width = m + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        cells = [draw(_tensor_tokens) for _ in range(width)]
+        line = "".join(draw(_tensor_gaps) + cell for cell in cells)
+        lines.append(line if draw(st.booleans()) else line.strip())
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=2)):
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\x0c"])))
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x1e", "\u2028"]))
+            for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parsed_tensor(text: str) -> np.ndarray | str:
+    try:
+        return parse_tensor(text, "s")
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTensorOnePass:
+    @settings(max_examples=500, deadline=None)
+    @given(_tensor_texts())
+    def test_agrees_with_the_line_path(self, text):
+        real, returned = taxicab_io._tensor_one_pass, []
+
+        def one_pass(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        with mock.patch.object(taxicab_io, "_tensor_one_pass", return_value=None):
+            want = _parsed_tensor(text)
+        with mock.patch.object(taxicab_io, "_tensor_one_pass", side_effect=one_pass):
+            got = _parsed_tensor(text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # only what loadtxt cannot read falls through
+            assert returned[0] is not None or not text.isascii() or "_" in text
 
 
 _leaves = st.one_of(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,20 @@ class TestFromCounts:
     def test_overflowing_total(self):
         with pytest.raises(ValueError, match="counts total overflows"):
             from_counts(np.full((2, 2), 1e308))
+
+    def test_keeps_the_matrix_it_builds(self):
+        # p = c / total is the one n x m array kept; a copy of it on
+        # construction would peak at 2.15 n m floats
+        counts = np.random.default_rng(16).poisson(3.0, size=(400, 300)) + 1.0
+        tracemalloc.start()
+        try:
+            P = from_counts(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * counts.size * 8
+        for a in (P.p, P.row_masses, P.col_masses):
+            assert a.flags.owndata and not a.flags.writeable
 
 
 class TestCorrespondenceResidual:
