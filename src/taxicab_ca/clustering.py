@@ -10,25 +10,27 @@ At p = 1 with r = c = 2 the optimum equals the taxicab norm of the matrix
 overall interaction criterion.  Small instances are solved exhaustively over
 set partitions; larger ones by deterministic single-move local search.
 
-Both searches screen, then confirm.  The exhaustive search enumerates row and
-column partitions as restricted growth strings, read off their ranks in
-blocks.  It scores a block of (row, column) pairs at once: the row-block
-aggregates of x times the column indicator stack give every block sum, and
-abs, power and size weights turn them into f_p.  The stack is built once when
-it fits ``_SCREEN_BYTES`` and in chunks otherwise, so working memory is fixed
-whatever S(n, r) S(m, c) is.  Only candidates within a rounding tolerance of
-the block's best are rescored with the reference arithmetic, and the earliest
-of the best rescored candidates wins.  Local search keeps the block sums and
-each line's sums over the other mode's blocks.  From them it screens every
-move of every line in O(r c): a move whose screened gain is at most -tol is
-rejected and one whose gain exceeds tol is taken, both without scoring, and
-only a move with a gain in (-tol, tol] is scored.  A run's objective is the
-score of the state it ends in.  The reference arithmetic is
-``_objective_from_assign``, the one scorer that ``objective()`` also uses, so
-a result's objective is bit for bit the ``objective()`` of its partition.
-Either way the partitions and the objective bits are those of scoring every
-candidate with it; the tolerance (``_screen_tol``) bounds the rounding gap
-between the screens and it, on either side.
+Both searches screen, then confirm.  The screens run on x' = x 2^-e
+(``_scaled``), the power of two at which sum |x'| is below 1/2, so no
+screened value can overflow or be nan; they decide only what to score.
+Scoring is ``_objective_from_assign`` on the unscaled x, the one scorer that
+``objective()`` also uses, so a result's objective is bit for bit the
+``objective()`` of its partition.  ``_screen_tol`` proves a bound tol on the
+gap between a screened value and 2^-ep times the score, and 2 tol on the gap
+for a change of it.  The exhaustive search enumerates row and column
+partitions as restricted growth strings, read off their ranks in blocks.  It
+screens a block of (row, column) pairs at once: the row-block aggregates of
+x' times the column indicator stack give every block sum, and abs, power and
+size weights turn them into f_p.  The stack is built once when it fits
+``_SCREEN_BYTES`` and in chunks otherwise, so working memory is fixed
+whatever S(n, r) S(m, c) is.  A candidate more than 2 tol below the block's
+best screened value or the incumbent's is dropped unscored.  Local search
+keeps the block sums and each line's sums over the other mode's blocks.
+From them it screens every move of every line in O(r c): a move whose
+screened gain is at most -2 tol is rejected and one whose gain exceeds 2 tol
+is taken, both without scoring, and only a move in between is scored.  A
+run's objective is the score of the state it ends in.  Either way the
+partitions and the objective bits are those of scoring every candidate.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ EXHAUSTIVE_SPACE_LIMIT = 10**7
 # column indicator stack, which is built once when it fits and in chunks
 # otherwise); small enough to stay in cache and out of the peak RSS.
 _SCREEN_BYTES = 1 << 18
-# Relative floor of the screen's rounding tolerance (see _screen_tol).
-_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,26 +173,96 @@ def _balanced_starts(size: int, blocks: int) -> list[np.ndarray]:
     return starts
 
 
-def _screen_tol(x: np.ndarray, p: float) -> float:
-    """Bound tol on |screened - reference| f_p, and on the same for a change of f_p.
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e), e >= 0 the least exponent at which sum |x 2^-e| is below 1/2.
 
-    A block sum over cells of mass S, added in any order, is off by at most
-    n*m*eps*S; through the term s (|b|/s)^p that moves f_p by at most p times
-    as much in units of the block's sum of |x|^p (Hoelder), and the terms'
-    own rounding is relative to f_p <= sum |x|^p.  The floor leaves room.
-    Both values lie in [0, sum |x|^p], so a relative bound past 1 (a huge p)
-    is capped there.
+    e is read off max |x| (and is 1 for a zero x): x is first brought below
+    1 in magnitude by a power of two, so the sum taken of it is at most n m
+    and cannot overflow.  A power of two scales exactly except where it
+    makes an entry subnormal.  e is never negative: the reference's
+    roundings in the subnormal range, which shrink by 2^-ep in x 2^-e units,
+    would grow, and a reference that underflowed to a tie would be split by
+    a finer screen.
+    """
+    shift = int(np.frexp(np.abs(x).max())[1])
+    mass = float(np.abs(np.ldexp(x, -shift)).sum())
+    e = max(0, shift + int(np.frexp(mass)[1]) + 1)
+    return np.ldexp(x, -e), e
 
-    The bound is two-sided: a finite screened change d means a reference
-    change in [d - tol, d + tol].  So d <= -tol proves the reference value
-    does not rise (the candidate loses a strict ``>``), and d > tol proves it
-    rises (the candidate wins); a d in (-tol, tol] leaves the outcome to the
-    reference score.  A screen term that overflows makes d infinite or nan,
-    and an overflowing sum |x|^p makes tol infinite; either proves nothing.
+
+def _screen_tol(x: np.ndarray, r: int, c: int, p: float) -> float:
+    """Bound tol on |S - 2^-ep R| for a screened f_p S; 2 tol for a screened change.
+
+    x is ``_scaled``'s x' = x 2^-e, the screens' input, and everything is
+    in its units; R is ``_objective_from_assign`` of the same partition on
+    the unscaled x, and a local-search gain G is within 2 tol of 2^-ep times
+    the change of R.  The bound is
+
+        tol = (p (n m + 4 (n + m)) + r c + 24) eps A~ + 32 n m eta,
+
+    ``kernels.rounding_margin``'s form, with A~ the computed sum |x'|^p; a
+    zero x, on which every value is exactly 0, gets tol = 0.  u
+    is the float64 unit roundoff (eps = 2 u), eta the smallest subnormal and
+    gamma_k = k u / (1 - k u); numpy's power is taken to be within 4 units
+    in the last place, a relative 8 u and an absolute 4 eta.  A block of s
+    cells has exact sum b of x 2^-e, mean a = |b| / s, mass W (the sum of
+    its |x'|) and term phi = s a^p; A_k, its cells' share of A = sum |x'|^p,
+    is at least s (W / s)^p >= phi by the power mean.  R's arithmetic is
+    taken not to overflow: where it might, ``_exhaustive`` scores the
+    candidate, and local search ends at inf as scoring every move does.
+    Every bound is to first order; the spare in the constants covers the
+    second-order terms and the roundings of A~, of tol and of a floor
+    S - 2 tol.
+
+    Range.  sum |x'| < 1/2 (to rounding), so every mean is below 1/2, every
+    computed |block sum| below 1, every size weight s^(1-p) at most 1, and
+    no power, term or sum of terms can overflow or make a nan.
+
+    Block sums.  A screened block sum adds its cells in at most n + m - 1
+    roundings (row-block aggregates, then their product with the column
+    indicators; in local search, each line's sums over the other mode's
+    blocks, a block's sum of them, and one line joined or taken away), and
+    the reference's ``np.add.at`` chain in at most n m - 1.  So a computed
+    sum is within gamma W of b, with gamma = gamma_(n+m) or gamma_(nm), and
+    W the block's mass, or for a block that a line leaves at most twice the
+    mass W' of its s' <= 2 s cells before the move.  An error d of b moves
+    phi by at most p a~^(p-1) d, a~ the larger of the exact and computed
+    means.  While p (n m + n + m) u <= 1/16, (1 + 4 gamma)^p <= 1.3, so that
+    is at most 1.07 p gamma A_k; for a leave, with w = W' / s' and Young's
+    p a^(p-1) w <= (p - 1) a^p + w^p, at most 8 p gamma A_k', the share of
+    the cells before the move.  The reference's division by s adds
+    1.07 p u A_k the same way.  For larger p (over 2^11 while
+    n m + n + m < 2^38) every exact and computed |block sum| is below 0.51
+    and 0.51^p vanishes, so a term is below 5 eta screened, (4 s + 1) eta
+    as a reference and eta exactly.
+
+    Terms.  The exhaustive screen rounds |b~|^p, two weights and two
+    products (26 u and 13 eta a term), then sums r c terms ((r c - 1) u);
+    the reference rounds the division (0.75 s eta through the power, as
+    p a~^(p-1) <= 1.5), the power (times s: 8 u and 4 s eta), the product
+    by s (u and eta / 2) and the sum.  Entries that the scaling made
+    subnormal move a screened sum by s eta / 2, 0.75 s eta through the
+    power.  Summed over the blocks: 1.07 p (gamma_(n+m) + gamma_(nm) + u) A,
+    within the p part of tol; (2 r c + 33) u A, within its constant part;
+    and under 6 n m + 14 r c eta, which with the underflow of A~ (below
+    4 n m eta, times a coefficient under 0.7 while p is moderate) is within
+    32 n m eta.
+
+    Changes.  A gain adds four rows of the other mode's terms, its two
+    blocks before and after the move (cells that make up A at most twice),
+    and rounds three times (4 u A).  Its block sums give at most 10 p
+    gamma_(n+m) A (three blocks at 1.07 p gamma, the leave at 8 p gamma),
+    the two reference values twice their part, and the term roundings at
+    most twice the screen's; all of it is within 2 tol, whose p part is
+    4 p (n m + 4 (n + m)) u.  So a screened value more than 2 tol below
+    another proves a smaller R, and G <= -2 tol (G > 2 tol) proves that R
+    does not rise (rises), as the strict ``>`` of both searches decides.
     """
     n, m = x.shape
-    rel = min(max(_SCREEN_RTOL, 32 * p * n * m * np.finfo(float).eps), 1.0)
-    return rel * float((np.abs(x) ** p).sum())
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    rel = (n * m + 4 * (n + m)) * eps * p + (r * c + 24) * eps
+    subnormal = 32 * n * m * tiny if x.any() else 0.0
+    return rel * float((np.abs(x) ** p).sum()) + subnormal
 
 
 def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
@@ -201,23 +271,28 @@ def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _exhaustive(
-    x: np.ndarray, r: int, c: int, p: float,
+    x: np.ndarray, scaled: np.ndarray, e: int, tol: float, r: int, c: int, p: float,
     row_counts: np.ndarray, col_counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """First maximizer of f_p in (row RGS, column RGS) order, or None if none scores.
 
     ``row_counts`` and ``col_counts`` are the ``_rgs_counts`` tables of the
-    two modes.  A screen scores a block of candidates at once: one matmul of
-    the row-block aggregates with the column indicator stack gives every
-    block sum.  Only candidates within 2 * tol of the block's top that might
-    still beat the incumbent, or whose screened score or tol overflowed, are
-    scored with ``_objective_from_assign``, and the incumbent is the largest
-    score, the earliest candidate on ties, so the winner and its objective
-    bits are those of scoring every candidate with ``_objective_from_assign``
-    in enumeration order under the strict ``>`` rule.
+    two modes.  A screen scores a block of candidates at once on ``scaled``,
+    x 2^-e: one matmul of the row-block aggregates with the column indicator
+    stack gives every block sum.  By ``_screen_tol`` a candidate whose
+    screened value is more than 2 ``tol`` below another's has a smaller
+    ``_objective_from_assign`` score on x, unless both scores overflow to
+    inf.  A screened value below ``ceiling``, 2^(1023 - ep) - 2 tol, proves
+    a finite score, about half the largest float at most, whatever the
+    rounding of the exponent and of ``np.exp2``.  So only candidates within
+    2 tol of the block's best screened value and of the incumbent's (at
+    2 tol itself only if earlier than the incumbent, which a tie would keep),
+    or at or above ``ceiling``, are scored, and the incumbent is the largest
+    score, the earliest candidate on ties: the winner and its objective bits
+    are those of scoring every candidate in enumeration order under the
+    strict ``>``.  Screened values are compared only with screened values.
     """
     n, m = x.shape
-    tol = _screen_tol(x, p)
     n_rows, n_cols = int(row_counts[1, n - 1]), int(col_counts[1, m - 1])
     if 8 * m * c * n_cols <= _SCREEN_BYTES:  # the whole column stack is built once
         cols_per = n_cols
@@ -237,15 +312,18 @@ def _exhaustive(
     whole = column_chunk(0) if cols_per == n_cols else None
     buf = np.empty(rows_per * r * c * cols_per)
     best_val, best_idx = -np.inf, n_rows * n_cols
+    best_screened = -np.inf  # the incumbent's screened value
     best: tuple[np.ndarray, np.ndarray, float] | None = None
+    ceiling = float(np.exp2(1023 - e * p)) - 2 * tol
 
-    def may_win(score: float, idx: int) -> bool:
-        return score > best_val - tol or (score >= best_val - tol and idx < best_idx)
+    def may_win(screened: float, idx: int) -> bool:
+        floor = min(best_screened - 2 * tol, ceiling)
+        return screened > floor or (screened >= floor and idx < best_idx)
 
     for b0 in range(0, n_rows, rows_batch):
         batch = _rgs_range(row_counts, b0, min(b0 + rows_batch, n_rows))
         hot = _indicators(batch, r)                                  # (B, r, n)
-        batch_agg = (hot.reshape(-1, n) @ x).reshape(len(batch), r, m)
+        batch_agg = (hot.reshape(-1, n) @ scaled).reshape(len(batch), r, m)
         batch_w = hot.sum(axis=2) ** (1 - p)                         # (B, r)
         del hot
         for r0 in range(0, len(batch), rows_per):
@@ -265,39 +343,36 @@ def _exhaustive(
                     blocks *= col_w
                 scores = out.reshape(len(rows), r * c, k).sum(axis=1)  # (b, K)
                 first = (b0 + r0) * n_cols + c0
-                # an overflowed score, or tol, proves nothing: score those candidates
-                finite = np.isfinite(scores) & (tol < np.inf)
-                top = scores.max(where=finite, initial=-np.inf)
-                picks = ~finite | (scores >= max(top - 2 * tol, best_val - tol))
-                for flat in np.flatnonzero(picks):
+                floor = min(max(scores.max(), best_screened) - 2 * tol, ceiling)
+                for flat in np.flatnonzero(scores >= floor):
                     b, s = divmod(int(flat), k)
                     idx = first + b * n_cols + s
-                    if finite[b, s] and not may_win(scores[b, s], idx):
+                    if not may_win(scores[b, s], idx):
                         continue
                     val = _objective_from_assign(x, rows[b], cols[s], r, c, p)
                     if val > best_val or (val == best_val and idx < best_idx):
-                        best_val, best_idx = val, idx
+                        best_val, best_idx, best_screened = val, idx, scores[b, s]
                         best = (rows[b].copy(), cols[s].copy(), val)
     return best
 
 
 def _local_search(
-    x: np.ndarray, r: int, c: int, p: float,
+    x: np.ndarray, scaled: np.ndarray, tol: float, r: int, c: int, p: float,
     row_assign: np.ndarray, col_assign: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Single-element moves in sweep order while ``_objective_from_assign`` rises.
 
     Lines are swept in order and each line's targets in order, and a move is
-    taken when its ``_objective_from_assign`` value is strictly larger.  The
-    screened gain of a move comes from the block sums and each line's sums
-    over the other mode's blocks, O(other count) a move; by ``_screen_tol``
-    it is within tol of the reference change.  So a move whose gain is at
-    most -tol is rejected and one whose gain exceeds tol is taken, both
-    without scoring, as the reference score would decide them.  Only a move
-    with a gain in (-tol, tol], or with a gain or tol that overflowed, is
-    scored, against the current state's reference value, computed when it
-    is not already known.  The trajectory is that of scoring every move, and
-    the objective is ``_objective_from_assign`` of the state it ends in.
+    taken when its ``_objective_from_assign`` value on x is strictly larger.
+    The screened gain of a move comes from the block sums of ``scaled`` and
+    each line's sums over the other mode's blocks, O(other count) a move; by
+    ``_screen_tol`` it is within 2 ``tol`` of 2^-ep times the change of the
+    score.  So a move whose gain is at most -2 tol is rejected and one whose
+    gain exceeds 2 tol is taken, both without scoring, as the score would
+    decide them.  Only a move with a gain in (-2 tol, 2 tol] is scored,
+    against the current state's score, computed when it is not already
+    known.  The trajectory is that of scoring every move, and the objective
+    is ``_objective_from_assign`` of the state it ends in.
 
     Within one mode's sweep the other mode's labels are fixed, so the lines'
     sums g over its blocks and the size weights (s |T|)^(1-p) are built once
@@ -307,14 +382,14 @@ def _local_search(
     """
     row_assign = row_assign.copy()
     col_assign = col_assign.copy()
-    tol = _screen_tol(x, p)
+    bound = 2 * tol
     obj: float | None = None  # the reference f_p of the current state, once scored
     moved = True
     while moved:
         moved = False
         for assign, count, lines, other, other_count in (
-            (row_assign, r, x, col_assign, c),
-            (col_assign, c, x.T, row_assign, r),
+            (row_assign, r, scaled, col_assign, c),
+            (col_assign, c, scaled.T, row_assign, r),
         ):
             n_lines = assign.size
             other_hot = _indicators(other, other_count).T              # (other, oc)
@@ -354,9 +429,9 @@ def _local_search(
                     continue  # moving would empty the source block
                 for tgt in range(count):
                     gain = gains[i][tgt]
-                    if tgt == cur or -np.inf < gain <= -tol:
+                    if tgt == cur or gain <= -bound:
                         continue  # its own block, or a proven fall or tie
-                    if tol < gain < np.inf:
+                    if gain > bound:
                         obj = None  # a proven rise; its value is not needed yet
                     else:
                         if obj is None:
@@ -391,7 +466,12 @@ def maximize(
     With r and c at least 2 the optimum is at least max |x_ij|^p > 0 for a
     nonzero x; a p at which that underflows to 0 raises ``ValueError``.
     (With r or c equal to 1 every block sum of a double-centered matrix is
-    zero, so f_p = 0 is the true optimum.)
+    zero, so f_p = 0 is the true optimum.)  Both searches return what
+    scoring every candidate with ``_objective_from_assign`` returns,
+    wherever x's block sums do not overflow as they are added up (a finite
+    sum |x| is enough); the exhaustive search also where scores overflow,
+    and local search, whose non-finite objective raises ``InvariantError``,
+    ends at inf exactly when scoring every move does.
     """
     n, m = X.shape
     if not 1 <= r <= n:
@@ -417,13 +497,15 @@ def maximize(
                 f"f_p underflows at p={p:g}: the largest |x_ij| = {peak:.6g} raised "
                 "to p rounds to 0, and so does every block term; use a smaller p"
             )
+    scaled, e = _scaled(x)
+    tol = _screen_tol(scaled, r, c, p)
     if method == "exhaustive":
         if space > EXHAUSTIVE_SPACE_LIMIT:
             raise ValueError(
                 f"search space {space} exceeds exhaustive limit "
                 f"{EXHAUSTIVE_SPACE_LIMIT}: use local_search"
             )
-        found = _exhaustive(x, r, c, p, row_counts, col_counts)
+        found = _exhaustive(x, scaled, e, tol, r, c, p, row_counts, col_counts)
         if found is None:
             raise InvariantError("exhaustive search scored no partition (non-finite matrix?)")
         row_assign, col_assign, obj = found
@@ -431,7 +513,7 @@ def maximize(
         best_run: tuple[np.ndarray, np.ndarray, float] | None = None
         for rows0 in _balanced_starts(n, r):
             for cols0 in _balanced_starts(m, c):
-                run = _local_search(x, r, c, p, rows0, cols0)
+                run = _local_search(x, scaled, tol, r, c, p, rows0, cols0)
                 if best_run is None or run[2] > best_run[2]:
                     best_run = run
         row_assign, col_assign, obj = best_run

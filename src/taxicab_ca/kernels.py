@@ -342,6 +342,7 @@ def _run_shares(share: Callable[[int, int, int], None], bounds: list[int]) -> No
             raise exc
 
 
+@np.errstate(invalid="ignore")
 def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     """Float32 screen of a stack of B x n x q matrices.
 
@@ -369,6 +370,12 @@ def _screen(stack: np.ndarray, k_ref: int) -> tuple[np.ndarray, float]:
     (``_run_shares``) scans a range of prefixes of one block of heads, with
     a max buffer of 2^k x n float32 values (those beyond the first together
     fit ``BLOCK_BYTES``) and at most 8 x max(n, 8191) values of copies of -h.
+
+    It runs with numpy's invalid-operation warnings off, also in the shares,
+    which run under copies of its context: a non-finite stack makes nan
+    maxima or a nan margin, on which ``enumerate_best`` raises, and products
+    of finite float32 tables make no nan, whatever status flag a BLAS thread
+    left set.
     """
     count, n, q = stack.shape
     shift = _float32_shift(stack)
@@ -463,7 +470,8 @@ def enumerate_best(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray
     for stack in stacks:
         q = stack.shape[2]
         maxima, margin = _screen(stack, _enum_split(*stack.shape[1:])[0])
-        floor = np.maximum(maxima.max() - 2.0 * margin, best_val - margin)  # nan propagates
+        with np.errstate(invalid="ignore"):  # inf - inf: a non-finite stack, raised below
+            floor = np.maximum(maxima.max() - 2.0 * margin, best_val - margin)  # nan propagates
         if np.isnan(floor):
             raise InvariantError("sign enumeration confirmed no candidate (non-finite input?)")
         for b in np.flatnonzero((maxima >= floor).any(axis=1)).tolist():

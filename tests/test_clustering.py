@@ -433,6 +433,60 @@ class TestScreenedSearch:
         # tol overflowed) is scored
         self._near_overflow("exhaustive", loop_exhaustive)
 
+    def test_exhaustive_matches_loop_where_scores_overflow(self):
+        # past max |x|^3 = 10^308 some partitions score inf and the loop keeps
+        # the first of them; the screened values, finite in units of x 2^-e,
+        # still tell those partitions apart, so every candidate that might
+        # score past half the largest float is scored
+        rng = np.random.default_rng(54)
+        for _ in range(3):
+            n, m = int(rng.integers(5, 9)), int(rng.integers(4, 7))
+            counts = rng.poisson(3.0, size=(n, m)).astype(float) + 1.0
+            x0 = correspondence_residual(from_counts(counts)).x
+            for exponent in (308.3, 309.0):
+                x = x0 / np.abs(x0).max() * 10 ** (exponent / 3)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="exhaustive")
+                    expected = loop_exhaustive(x, 3, 2, 3.0)
+                assert expected[2] == np.inf
+                _same_as_oracle(res, expected, 3, 2)
+
+    def test_exhaustive_scores_a_few_candidates_near_overflow(self, monkeypatch):
+        # the 10 x 6 table of _near_overflow at max |x|^3 = 10^307.5: sum
+        # |x|^3 overflows, but the screens run on x 2^-e, where nothing can
+        rng = np.random.default_rng(54)
+        for _ in range(4):
+            n, m = int(rng.integers(5, 12)), int(rng.integers(4, 10))
+            counts = rng.poisson(3.0, size=(n, m)).astype(float) + 1.0
+        assert (n, m) == (10, 6)
+        space = int(clustering._rgs_counts(n, 3)[1, n - 1] * clustering._rgs_counts(m, 2)[1, m - 1])
+        assert space == 289230
+        x0 = correspondence_residual(from_counts(counts)).x
+        x = x0 / np.abs(x0).max() * 10 ** (307.5 / 3)
+        calls = self._count_reference_calls(monkeypatch)
+        maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="exhaustive")
+        assert calls[0] <= space // 100
+        calls[0] = 0
+        maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="local_search")
+        assert calls[0] <= 2 * self._starts(n, m, 3, 2)
+
+    @pytest.mark.parametrize("peak, p", [(1e-160, 2.0), (1e-318, 1.0)])
+    def test_both_searches_match_loops_at_subnormal_scale(self, peak, p):
+        # every f_p is subnormal, where a relative tolerance alone is 0:
+        # local search took a move "proven" to rise that its loop rejects
+        # (draws 16 and 47 at p = 2, 23 at p = 1), and the exhaustive search
+        # kept a later partition of an equal score (draw 50 at p = 1)
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n, m = int(rng.integers(4, 8)), int(rng.integers(3, 6))
+            counts = rng.poisson(3.0, size=(n, m)).astype(float) + 1.0
+            x0 = correspondence_residual(from_counts(counts)).x
+            X = ResidualMatrix(x=x0 / np.abs(x0).max() * peak)
+            for method, oracle in (("exhaustive", loop_exhaustive),
+                                   ("local_search", loop_local_search)):
+                res = maximize(X, 2, 2, p=p, method=method)
+                _same_as_oracle(res, oracle(X.x, 2, 2, p), 2, 2)
+
     def test_exhaustive_scores_nan_screens(self):
         # at p = 600 to 1500 with max |x| in [1.5, 4), a size weight
         # s^(1-p) underflows to 0 while |block sum|^p overflows: the screened
@@ -454,6 +508,18 @@ class TestScreenedSearch:
         for method, oracle in (("exhaustive", loop_exhaustive), ("local_search", loop_local_search)):
             res = maximize(ResidualMatrix(x=x), 2, 3, p=1.5, method=method)
             _same_as_oracle(res, oracle(x, 2, 3, 1.5), 2, 3)
+
+    def test_zero_matrix_scores_one_candidate_a_start(self, monkeypatch):
+        # a constant table's residual is exactly zero: every value is exactly
+        # 0, so the screens' bound is 0 and ties need no scoring
+        X = correspondence_residual(from_counts(np.ones((7, 6))))
+        assert not X.x.any()
+        calls = self._count_reference_calls(monkeypatch)
+        maximize(X, 3, 3, p=1.0, method="exhaustive")
+        assert calls[0] == 1
+        calls[0] = 0
+        maximize(X, 3, 3, p=1.0, method="local_search")
+        assert calls[0] == self._starts(7, 6, 3, 3)
 
     def test_exhaustive_memory_is_bounded(self):
         # 9330 x 966 = 9.0M candidates; the screen works in fixed-size blocks

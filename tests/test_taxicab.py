@@ -7,6 +7,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 from unittest import mock
 
@@ -599,6 +600,19 @@ class TestEnumerationStacks:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
             kernels.enumerate_best(iter([A[None], C[None]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(1, 6, 5), (1, 40, 20)])
+    def test_non_finite_stack_raises_without_a_warning(self, bad, shape):
+        # a whole-grid screen and a prefix screen: the nan that a non-finite
+        # entry makes in the products and the floor (inf - inf) warns of
+        # nothing, and the error says what is wrong
+        stack = np.random.default_rng(28).normal(size=shape)
+        stack[0, 1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(taxicab.InvariantError, match="confirmed no candidate"):
+                kernels.enumerate_best(iter([stack]))
 
 
 def _rescored(call) -> tuple[list[int], list[tuple[np.ndarray, float]], object]:
