@@ -173,8 +173,8 @@ def _balanced_starts(size: int, blocks: int) -> list[np.ndarray]:
     return starts
 
 
-def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x 2^-e, e), e >= 0 the least exponent at which sum |x 2^-e| is below 1/2.
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """x 2^-e, e >= 0 the least exponent at which sum |x 2^-e| is below 1/2.
 
     e is read off max |x| (and is 1 for a zero x): x is first brought below
     1 in magnitude by a power of two, so the sum taken of it is at most n m
@@ -187,7 +187,7 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     shift = int(np.frexp(np.abs(x).max())[1])
     mass = float(np.abs(np.ldexp(x, -shift)).sum())
     e = max(0, shift + int(np.frexp(mass)[1]) + 1)
-    return np.ldexp(x, -e), e
+    return np.ldexp(x, -e)
 
 
 def _screen_tol(x: np.ndarray, r: int, c: int, p: float) -> float:
@@ -207,10 +207,10 @@ def _screen_tol(x: np.ndarray, r: int, c: int, p: float) -> float:
     in the last place, a relative 8 u and an absolute 4 eta.  A block of s
     cells has exact sum b of x 2^-e, mean a = |b| / s, mass W (the sum of
     its |x'|) and term phi = s a^p; A_k, its cells' share of A = sum |x'|^p,
-    is at least s (W / s)^p >= phi by the power mean.  R's arithmetic is
-    taken not to overflow: where it might, ``_exhaustive`` scores the
-    candidate, and local search ends at inf as scoring every move does.
-    Every bound is to first order; the spare in the constants covers the
+    is at least s (W / s)^p >= phi by the power mean.  R is taken with the
+    roundings of its own arithmetic in an unbounded exponent range, R^ in
+    ``_exhaustive``, where a computed R that overflows is refused.  Every
+    bound is to first order; the spare in the constants covers the
     second-order terms and the roundings of A~, of tol and of a floor
     S - 2 tol.
 
@@ -271,7 +271,7 @@ def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _exhaustive(
-    x: np.ndarray, scaled: np.ndarray, e: int, tol: float, r: int, c: int, p: float,
+    x: np.ndarray, scaled: np.ndarray, tol: float, r: int, c: int, p: float,
     row_counts: np.ndarray, col_counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """First maximizer of f_p in (row RGS, column RGS) order, or None if none scores.
@@ -279,15 +279,23 @@ def _exhaustive(
     ``row_counts`` and ``col_counts`` are the ``_rgs_counts`` tables of the
     two modes.  A screen scores a block of candidates at once on ``scaled``,
     x 2^-e: one matmul of the row-block aggregates with the column indicator
-    stack gives every block sum.  By ``_screen_tol`` a candidate whose
-    screened value is more than 2 ``tol`` below another's has a smaller
-    ``_objective_from_assign`` score on x, unless both scores overflow to
-    inf.  A screened value below ``ceiling``, 2^(1023 - ep) - 2 tol, proves
-    a finite score, about half the largest float at most, whatever the
-    rounding of the exponent and of ``np.exp2``.  So only candidates within
-    2 tol of the block's best screened value and of the incumbent's (at
-    2 tol itself only if earlier than the incumbent, which a tie would keep),
-    or at or above ``ceiling``, are scored, and the incumbent is the largest
+    stack gives every block sum.  Let R^ be a candidate's
+    ``_objective_from_assign`` score on x with the same roundings in an
+    unbounded exponent range.  For a finite sum |x| its terms and partial
+    sums are nonnegative and at most R^, so the computed score is R^ unless
+    R^ reaches float64's overflow threshold, and inf then.  By
+    ``_screen_tol`` a candidate whose screened value is more than 2 ``tol``
+    below another's has a smaller R^.  So only candidates within 2 tol of
+    the block's best screened value and of the incumbent's (at 2 tol itself
+    only if earlier than the incumbent, which a tie would keep) are scored.
+    The largest screened value is always scored, and every candidate left
+    unscored has a smaller R^ than a scored one, or an equal R^ and a later
+    place.
+
+    Overflow.  If any score overflows, a scored candidate's R^ reaches the
+    threshold too, its score is inf, and the incumbent, the largest score,
+    is at least 2^1023, which ``maximize`` refuses.  Below 2^1023 no score
+    overflowed, every score is its R^, and the incumbent is the largest
     score, the earliest candidate on ties: the winner and its objective bits
     are those of scoring every candidate in enumeration order under the
     strict ``>``.  Screened values are compared only with screened values.
@@ -314,10 +322,9 @@ def _exhaustive(
     best_val, best_idx = -np.inf, n_rows * n_cols
     best_screened = -np.inf  # the incumbent's screened value
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    ceiling = float(np.exp2(1023 - e * p)) - 2 * tol
 
     def may_win(screened: float, idx: int) -> bool:
-        floor = min(best_screened - 2 * tol, ceiling)
+        floor = best_screened - 2 * tol
         return screened > floor or (screened >= floor and idx < best_idx)
 
     for b0 in range(0, n_rows, rows_batch):
@@ -343,7 +350,7 @@ def _exhaustive(
                     blocks *= col_w
                 scores = out.reshape(len(rows), r * c, k).sum(axis=1)  # (b, K)
                 first = (b0 + r0) * n_cols + c0
-                floor = min(max(scores.max(), best_screened) - 2 * tol, ceiling)
+                floor = max(scores.max(), best_screened) - 2 * tol
                 for flat in np.flatnonzero(scores >= floor):
                     b, s = divmod(int(flat), k)
                     idx = first + b * n_cols + s
@@ -372,7 +379,11 @@ def _local_search(
     decide them.  Only a move with a gain in (-2 tol, 2 tol] is scored,
     against the current state's score, computed when it is not already
     known.  The trajectory is that of scoring every move, and the objective
-    is ``_objective_from_assign`` of the state it ends in.
+    is ``_objective_from_assign`` of the state it ends in.  A run whose
+    objective is below 2^1023 scored nothing that overflowed: R^
+    (``_exhaustive``) rises with each move taken, and a scored move that is
+    not taken scores at most the current state.  So every score that
+    scoring every move computes is its R^ too.
 
     Within one mode's sweep the other mode's labels are fixed, so the lines'
     sums g over its blocks and the size weights (s |T|)^(1-p) are built once
@@ -466,12 +477,12 @@ def maximize(
     With r and c at least 2 the optimum is at least max |x_ij|^p > 0 for a
     nonzero x; a p at which that underflows to 0 raises ``ValueError``.
     (With r or c equal to 1 every block sum of a double-centered matrix is
-    zero, so f_p = 0 is the true optimum.)  Both searches return what
-    scoring every candidate with ``_objective_from_assign`` returns,
-    wherever x's block sums do not overflow as they are added up (a finite
-    sum |x| is enough); the exhaustive search also where scores overflow,
-    and local search, whose non-finite objective raises ``InvariantError``,
-    ends at inf exactly when scoring every move does.
+    zero, so f_p = 0 is the true optimum.)  A best objective that is not
+    below 2^1023, inf included, raises ``ValueError`` too, for both
+    methods: some score may then have overflowed, and an inf objective
+    ranks no partitions.  Below it, both searches return what scoring every
+    candidate with ``_objective_from_assign`` returns, wherever x's block
+    sums do not overflow as they are added up (a finite sum |x| is enough).
     """
     n, m = X.shape
     if not 1 <= r <= n:
@@ -497,7 +508,7 @@ def maximize(
                 f"f_p underflows at p={p:g}: the largest |x_ij| = {peak:.6g} raised "
                 "to p rounds to 0, and so does every block term; use a smaller p"
             )
-    scaled, e = _scaled(x)
+    scaled = _scaled(x)
     tol = _screen_tol(scaled, r, c, p)
     if method == "exhaustive":
         if space > EXHAUSTIVE_SPACE_LIMIT:
@@ -505,7 +516,7 @@ def maximize(
                 f"search space {space} exceeds exhaustive limit "
                 f"{EXHAUSTIVE_SPACE_LIMIT}: use local_search"
             )
-        found = _exhaustive(x, scaled, e, tol, r, c, p, row_counts, col_counts)
+        found = _exhaustive(x, scaled, tol, r, c, p, row_counts, col_counts)
         if found is None:
             raise InvariantError("exhaustive search scored no partition (non-finite matrix?)")
         row_assign, col_assign, obj = found
@@ -517,8 +528,10 @@ def maximize(
                 if best_run is None or run[2] > best_run[2]:
                     best_run = run
         row_assign, col_assign, obj = best_run
-        if not np.isfinite(obj):
+        if np.isnan(obj):  # a finite x scores no nan
             raise InvariantError(f"local search ended at objective {obj!r} (non-finite matrix?)")
+    if not obj < 2.0 ** 1023:  # some score may have overflowed, and inf ranks nothing
+        raise ValueError(f"f_p overflows at p={p:g}: the best score {obj!r} is not below 2^1023")
 
     partition = TwoModePartition(
         row_blocks=_blocks_from_assign(row_assign, r),

@@ -1,14 +1,17 @@
 """The float32 sign search behind the taxicab and tensor norms.
 
 ``enumerate_best`` maximizes ||M s||_1 over sign vectors s exactly, by a
-float32 screen and a float64 confirmation; ``best_restart`` walks the
-column restarts of the alternating sign iteration in certified float32
-GEMMs.  Each bound is proved once, in the docstring of the function whose
-bound it is; ``certificate_slack`` proves the float64 slack of every
-certificate that the taxicab and tensor modules check.  Other modules use
-only ``BLOCK_BYTES``, ``ENUM_LIMIT``, ``enum_width``, ``sign_grid``, ``enumerate_best``,
-``best_restart``, ``rounding_margin``, ``certificate_slack``, ``block_sums``,
-``check_block_sums``, ``EnumerationBudgetError`` and ``InvariantError``.
+float32 screen and a float64 confirmation.  ``reference_walk`` is the
+float64 alternating sign iteration of a matrix, and ``best_restart(x,
+starts)`` walks it from each of its caller's starts at once, in certified
+float32 GEMMs, and confirms the best end in float64.  Each bound is proved
+once, in the docstring of the function whose bound it is;
+``certificate_slack`` proves the float64 slack of every certificate that the
+taxicab and tensor modules check.  Other modules use only ``BLOCK_BYTES``,
+``ENUM_LIMIT``, ``enum_width``, ``sign_grid``, ``enumerate_best``,
+``reference_walk``, ``best_restart``, ``rounding_margin``,
+``certificate_slack``, ``block_sums``, ``check_block_sums``,
+``EnumerationBudgetError`` and ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -627,21 +630,57 @@ def _reference_rows(
         np.abs(row, out=magnitude[r])
 
 
-def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Walk every column restart of x to its stop, a block of restarts at a time.
+def _reference_state(
+    x: np.ndarray, u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The float64 state (u, v, a, b, delta) of u: a = x u, v = sign(a), b = x'v, delta = sum |a|."""
+    a = x @ u
+    v = sign_pm(a)
+    return u, v, a, x.T @ v, float(np.abs(a).sum())
 
-    Returns ``finals[j]``, the packed bits of u < 0 for restart j's last u,
-    ``deltas[j]``, the last dispersion the GEMM computed for it, and the
-    margin (``rounding_margin`` in float32) within which each of those
+
+def reference_walk(
+    x: np.ndarray, u0: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Alternate v = sign(Xu), u = sign(X'v) from u0 until (u, v) repeats, in float64.
+
+    The dispersion estimate is non-decreasing along the iteration, so the
+    walk terminates at a fixed point of the transition maps (a cycle through
+    equal-dispersion states is cut short, keeping the current state).  A
+    step whose dispersion falls by more than two ``margin`` raises
+    ``InvariantError`` (``certificate_slack``).
+    """
+    u = np.asarray(u0, dtype=float)
+    seen = {u.tobytes()}
+    delta_prev = -np.inf
+    while True:
+        state = _reference_state(x, u)
+        if not state[4] >= delta_prev - 2.0 * margin:
+            raise InvariantError(f"dispersion decreased from {delta_prev!r} to {state[4]!r}")
+        delta_prev = state[4]
+        u = sign_pm(state[3])
+        key = u.tobytes()
+        if key in seen:  # the state's own u is in seen: a fixed point stops here too
+            return state
+        seen.add(key)
+
+
+def _restart_walks(x: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Walk x from each row of ``starts`` to its stop, a block of restarts at a time.
+
+    ``starts`` is a real k x n array, k >= 1, read a block of rows at a
+    time.  Returns ``finals[r]``, the packed bits of u < 0 for restart r's
+    last u, ``deltas[r]``, the last dispersion the GEMM computed for it, and
+    the margin (``rounding_margin`` in float32) within which each of those
     lies of the reference dispersion of the same u.  Dispersions and margin
     are in the units of the float32 copy of x, x times 2^shift
     (``_float32_shift``, ``_to_float32``), made once per call.
 
-    Restart j starts from v = sign(column j), u = sign(X' v) and steps
+    Restart r starts from v = sign(starts[r]), u = sign(X' v) and steps
     v = sign(X u), u = sign(X' v), one float32 GEMM per half-step over the
     block's active restarts with every sign certified
     (``_certified_product``), so it walks the reference trajectory and
-    stops where ``_transition_fixed_point`` does, at a u it has already
+    stops where ``reference_walk`` from that u does, at a u it has already
     seen.  Along it the exact dispersion falls only by the float64 rounding
     of the products whose signs the reference got wrong, far inside the
     margin's spare, so a step whose dispersion falls by more than two
@@ -650,11 +689,11 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     A share (``_run_shares``) walks a contiguous range of restarts in
     blocks of its own; a restart's signs do not depend on its block.  A
     block holds three float32 buffers, reused across steps: u signs
-    (k x m), v signs (k x n) and one product of k x max(n, m), plus a bool
+    (b x m), v signs (b x n) and one product of b x max(n, m), plus a bool
     buffer of the product's size: 4 (m + n + max(n, m)) + max(n, m) bytes a
-    restart.  k is at most a share's restarts, and k restarts fit
-    ``BLOCK_BYTES`` (1 MiB): on 400 x 300 each of two shares walks
-    its 150 restarts in one block.
+    restart.  b is at most a share's restarts, and b restarts fit
+    ``BLOCK_BYTES`` (1 MiB): on 400 x 300 from 300 starts each of two
+    shares walks its 150 restarts in one block.
     Half-step A puts U X' in the product, |U X'| in V (its row sums, a
     float32 matvec with ones, are the dispersions) and then the signs in
     V.  Half-step B puts V X in the product, |V X| in U, which the old u no
@@ -663,21 +702,22 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     down.
     """
     n, m = x.shape
+    count = len(starts)
     w = max(n, m)
     shift = _float32_shift(x)
     row_band, col_band, mass = _sign_bands(x, shift)
     margin = rounding_margin(n, m, float(np.ldexp(mass, shift)), np.float32)
     x32 = _to_float32(x, shift, np.empty((n, m), dtype=np.float32))
     ones = np.ones(n, dtype=np.float32)
-    bounds = _share_bounds(m, n * m, m)
+    bounds = _share_bounds(count, n * m, count)
     shares = len(bounds) - 1
-    size = max(1, min(-(-m // shares), BLOCK_BYTES // (4 * (m + n + w) + w)))
+    size = max(1, min(-(-count // shares), BLOCK_BYTES // (4 * (m + n + w) + w)))
     us = np.empty((shares, size, m), dtype=np.float32)
     vs = np.empty((shares, size, n), dtype=np.float32)
     prods = np.empty((shares, size * w), dtype=np.float32)
     masks = np.empty((shares, size * w), dtype=bool)
-    finals = np.empty((m, (m + 7) // 8), dtype=np.uint8)
-    deltas = np.empty(m)
+    finals = np.empty((count, (m + 7) // 8), dtype=np.uint8)
+    deltas = np.empty(count)
 
     def walk_share(i: int, lo: int, hi: int) -> None:
         """Restarts lo:hi, ``size`` at a time, in share i's block."""
@@ -694,7 +734,7 @@ def _restart_walks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         for start in range(lo, hi, size):
             ids = np.arange(start, min(start + size, hi))
             k = ids.size
-            sign_pm(x[:, start:start + k].T, out=v[:k])
+            sign_pm(starts[start:start + k], out=v[:k])
             keys = step_u(k)
             seen = [{key.tobytes()} for key in keys]
             delta_prev = np.full(k, -np.inf)
@@ -738,29 +778,25 @@ def _confirm_restarts(
 
     ``finals``, ``deltas`` and ``margin`` are ``_restart_walks``'s last u,
     batched dispersion of each restart and margin, in any one unit.
-    Rescores, in restart order and with the reference ``x @ u`` and
-    ``x.T @ v``, every restart whose batched dispersion lies within twice
-    ``margin`` of the best batched one; a strict ``>`` replaces the
-    incumbent.  Each restart's batched dispersion is within one margin of
-    the reference dispersion of its own last u, so the first restart that
+    Rescores, in restart order and with ``_reference_state``, every restart
+    whose batched dispersion lies within twice ``margin`` of the best
+    batched one; ``max`` keeps the first of equals, as a strict ``>``
+    would.  Each restart's batched dispersion is within one margin of the
+    reference dispersion of its own last u, so the first restart that
     reaches the reference maximum is within two margins of the best batched
-    dispersion, and is rescored.
+    dispersion, and is rescored.  The restart with the best batched
+    dispersion always reaches its own floor, also when a nan or an infinite
+    margin makes the floor nan or -inf, so some restart is rescored.
     """
     m = x.shape[1]
     floor = deltas.max() - 2.0 * margin
-    best: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None = None
-    for j in np.flatnonzero(~(deltas < floor)).tolist():
-        u = 1.0 - 2.0 * np.unpackbits(finals[j], count=m)
-        a = x @ u
-        delta = float(np.abs(a).sum())
-        if best is None or delta > best[4]:
-            v = sign_pm(a)
-            best = (u, v, a, x.T @ v, delta)
-    if best is None:
-        raise InvariantError("no restart produced a fixed point")
-    return best
+    return max((_reference_state(x, 1.0 - 2.0 * np.unpackbits(finals[j], count=m))
+                for j in np.flatnonzero(~(deltas < floor)).tolist()), key=lambda state: state[4])
 
 
-def best_restart(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The reference state (u, v, a, b, delta) of the best column restart of x, the first on ties."""
-    return _confirm_restarts(x, *_restart_walks(x))
+def best_restart(
+    x: np.ndarray, starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The reference state (u, v, a, b, delta) of the best walk of x from the
+    rows of ``starts`` (``_restart_walks``), the first on ties."""
+    return _confirm_restarts(x, *_restart_walks(x, starts))

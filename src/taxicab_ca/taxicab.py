@@ -11,9 +11,10 @@ projections by the row/column masses.
 Exhaustive search is exact up to ``ENUM_LIMIT`` on the smaller matrix
 dimension (sign symmetry halves the space); beyond that an alternating
 sign-iteration heuristic with deterministic restarts is available.  Both
-run on the float32 sign search of ``kernels``, where their proofs are, and
-each axis, with its four block sums, is checked against its identities to
-the float64 slack that ``kernels.certificate_slack`` proves from the matrix.
+run on the sign search and the walks of ``kernels``, where their proofs
+are, and each axis, with its four block sums, is checked against its
+identities to the float64 slack that ``kernels.certificate_slack`` proves
+from the matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .dispersion import HEAVYWEIGHT_TOL, sign_pm
 from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart, block_sums,
-                      certificate_slack, check_block_sums, enum_width, enumerate_best)
+                      certificate_slack, check_block_sums, enum_width, enumerate_best,
+                      reference_walk)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
@@ -127,36 +129,6 @@ class AxisContributions:
     heavyweight_cells: tuple[tuple[int, int], ...]
 
 
-def _transition_fixed_point(
-    x: np.ndarray, u0: np.ndarray, margin: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Alternate v = sign(Xu), u = sign(X'v) from u0 until (u, v) repeats.
-
-    The dispersion estimate is non-decreasing along the iteration, so the
-    walk terminates at a fixed point of the transition maps (a cycle through
-    equal-dispersion states is cut short, keeping the current state).  A
-    step whose dispersion falls by more than two ``margin`` raises
-    ``InvariantError`` (``kernels.certificate_slack``).
-    """
-    u = np.asarray(u0, dtype=float)
-    seen = {u.tobytes()}
-    delta_prev = -np.inf
-    while True:
-        a = x @ u
-        v = sign_pm(a)
-        delta = float(np.abs(a).sum())
-        if not delta >= delta_prev - 2.0 * margin:
-            raise InvariantError(f"dispersion decreased from {delta_prev!r} to {delta!r}")
-        delta_prev = delta
-        b = x.T @ v
-        u_next = sign_pm(b)
-        key = u_next.tobytes()
-        if key in seen:  # u itself is in seen: a fixed point stops here too
-            return u, v, a, b, delta
-        seen.add(key)
-        u = u_next
-
-
 def _canonical_state(
     x: np.ndarray,
     state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float],
@@ -173,7 +145,7 @@ def _canonical_state(
         j = int(np.argmax(np.abs(b)))
         if b[j] >= 0.0:
             break
-        flipped = _transition_fixed_point(x, -u, margin)
+        flipped = reference_walk(x, -u, margin)
         if flipped[4] < delta - 2.0 * margin:
             break
         u, v, a, b, delta = flipped
@@ -230,7 +202,7 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
         _, _, v0 = enumerate_best([x.T[None]])
         u0 = sign_pm(x.T @ v0)
     margin, slack = certificate_slack(x)
-    state = _transition_fixed_point(x, u0, margin)
+    state = reference_walk(x, u0, margin)
     return _axis_from_state(x, _canonical_state(x, state, margin), slack, exact=True)
 
 
@@ -239,19 +211,20 @@ def norm_heuristic(X: ResidualMatrix) -> TaxicabAxis:
 
     One deterministic restart per column j, seeded with v = sign(column j)
     and u = sign(X' v), then v = sign(X u), u = sign(X' v) until u repeats
-    (``_transition_fixed_point``); the best dispersion across restarts wins
+    (``kernels.reference_walk``); the best dispersion across restarts wins
     (first restart on ties).  The result is a transition fixed point but
     not necessarily the global optimum.
 
-    ``kernels.best_restart`` walks the restarts in float32 and returns the
-    one-at-a-time float64 loop's winner, every bit of it.  A matrix holding
+    ``kernels.best_restart`` walks the restarts in float32 from the rows of
+    X', which are X's columns without a copy, and returns the one-at-a-time
+    float64 loop's winner, every bit of it.  A matrix holding
     nan or inf raises ``InvariantError`` before the first step.
     """
     x = X.x
     if not np.isfinite(x).all():
         raise InvariantError("norm_heuristic: the matrix holds non-finite values")
     margin, slack = certificate_slack(x)
-    state = best_restart(x)
+    state = best_restart(x, x.T)
     return _axis_from_state(x, _canonical_state(x, state, margin), slack, exact=False)
 
 

@@ -177,11 +177,11 @@ def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return signs[0], signs[1], signs[2]
 
 
-# The taxicab heuristic as it was before the batched rewrite: one column
-# restart at a time, each a loop of two matvecs a step, stopping when u
-# repeats.  The library must return the same axis bits, so the winner goes
-# through the library's own axis-sign rule and indeterminate sets, which the
-# rewrite left as they were.
+# The taxicab heuristic as it was before the batched rewrite: one restart
+# at a time (one per column, or one per row of a start block), each a loop
+# of two matvecs a step, stopping when u repeats.  The library must return
+# the same axis bits, so the winner goes through the library's own
+# axis-sign rule and indeterminate sets, which the rewrite left as they were.
 
 
 def _loop_sign(x: np.ndarray) -> np.ndarray:
@@ -203,18 +203,23 @@ def _loop_fixed_point(x: np.ndarray, u: np.ndarray):
         u = u_next
 
 
-def _loop_restart(x: np.ndarray, j: int):
-    return _loop_fixed_point(x, _loop_sign(x.T @ _loop_sign(x[:, j])))
+def _loop_walk(x: np.ndarray, start: np.ndarray):
+    return _loop_fixed_point(x, _loop_sign(x.T @ _loop_sign(start)))
+
+
+def loop_walk_finals(x: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
+    """The last u of the walk from v = sign(start) for each row of ``starts``, in order."""
+    return [_loop_walk(x, start)[0][0] for start in starts]
 
 
 def loop_restart_finals(x: np.ndarray) -> list[np.ndarray]:
-    """Each column restart's last u, in restart order."""
-    return [_loop_restart(x, j)[0][0] for j in range(x.shape[1])]
+    """Each column restart's last u, in restart order: the walks from the rows of x'."""
+    return loop_walk_finals(x, x.T)
 
 
 def loop_restart_visits(x: np.ndarray) -> list[int]:
     """How many distinct u each column restart sees, in restart order."""
-    return [_loop_restart(x, j)[1] for j in range(x.shape[1])]
+    return [_loop_walk(x, start)[1] for start in x.T]
 
 
 def loop_norm_heuristic(X):
@@ -223,8 +228,8 @@ def loop_norm_heuristic(X):
 
     x = X.x
     best = None
-    for j in range(x.shape[1]):
-        state, _ = _loop_restart(x, j)
+    for start in x.T:
+        state, _ = _loop_walk(x, start)
         if best is None or state[4] > best[4]:
             best = state
     margin, slack = kernels.certificate_slack(x)

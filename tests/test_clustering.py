@@ -434,10 +434,9 @@ class TestScreenedSearch:
         self._near_overflow("exhaustive", loop_exhaustive)
 
     def test_exhaustive_matches_loop_where_scores_overflow(self):
-        # past max |x|^3 = 10^308 some partitions score inf and the loop keeps
-        # the first of them; the screened values, finite in units of x 2^-e,
-        # still tell those partitions apart, so every candidate that might
-        # score past half the largest float is scored
+        # past max |x|^3 = 10^308 some partitions score inf in the loop, and
+        # an inf objective ranks no partitions (local search ends at inf on
+        # another partition than its loop's): both searches refuse
         rng = np.random.default_rng(54)
         for _ in range(3):
             n, m = int(rng.integers(5, 9)), int(rng.integers(4, 7))
@@ -446,10 +445,17 @@ class TestScreenedSearch:
             for exponent in (308.3, 309.0):
                 x = x0 / np.abs(x0).max() * 10 ** (exponent / 3)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    res = maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method="exhaustive")
-                    expected = loop_exhaustive(x, 3, 2, 3.0)
-                assert expected[2] == np.inf
-                _same_as_oracle(res, expected, 3, 2)
+                    assert loop_exhaustive(x, 3, 2, 3.0)[2] == np.inf
+                    for method in ("exhaustive", "local_search"):
+                        with pytest.raises(ValueError, match="f_p overflows"):
+                            maximize(ResidualMatrix(x=x), 3, 2, p=3.0, method=method)
+
+    def test_both_searches_refuse_an_overflowing_objective(self):
+        # a finite table whose best f_p at p = 1.1 is 4 (1e307)^1.1: inf
+        X = ResidualMatrix(x=1e307 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        for method in ("exhaustive", "local_search"):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="f_p overflows"):
+                maximize(X, 2, 2, p=1.1, method=method)
 
     def test_exhaustive_scores_a_few_candidates_near_overflow(self, monkeypatch):
         # the 10 x 6 table of _near_overflow at max |x|^3 = 10^307.5: sum
@@ -488,9 +494,9 @@ class TestScreenedSearch:
                 _same_as_oracle(res, oracle(X.x, 2, 2, p), 2, 2)
 
     def test_exhaustive_scores_nan_screens(self):
-        # at p = 600 to 1500 with max |x| in [1.5, 4), a size weight
-        # s^(1-p) underflows to 0 while |block sum|^p overflows: the screened
-        # score is inf * 0 = nan, and the candidate is scored
+        # at p = 600 to 1500 with max |x| in [1.5, 4) the loop's best score
+        # overflows to inf on every draw, while the screens, on x 2^-e, stay
+        # finite: both searches refuse
         rng = np.random.default_rng(7)
         for _ in range(6):
             n, m = int(rng.integers(4, 8)), int(rng.integers(3, 6))
@@ -499,9 +505,10 @@ class TestScreenedSearch:
             x = x / np.abs(x).max() * float(rng.uniform(1.5, 4.0))
             p = float(rng.choice([600.0, 900.0, 1100.0, 1500.0]))
             with np.errstate(all="ignore"):
-                res = maximize(ResidualMatrix(x=x), 3, 2, p=p, method="exhaustive")
-                expected = loop_exhaustive(x, 3, 2, p)
-            _same_as_oracle(res, expected, 3, 2)
+                assert loop_exhaustive(x, 3, 2, p)[2] == np.inf
+                for method in ("exhaustive", "local_search"):
+                    with pytest.raises(ValueError, match="f_p overflows"):
+                        maximize(ResidualMatrix(x=x), 3, 2, p=p, method=method)
 
     def test_zero_matrix_keeps_first_partition(self):
         x = np.zeros((5, 4))

@@ -24,6 +24,7 @@ from oracles import (
     loop_norm_heuristic,
     loop_restart_finals,
     loop_restart_visits,
+    loop_walk_finals,
     random_double_centered,
 )
 from taxicab_ca import kernels, taxicab
@@ -846,12 +847,14 @@ def _poisson_residual(seed: int, n: int, m: int) -> ResidualMatrix:
     return correspondence_residual(_poisson_table(seed, n, m))
 
 
-def _walks(x: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """``_restart_walks`` on x (each restart's packed last u and batched
-    dispersion) and the float32 margin ``norm_heuristic`` confirms them
-    with, the last two brought back from the walk's scaled units to x's."""
+def _walks(x: np.ndarray, budget: int | None = None,
+           starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_restart_walks`` on x from ``starts``, by default the column starts
+    of ``norm_heuristic`` (each restart's packed last u and batched
+    dispersion), and the float32 margin the walks are confirmed with, the
+    last two brought back from the walk's scaled units to x's."""
     with _budget(budget):
-        finals, deltas, margin = kernels._restart_walks(x)
+        finals, deltas, margin = kernels._restart_walks(x, x.T if starts is None else starts)
     shift = kernels._float32_shift(x)
     return finals, np.ldexp(deltas, -shift), float(np.ldexp(margin, -shift))
 
@@ -977,6 +980,42 @@ class TestBatchedHeuristic:
             assert _unpacked(finals[j], x.shape[1]).tobytes() == u.tobytes(), j
             assert abs(deltas[j] - float(np.abs(x @ u).sum())) <= margin
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(40, 15), (120, 80), (16, 300)])
+    def test_caller_starts_end_where_the_loop_does(self, shape, workers):
+        # start blocks of k rows of length n: signs, real values (only their
+        # signs count), repeated rows, one row, and more rows than columns;
+        # every split into shares and blocks runs over the k restarts
+        n, m = shape
+        x = _poisson_residual(sum(shape), *shape).x
+        rng = np.random.default_rng(17)
+        real = rng.normal(size=(9, n))
+        blocks = {
+            "signs": rng.choice([-1.0, 1.0], size=(7, n)),
+            "real": real,
+            "repeated": real[[0, 0, 3, 1, 3, 0]],
+            "one": real[4:5],
+            "more than m": rng.normal(size=(m + 13, n)),
+        }
+        for label, starts in blocks.items():
+            finals = loop_walk_finals(x, starts)
+            scores = [float(np.abs(x @ u).sum()) for u in finals]
+            first = max(range(len(finals)), key=scores.__getitem__)  # the first of equals
+            for budget in (None, 4096):
+                with screen_split(workers) as split:
+                    got, deltas, margin = _walks(x, budget, starts)
+                    with _budget(budget):
+                        best = kernels.best_restart(x, starts)
+                assert split == [min(workers, len(starts))] * 2, label
+                assert len(got) == len(starts), label
+                for j, u in enumerate(finals):
+                    assert _unpacked(got[j], m).tobytes() == u.tobytes(), (label, j)
+                    assert abs(deltas[j] - scores[j]) <= margin, (label, j)
+                u = finals[first]
+                v = sign_pm(x @ u)
+                for got_part, want in zip(best, (u, v, x @ u, x.T @ v, scores[first])):
+                    assert np.asarray(got_part).tobytes() == np.asarray(want).tobytes(), label
+
     @pytest.mark.parametrize("shape", [(30, 25), (24, 400), (200, 30)])
     @pytest.mark.parametrize("exponent", [0, 600, -600])
     def test_margin_bounds_the_batched_error(self, shape, exponent):
@@ -1044,7 +1083,7 @@ class TestBatchedHeuristic:
         # restart 0 of this table takes two steps; its second dispersion is
         # forced to its first minus the given number of margins
         x = _poisson_residual(11, 30, 25).x
-        expected, _, margin = kernels._restart_walks(x)
+        expected, _, margin = kernels._restart_walks(x, x.T)
         real = kernels._certified_product
         dispersions = []  # restart 0's, while it leads the block
 
@@ -1059,9 +1098,9 @@ class TestBatchedHeuristic:
         with mock.patch.object(kernels, "_certified_product", side_effect=lowered):
             if raises:
                 with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
-                    kernels._restart_walks(x)
+                    kernels._restart_walks(x, x.T)
             else:
-                finals, _, _ = kernels._restart_walks(x)
+                finals, _, _ = kernels._restart_walks(x, x.T)
                 assert finals.tobytes() == expected.tobytes()
         assert len(dispersions) >= 2
 
@@ -1087,10 +1126,10 @@ class TestBatchedHeuristic:
         lowered = x.view(Lowered)
         if raises:
             with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
-                taxicab._transition_fixed_point(lowered, u0, margin)
+                kernels.reference_walk(lowered, u0, margin)
         else:
-            u, *_ = taxicab._transition_fixed_point(lowered, u0, margin)
-            assert u.tobytes() == taxicab._transition_fixed_point(x, u0, margin)[0].tobytes()
+            u, *_ = kernels.reference_walk(lowered, u0, margin)
+            assert u.tobytes() == kernels.reference_walk(x, u0, margin)[0].tobytes()
         assert len(dispersions) >= 2
 
     def test_share_errors_are_raised_after_every_share_ends(self):
@@ -1108,7 +1147,7 @@ class TestBatchedHeuristic:
             calls.append(threading.get_ident())
 
         with screen_split(2), mock.patch.object(kernels, "_certified_product", side_effect=counted):
-            kernels._restart_walks(x)
+            kernels._restart_walks(x, x.T)
         own = calls.count(caller)  # share 0's products in a clean run
         calls.clear()
         worker_steps = []
@@ -1127,7 +1166,7 @@ class TestBatchedHeuristic:
         with screen_split(2) as shares, \
                 mock.patch.object(kernels, "_certified_product", side_effect=failing):
             with pytest.raises(taxicab.InvariantError, match="dispersion decreased"):
-                kernels._restart_walks(x)
+                kernels._restart_walks(x, x.T)
         assert shares == [2]
         assert worker_steps[1] < own  # share 1 failed while share 0 was walking
         assert len(calls) == own
@@ -1147,7 +1186,7 @@ class TestBatchedHeuristic:
 
         with np.errstate(over="raise"), screen_split(3) as shares, \
                 mock.patch.object(kernels, "_certified_product", side_effect=recorded):
-            kernels._restart_walks(x)
+            kernels._restart_walks(x, x.T)
         assert shares == [3]
         assert threading.current_thread() in seen and len(seen) == 3
         assert all(modes == {"raise"} for modes in seen.values())
@@ -1614,7 +1653,7 @@ class TestCertificatesAtEveryScale:
         counts = np.random.default_rng(3).poisson(4.0, size=(30, 8)) + 1.0
         X = ResidualMatrix(x=correspondence_residual(from_counts(counts)).x * 1e-12)
         assert norm_exact(X).delta < 1e-12
-        walk = _moved(taxicab._transition_fixed_point, 4, lambda state: 2.0 * state[4])
-        with mock.patch.object(taxicab, "_transition_fixed_point", side_effect=walk):
+        walk = _moved(taxicab.reference_walk, 4, lambda state: 2.0 * state[4])
+        with mock.patch.object(taxicab, "reference_walk", side_effect=walk):
             with pytest.raises(taxicab.InvariantError):
                 norm_exact(X)
