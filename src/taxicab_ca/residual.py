@@ -2,15 +2,17 @@
 
 A correspondence matrix is a nonnegative matrix normalized to total 1 with
 row/column masses.  Its multiplicative residual against the independence model
-is double-centered (all row and column sums vanish), as is the additive
-double-centering of an arbitrary matrix.  The three-way analogue removes all
-main effects and two-way interactions, leaving an array whose fibers all sum
-to zero.
+is double-centered (all row and column sums vanish).  The additive
+double-centering of an arbitrary matrix and the triple-centering of a 3-way
+array are one inclusion-exclusion over the sets of modes, which removes every
+lower-order effect and leaves an array whose fibers all sum to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -73,41 +75,36 @@ class CorrespondenceMatrix:
     def shape(self) -> tuple[int, int]:
         return self.p.shape
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "CorrespondenceMatrix":
-        """Normalize a nonnegative count matrix by its grand total."""
-        c = np.asarray(counts, dtype=float)
-        if c.ndim != 2 or c.size == 0:
-            raise ValueError("counts must be a nonempty 2-d array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("counts contain non-finite values")
-        if np.any(c < 0):
-            i, j = np.argwhere(c < 0)[0]
-            raise ValueError(f"negative count at row {int(i)}, column {int(j)}")
-        with np.errstate(over="ignore"):
-            total = float(c.sum())
-        if not np.isfinite(total):
-            raise ValueError("counts total overflows float64")
-        if total <= 0.0:
-            raise ValueError("zero total")
-        row_sums = c.sum(axis=1)
-        col_sums = c.sum(axis=0)
-        zr = np.flatnonzero(row_sums == 0)
-        if zr.size:
-            raise ValueError(f"row {int(zr[0])} is all zero")
-        zc = np.flatnonzero(col_sums == 0)
-        if zc.size:
-            raise ValueError(f"column {int(zc[0])} is all zero")
-        # frozen buffers are kept by _readonly, not copied
-        p, row_masses, col_masses = c / total, row_sums / total, col_sums / total
-        for a in (p, row_masses, col_masses):
-            a.setflags(write=False)
-        return cls(p=p, row_masses=row_masses, col_masses=col_masses)
-
 
 def from_counts(counts: np.ndarray) -> CorrespondenceMatrix:
-    """Build a CorrespondenceMatrix from a nonnegative count matrix."""
-    return CorrespondenceMatrix.from_counts(counts)
+    """Normalize a nonnegative count matrix by its grand total."""
+    c = np.asarray(counts, dtype=float)
+    if c.ndim != 2 or c.size == 0:
+        raise ValueError("counts must be a nonempty 2-d array")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("counts contain non-finite values")
+    if np.any(c < 0):
+        i, j = np.argwhere(c < 0)[0]
+        raise ValueError(f"negative count at row {int(i)}, column {int(j)}")
+    with np.errstate(over="ignore"):
+        total = float(c.sum())
+    if not np.isfinite(total):
+        raise ValueError("counts total overflows float64")
+    if total <= 0.0:
+        raise ValueError("zero total")
+    row_sums = c.sum(axis=1)
+    col_sums = c.sum(axis=0)
+    zr = np.flatnonzero(row_sums == 0)
+    if zr.size:
+        raise ValueError(f"row {int(zr[0])} is all zero")
+    zc = np.flatnonzero(col_sums == 0)
+    if zc.size:
+        raise ValueError(f"column {int(zc[0])} is all zero")
+    # frozen buffers are kept by _readonly, not copied
+    p, row_masses, col_masses = c / total, row_sums / total, col_sums / total
+    for a in (p, row_masses, col_masses):
+        a.setflags(write=False)
+    return CorrespondenceMatrix(p=p, row_masses=row_masses, col_masses=col_masses)
 
 
 def centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
@@ -129,43 +126,84 @@ def centering_scale(x: np.ndarray, scale: float | None, error: str) -> float:
     return scale
 
 
-def _check_overflow(x: np.ndarray, scale: float, step: str) -> None:
-    """Reject finite input whose centering or L1 mass left the float64 range."""
-    if not (np.isfinite(scale) and np.all(np.isfinite(x))):
-        raise ValueError(f"{step} overflows float64: input values too large")
-
-
 @dataclass(frozen=True)
-class ResidualMatrix:
-    """Double-centered matrix: every row sum and column sum is zero.
+class _Centered:
+    """Array of ``_ndim`` modes whose fibers along every mode sum to zero.
 
-    Centering is validated relative to ``scale`` (see ``centering_scale``):
-    sum(p) for a correspondence residual, sum(|y|) for an additive one and
-    the parent's scale for a deflated one.  It defaults to the entrywise L1
-    mass.
+    Centering is validated relative to ``scale`` (see ``centering_scale``);
+    it defaults to the entrywise L1 mass.  A subclass names its number of
+    modes and the words of its errors.
     """
 
     x: np.ndarray
-    kind: str = "additive"
     scale: float | None = None
 
-    _KINDS = ("multiplicative", "additive", "deflated")
+    _ndim: ClassVar[int]
+    _noun: ClassVar[str]
+    _uncentered: ClassVar[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _readonly(self.x))
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown residual kind {self.kind!r}")
         x = self.x
-        if x.ndim != 2 or x.size == 0:
-            raise ValueError("residual matrix must be a nonempty 2-d array")
+        if x.ndim != self._ndim or x.size == 0:
+            raise ValueError(f"{self._noun} must be a nonempty {self._ndim}-d array")
         if not np.all(np.isfinite(x)):
-            raise ValueError("residual matrix contains non-finite values")
-        object.__setattr__(self, "scale", centering_scale(
-            x, self.scale, "matrix is not double-centered"))
+            raise ValueError(f"{self._noun} contains non-finite values")
+        object.__setattr__(self, "scale", centering_scale(x, self.scale, self._uncentered))
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.x.shape
+
+
+class ResidualMatrix(_Centered):
+    """Double-centered matrix: every row sum and column sum is zero.
+
+    ``scale`` is sum(p) for a correspondence residual, sum(|y|) for an
+    additive one and the parent's scale for a deflated one.
+    """
+
+    _ndim, _noun, _uncentered = 2, "residual matrix", "matrix is not double-centered"
+
+
+class Tensor3(_Centered):
+    """Triple-centered 3-way array: all mode-wise fiber sums are zero.
+
+    ``scale`` is sum(|y|) when built by ``triple_center``.
+    """
+
+    _ndim, _noun, _uncentered = 3, "tensor", "tensor is not triple-centered"
+
+
+_CenteredT = TypeVar("_CenteredT", bound=_Centered)
+
+
+def _interactions(Y: np.ndarray, centered: type[_CenteredT], step: str) -> _CenteredT:
+    """The highest-order interactions of Y, as a ``centered`` array.
+
+    Inclusion-exclusion over the sets of modes: subtract the means over each
+    single mode, add back the means over each pair, and so on with
+    alternating signs up to the grand mean.  The sets of each size come in
+    ``combinations`` order of the modes taken last to first.  ``step`` names
+    the centering when it overflows.
+    """
+    d = centered._ndim
+    y = np.asarray(Y, dtype=float)
+    if y.ndim != d or y.size == 0:
+        raise ValueError(f"input must be a nonempty {d}-d array")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("input contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = y.copy(order="K")
+        for k in range(1, d + 1):
+            signed = np.subtract if k % 2 else np.add
+            for modes in combinations(range(d - 1, -1, -1), k):
+                signed(x, y.mean(axis=modes, keepdims=True), out=x)
+        scale = float(np.abs(y).sum())
+    if not (np.isfinite(scale) and np.all(np.isfinite(x))):
+        raise ValueError(f"{step} overflows float64: input values too large")
+    x.setflags(write=False)
+    return centered(x=x, scale=scale)
 
 
 def correspondence_residual(P: CorrespondenceMatrix) -> ResidualMatrix:
@@ -173,48 +211,12 @@ def correspondence_residual(P: CorrespondenceMatrix) -> ResidualMatrix:
     x = np.outer(P.row_masses, P.col_masses)
     np.subtract(P.p, x, out=x)
     x.setflags(write=False)
-    return ResidualMatrix(x=x, kind="multiplicative", scale=float(P.p.sum()))
+    return ResidualMatrix(x=x, scale=float(P.p.sum()))
 
 
 def additive_double_center(Y: np.ndarray) -> ResidualMatrix:
     """Additive two-way interactions: y_ij - rowmean_i - colmean_j + grandmean."""
-    y = np.asarray(Y, dtype=float)
-    if y.ndim != 2 or y.size == 0:
-        raise ValueError("input must be a nonempty 2-d array")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("input contains non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
-        scale = float(np.abs(y).sum())
-    _check_overflow(x, scale, "double centering")
-    x.setflags(write=False)
-    return ResidualMatrix(x=x, kind="additive", scale=scale)
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    """Triple-centered 3-way array: all mode-wise fiber sums are zero.
-
-    Centering is validated as for ``ResidualMatrix``: relative to sum(|y|)
-    when built by ``triple_center``, else to the entrywise L1 mass.
-    """
-
-    x: np.ndarray
-    scale: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _readonly(self.x))
-        x = self.x
-        if x.ndim != 3 or x.size == 0:
-            raise ValueError("tensor must be a nonempty 3-d array")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("tensor contains non-finite values")
-        object.__setattr__(self, "scale", centering_scale(
-            x, self.scale, "tensor is not triple-centered"))
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.x.shape
+    return _interactions(Y, ResidualMatrix, "double centering")
 
 
 def triple_center(Y: np.ndarray) -> Tensor3:
@@ -224,20 +226,4 @@ def triple_center(Y: np.ndarray) -> Tensor3:
     and subtracts the grand mean, leaving an array whose fibers along every
     mode sum to zero.
     """
-    y = np.asarray(Y, dtype=float)
-    if y.ndim != 3 or y.size == 0:
-        raise ValueError("input must be a nonempty 3-d array")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("input contains non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_ij = y.mean(axis=2, keepdims=True)
-        m_ik = y.mean(axis=1, keepdims=True)
-        m_jk = y.mean(axis=0, keepdims=True)
-        m_i = y.mean(axis=(1, 2), keepdims=True)
-        m_j = y.mean(axis=(0, 2), keepdims=True)
-        m_k = y.mean(axis=(0, 1), keepdims=True)
-        x = y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
-        scale = float(np.abs(y).sum())
-    _check_overflow(x, scale, "triple centering")
-    x.setflags(write=False)
-    return Tensor3(x=x, scale=scale)
+    return _interactions(Y, Tensor3, "triple centering")

@@ -253,7 +253,7 @@ def deflate(X: ResidualMatrix, axis: TaxicabAxis) -> ResidualMatrix:
     x /= np.ldexp(axis.delta, -e)
     np.subtract(X.x, x, out=x)
     x.setflags(write=False)
-    return ResidualMatrix(x=x, kind="deflated", scale=X.scale)
+    return ResidualMatrix(x=x, scale=X.scale)
 
 
 def tca(
@@ -294,11 +294,8 @@ def tca(
 
 
 def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
-    pos = np.flatnonzero(signs > 0)
-    neg = np.flatnonzero(signs < 0)
-    pos = pos[np.argsort(-scores[pos], kind="stable")]
-    neg = neg[np.argsort(-scores[neg], kind="stable")]
-    return tuple(np.concatenate([pos, neg]).tolist())
+    """Indices of the +1 signs, then the -1 ones, each by descending score, ties in index order."""
+    return tuple(np.lexsort((-scores, signs < 0)).tolist())
 
 
 def _seriation_from_axis(

@@ -3,10 +3,12 @@
 Everything here enumerates exhaustively with its own code paths (itertools
 products of raw sign choices, full subset lattices, recursive partition
 generation) so it shares no logic with the library implementations it checks.
-The code at the end is the exception: the taxicab heuristic's restart
-loop as it was before its batched rewrite, the two-mode clustering search
-as it was before its screened rewrite, and the report serialiser as it was
-before reports converted their values on construction, kept as the
+The code at the end is the exception: the two centering formulas as they
+were before the inclusion-exclusion loop over the modes, the seriation order
+as two stable argsorts before ``np.lexsort``, the taxicab heuristic's
+restart loop as it was before its batched rewrite, the two-mode clustering
+search as it was before its screened rewrite, and the report serialiser as
+it was before reports converted their values on construction, kept as the
 references whose bits the rewrites must reproduce.
 """
 
@@ -117,25 +119,14 @@ def brute_two_mode_best(x: np.ndarray, r: int, c: int, p: float) -> float:
 
 def random_double_centered(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Additively double-center an i.i.d. normal matrix (independent of the library)."""
-    y = rng.normal(size=(n, m))
-    return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
+    return formula_double_center(rng.normal(size=(n, m)))
 
 
 def random_triple_centered(
     rng: np.random.Generator, n: int, m: int, t: int
 ) -> np.ndarray:
     """Triple-center an i.i.d. normal array by sweeping out means directly."""
-    y = rng.normal(size=(n, m, t))
-    return (
-        y
-        - y.mean(axis=2, keepdims=True)
-        - y.mean(axis=1, keepdims=True)
-        - y.mean(axis=0, keepdims=True)
-        + y.mean(axis=(1, 2), keepdims=True)
-        + y.mean(axis=(0, 2), keepdims=True)
-        + y.mean(axis=(0, 1), keepdims=True)
-        - y.mean()
-    )
+    return formula_triple_center(rng.normal(size=(n, m, t)))
 
 
 def lexicographic_first_max(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -182,6 +173,33 @@ def lexicographic_first_tensor_signs(x: np.ndarray) -> tuple[np.ndarray, ...]:
 # of two matvecs a step, stopping when u repeats.  The library must return
 # the same axis bits, so the winner goes through the library's own
 # axis-sign rule and indeterminate sets, which the rewrite left as they were.
+
+
+def formula_double_center(y: np.ndarray) -> np.ndarray:
+    """Additive double centering, written out: y - rowmean - colmean + grandmean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
+
+
+def formula_triple_center(y: np.ndarray) -> np.ndarray:
+    """Triple centering, written out: the two-way means off, the one-way means back, the grand mean off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_ij = y.mean(axis=2, keepdims=True)
+        m_ik = y.mean(axis=1, keepdims=True)
+        m_jk = y.mean(axis=0, keepdims=True)
+        m_i = y.mean(axis=(1, 2), keepdims=True)
+        m_j = y.mean(axis=(0, 2), keepdims=True)
+        m_k = y.mean(axis=(0, 1), keepdims=True)
+        return y - m_ij - m_ik - m_jk + m_i + m_j + m_k - y.mean()
+
+
+def grouped_order_by_argsort(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
+    """Seriation order as two stable argsorts: +1 signs by descending score, then -1 signs."""
+    pos = np.flatnonzero(signs > 0)
+    neg = np.flatnonzero(signs < 0)
+    pos = pos[np.argsort(-scores[pos], kind="stable")]
+    neg = neg[np.argsort(-scores[neg], kind="stable")]
+    return tuple(np.concatenate([pos, neg]).tolist())
 
 
 def _loop_sign(x: np.ndarray) -> np.ndarray:

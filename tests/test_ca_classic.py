@@ -114,6 +114,10 @@ class TestCa:
         dec = ca(asbestos_P)
         assert dec.n_axes == 3  # min(5, 4) - 1
 
+    def test_negative_max_axes(self, asbestos_P):
+        with pytest.raises(ValueError, match="^max_axes must be nonnegative$"):
+            ca(asbestos_P, max_axes=-1)
+
     def test_americas_axis2_contributions(self, americas, americas_P):
         dec = ca(americas_P)
         i_ca = americas.row_labels.index("Canada")
@@ -206,6 +210,10 @@ class TestCompareCaTca:
         ca_signs = np.sign(ca_dec.row_scores[0])
         tca_signs = np.sign(tca_dec.axes[0].f)
         assert (ca_signs == tca_signs).all() or (ca_signs == -tca_signs).all()
+
+    def test_axis_zero(self, asbestos_P):
+        with pytest.raises(ValueError, match="^axis must be >= 1$"):
+            compare_ca_tca(asbestos_P, 0)
 
     def test_independence_empty(self):
         r = np.array([0.6, 0.4])

@@ -349,6 +349,12 @@ class TestCountsOnePass:
 
 
 class TestTensorFormat:
+    def test_blank_text_and_a_matrix_are_refused(self):
+        with pytest.raises(ValueError, match="^<string>: empty tensor file$"):
+            parse_tensor("\n  \n\t\n")
+        with pytest.raises(ValueError, match="^tensor must be a 3-d array$"):
+            format_tensor(np.zeros((2, 2)))
+
     def test_scalar(self):
         x = parse_tensor("1 1 1\n5\n")
         assert x.shape == (1, 1, 1)

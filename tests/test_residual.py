@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import random_double_centered, random_triple_centered
+from oracles import (formula_double_center, formula_triple_center, random_double_centered,
+                     random_triple_centered)
 from taxicab_ca.residual import (
     CENTERING_TOL,
     CorrespondenceMatrix,
@@ -16,6 +20,45 @@ from taxicab_ca.residual import (
     from_counts,
     triple_center,
 )
+
+
+def _correspondence(p, rows=None, cols=None):
+    p = np.asarray(p, dtype=float)
+    return lambda: CorrespondenceMatrix(
+        p=p, row_masses=p.sum(axis=1) if rows is None else np.asarray(rows),
+        col_masses=p.sum(axis=0) if cols is None else np.asarray(cols))
+
+
+_QUARTERS = np.full((2, 2), 0.25)
+_NAN_QUARTERS = np.array([[np.nan, 0.25], [0.25, 0.25]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CorrespondenceMatrix(p=np.full(4, 0.25), row_masses=np.ones(1),
+                                  col_masses=np.ones(1)),
+     "correspondence matrix must be a nonempty 2-d array"),
+    (_correspondence(_NAN_QUARTERS, [0.5, 0.5], [0.5, 0.5]),
+     "correspondence matrix contains non-finite values"),
+    (_correspondence([[0.75, -0.25], [0.25, 0.25]]), "correspondence matrix has negative entries"),
+    (_correspondence([[0.5, 0.5], [0.5, 0.5]]), "correspondence matrix does not sum to 1"),
+    (_correspondence(_QUARTERS, rows=[0.6, 0.4]), "row masses inconsistent with matrix"),
+    (_correspondence(_QUARTERS, cols=[0.4, 0.6]), "column masses inconsistent with matrix"),
+    (_correspondence([[0.5, 0.5], [0.0, 0.0]]), "row 1 has zero mass"),
+    (_correspondence([[0.0, 0.5], [0.0, 0.5]]), "column 0 has zero mass"),
+    (lambda: from_counts(np.ones(3)), "counts must be a nonempty 2-d array"),
+    (lambda: from_counts(_NAN_QUARTERS), "counts contain non-finite values"),
+    (lambda: ResidualMatrix(x=np.zeros((0, 2))), "residual matrix must be a nonempty 2-d array"),
+    (lambda: ResidualMatrix(x=_NAN_QUARTERS), "residual matrix contains non-finite values"),
+    (lambda: Tensor3(x=np.zeros((2, 2))), "tensor must be a nonempty 3-d array"),
+    (lambda: Tensor3(x=np.full((2, 2, 2), np.inf)), "tensor contains non-finite values"),
+    (lambda: additive_double_center(np.zeros((2, 2, 2))), "input must be a nonempty 2-d array"),
+    (lambda: additive_double_center(_NAN_QUARTERS), "input contains non-finite values"),
+    (lambda: triple_center(np.zeros((2, 0, 2))), "input must be a nonempty 3-d array"),
+    (lambda: triple_center(np.full((2, 2, 2), -np.inf)), "input contains non-finite values"),
+])
+def test_rejects_with_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestFromCounts:
@@ -74,7 +117,6 @@ class TestFromCounts:
 class TestCorrespondenceResidual:
     def test_asbestos_cells(self, asbestos_P):
         X = correspondence_residual(asbestos_P)
-        assert X.kind == "multiplicative"
         assert X.x[0, 0] == pytest.approx(0.1181, abs=5e-5)
         assert X.x[4, 3] == pytest.approx(0.0202, abs=5e-5)
 
@@ -89,6 +131,9 @@ class TestCorrespondenceResidual:
         X = correspondence_residual(asbestos_P)
         np.testing.assert_allclose(X.x.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(X.x.sum(axis=1), 0.0, atol=1e-12)
+
+
+_OVERFLOWS = "^{} centering overflows float64: input values too large$"
 
 
 class TestAdditiveDoubleCenter:
@@ -114,7 +159,7 @@ class TestAdditiveDoubleCenter:
     def test_overflow(self):
         # the means overflow in the first; in the second only the scale sum|y| does
         for y in (np.full((2, 2), 1e308), np.array([[1e308, -1e308], [-1e308, 1e308]])):
-            with pytest.raises(ValueError, match="double centering overflows"):
+            with pytest.raises(ValueError, match=_OVERFLOWS.format("double")):
                 additive_double_center(y)
 
 
@@ -240,7 +285,7 @@ class TestTripleCenter:
     def test_overflow(self):
         # finite values whose fiber sums leave the float64 range
         y = np.array([[[1e308], [1e308]], [[-1e308], [1e308]]])
-        with pytest.raises(ValueError, match="triple centering overflows"):
+        with pytest.raises(ValueError, match=_OVERFLOWS.format("triple")):
             triple_center(y)
 
     def test_near_constant_input(self):
@@ -249,3 +294,36 @@ class TestTripleCenter:
         T = triple_center(y)
         assert T.scale == pytest.approx(float(y.sum()))
         assert _own_mass_rejects(T.x)
+
+
+class TestInclusionExclusion:
+    """The loop over the sets of modes gives the bits of the formulas it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+           law=st.sampled_from(["normal", "poisson", "cauchy"]),
+           exponent=st.integers(-300, 300), fortran=st.booleans(), seed=st.integers(0, 2**32))
+    @example(shape=[1, 5], law="normal", exponent=0, fortran=False, seed=0)
+    @example(shape=[4, 1, 3], law="cauchy", exponent=300, fortran=True, seed=1)
+    @example(shape=[3, 4, 5], law="normal", exponent=-300, fortran=True, seed=2)
+    def test_equals_the_formulas(self, shape, law, exponent, fortran, seed):
+        rng = np.random.default_rng(seed)
+        draw = {"normal": rng.normal, "poisson": lambda size: rng.poisson(4.0, size),
+                "cauchy": rng.standard_cauchy}[law]
+        with np.errstate(over="ignore"):
+            y = draw(size=shape) * 10.0 ** exponent
+        y = np.asfortranarray(y) if fortran else np.ascontiguousarray(y)
+        if not np.isfinite(y).all():
+            return
+        center, formula, step = {2: (additive_double_center, formula_double_center, "double"),
+                                 3: (triple_center, formula_triple_center, "triple")}[y.ndim]
+        expected = formula(y)
+        with np.errstate(over="ignore"):
+            in_range = np.isfinite(np.abs(y).sum()) and np.isfinite(expected).all()
+        if not in_range:
+            with pytest.raises(ValueError, match=_OVERFLOWS.format(step)):
+                center(y)
+            return
+        x = center(y).x
+        assert x.tobytes() == expected.tobytes()
+        assert x.strides == expected.strides

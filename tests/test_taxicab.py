@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import align_sign, assert_match_up_to_sign, screen_split
 from oracles import (
     brute_cut_norm_matrix,
     brute_matrix_norm,
+    grouped_order_by_argsort,
     lexicographic_first_max,
     loop_norm_heuristic,
     loop_restart_finals,
@@ -1311,7 +1314,6 @@ class TestDeflate:
         X2 = deflate(X1, axis)
         assert np.abs(X2.x[:, 0]).max() <= 1e-12
         assert X2.x[0, 1] == pytest.approx(-0.0347, abs=5e-4)
-        assert X2.kind == "deflated"
 
     def test_rank_one_becomes_zero(self):
         u = np.array([1.0, -2.0, 1.0])
@@ -1375,6 +1377,16 @@ class TestDeflate:
 
 
 class TestTca:
+    def test_argument_errors(self, asbestos_P):
+        with pytest.raises(ValueError, match="^max_axes must be nonnegative$"):
+            tca(asbestos_P, max_axes=-1)
+        with pytest.raises(ValueError, match="^unknown solver 'bogus'$"):
+            tca(asbestos_P, solver="bogus")
+        axis = tca(asbestos_P, max_axes=1).axes[0]
+        for signs in ({"u": 0.5 * axis.u}, {"v": np.where(axis.v > 0, 1.0, 0.0)}):
+            with pytest.raises(ValueError, match="^sign vectors must have entries exactly"):
+                replace(axis, **signs)
+
     def test_asbestos_axis1_scores(self, asbestos_P):
         dec = tca(asbestos_P)
         assert dec.rank_used == 3
@@ -1570,6 +1582,16 @@ class TestSeriate:
         f_in_pos = [axis.f[i] for i in report.row_order if axis.v[i] > 0]
         assert f_in_pos == sorted(f_in_pos, reverse=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=30),
+           data=st.data())
+    def test_order_equals_two_stable_argsorts(self, signs, data):
+        # integer and signed-zero scores tie often; ties keep index order
+        scores = data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 0.5]),
+                                    min_size=len(signs), max_size=len(signs)))
+        signs, scores = np.array(signs), np.array(scores)
+        assert taxicab._grouped_order(signs, scores) == grouped_order_by_argsort(signs, scores)
+
 
 class TestLemma3Bridge:
     def test_delta_equals_four_cut_norm_random(self):
@@ -1646,6 +1668,46 @@ class TestCertificatesAtEveryScale:
                         cut_norm_matrix(X)
                 else:
                     cut_norm_matrix(X)
+
+    @staticmethod
+    def _identity_moved(name: str, h: float):
+        """``_canonical_state`` with identity ``name`` moved by h and the other two kept."""
+        real = taxicab._canonical_state
+
+        def call(*args):
+            u, v, a, b, delta = real(*args)
+            a, b = a.copy(), b.copy()
+            plus, minus = int(np.argmax(u > 0)), int(np.argmax(u < 0))
+            if name == "sum(a)":
+                # the largest entry and the smallest (negative) one rise: sum |a| stays
+                a[np.argmax(a)] += h / 2
+                a[np.argmin(a)] += h / 2
+                delta = float(np.abs(a).sum())
+            elif name == "sum(b)":
+                b[plus] += h / 2  # u'b stays
+                b[minus] += h / 2
+            else:
+                b[plus] += h / 2  # sum(b) stays
+                b[minus] -= h / 2
+            return u, v, a, b, delta
+        return call
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["sum(a)", "sum(b)", "u'b - delta"])
+    def test_identity_moved_past_the_slack_raises(self, k, name):
+        for X in self._matrices(k):
+            _, slack = kernels.certificate_slack(X.x)
+            for slacks, raises in ((0.5, False), (1.5, True)):
+                moved = self._identity_moved(name, slacks * slack)
+                with mock.patch.object(taxicab, "_canonical_state", side_effect=moved):
+                    for solve in (norm_exact, norm_heuristic):
+                        if raises:
+                            with pytest.raises(taxicab.InvariantError,
+                                               match=f"^{re.escape(name)} is .*, outside the "
+                                                     "rounding slack"):
+                                solve(X)
+                        else:
+                            solve(X)
 
     def test_doubled_delta_of_a_tiny_residual_raises(self):
         # a 30 x 8 residual of Poisson(4) + 1 counts, scaled by 1e-12: its

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,15 @@ class TestTensorNorm:
         assert report.results["delta"] == axis.delta
 
 
+class TestTensorAxisArguments:
+    def test_rejects_a_non_sign_entry_and_seven_octants(self):
+        axis = tensor_norm_exact(_sign_tensor())
+        with pytest.raises(ValueError, match="^sign vectors must have entries exactly"):
+            replace(axis, w=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="^expected eight octant sums$"):
+            replace(axis, octant_sums=axis.octant_sums[:7])
+
+
 class TestOctantReport:
     def test_sign_tensor_octants(self):
         T = _sign_tensor()
@@ -366,3 +376,30 @@ class TestCertificatesAtEveryScale:
                         solve(X)
                 else:
                     solve(X)
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_heuristic_fall_past_two_margins_raises(self, k):
+        # each third-mode fiber after the first is rescaled so that its
+        # value falls from the one before by `falls` times the two margins a
+        # step may lose to rounding
+        X = self._tensor(k)
+        margin, _ = kernels.certificate_slack(X.x)
+        real = np.einsum
+        for falls, raises in ((0.5, False), (1.5, True)):
+            values: list[float] = []
+
+            def fallen(subscripts, *operands, **kwargs):
+                out = real(subscripts, *operands, **kwargs)
+                if subscripts == "ijk,i,j->k":
+                    if values:
+                        out = out * ((values[-1] - falls * 2.0 * margin) / np.abs(out).sum())
+                    values.append(float(np.abs(out).sum()))
+                return out
+
+            with mock.patch.object(np, "einsum", side_effect=fallen):
+                if raises:
+                    with pytest.raises(kernels.InvariantError, match="trilinear value decreased"):
+                        tensor_norm_heuristic(X)
+                else:
+                    tensor_norm_heuristic(X)
+                    assert len(values) > X.shape[1]  # a restart took a second step
