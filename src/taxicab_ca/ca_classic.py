@@ -115,17 +115,13 @@ class PointComparison:
 
 @dataclass(frozen=True)
 class CaTcaComparison:
-    """Per-point CA vs TCA contributions on one axis (empty if axis absent)."""
+    """Per-point CA vs TCA contributions on one axis that both analyses computed."""
 
     axis: int
     rows: tuple[PointComparison, ...]
     cols: tuple[PointComparison, ...]
     ca_max_contribution: float
     tca_max_contribution: float
-
-    @property
-    def empty(self) -> bool:
-        return not self.rows and not self.cols
 
 
 def compare_ca_tca(
@@ -134,7 +130,11 @@ def compare_ca_tca(
     row_labels: tuple[str, ...] | None = None,
     col_labels: tuple[str, ...] | None = None,
 ) -> CaTcaComparison:
-    """Side-by-side CA and TCA contributions on a 1-based axis."""
+    """Side-by-side CA and TCA contributions on a 1-based axis.
+
+    An axis that CA or TCA lacks raises ``ValueError``, as ``taxicab.rc_axis``
+    does.
+    """
     if axis < 1:
         raise ValueError("axis must be >= 1")
     n, m = P.shape
@@ -146,11 +146,9 @@ def compare_ca_tca(
         if len(labels) != size:
             raise ValueError(f"expected {size} {name} labels, got {len(labels)}")
     ca_dec = ca(P, max_axes=axis)
-    tca_dec = tca(P, max_axes=axis)
-    if ca_dec.n_axes < axis or len(tca_dec.axes) < axis:
-        return CaTcaComparison(axis=axis, rows=(), cols=(),
-                               ca_max_contribution=0.0, tca_max_contribution=0.0)
-    contrib = rc_axis(tca_dec, axis)
+    if ca_dec.n_axes < axis:
+        raise ValueError(f"axis {axis} not computed")
+    contrib = rc_axis(tca(P, max_axes=axis), axis)
     k = axis - 1
     rows = tuple(
         PointComparison(label, float(ca_dec.row_ctr[k, i]), contrib.rc_rows[i])

@@ -259,9 +259,6 @@ def _cmd_compare(args: argparse.Namespace) -> _reports.AnalysisReport:
     cmp = compare_ca_tca(_from_counts(data, name), args.axis,
                          row_labels=data.row_labels, col_labels=data.col_labels)
     report = _reports.build_compare_report(cmp, data, name, _provenance(raw, "auto"))
-    if cmp.empty:
-        print(f"axis {args.axis} not available; empty comparison")
-        return report
     print(f"contributions to axis {args.axis} (CA vs TCA)")
     width = max(len(p.label) for p in cmp.rows + cmp.cols)
     for section, pts in (("rows", cmp.rows), ("columns", cmp.cols)):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .residual import ResidualMatrix
-from .taxicab import InvariantError
+from .taxicab import EnumerationBudgetError, InvariantError
 
 __all__ = [
     "EXHAUSTIVE_SPACE_LIMIT",
@@ -471,7 +471,8 @@ def maximize(
     """Best two-mode partition into r row blocks and c column blocks.
 
     ``method`` is "exhaustive", "local_search", or "auto" (exhaustive when
-    the set-partition search space is at most ``EXHAUSTIVE_SPACE_LIMIT``).
+    the set-partition search space is at most ``EXHAUSTIVE_SPACE_LIMIT``;
+    "exhaustive" past it raises ``EnumerationBudgetError``).
     Local search sweeps single-element reassignments in deterministic order,
     one run per balanced initial split, and never decreases the objective.
     With r and c at least 2 the optimum is at least max |x_ij|^p > 0 for a
@@ -512,7 +513,7 @@ def maximize(
     tol = _screen_tol(scaled, r, c, p)
     if method == "exhaustive":
         if space > EXHAUSTIVE_SPACE_LIMIT:
-            raise ValueError(
+            raise EnumerationBudgetError(
                 f"search space {space} exceeds exhaustive limit "
                 f"{EXHAUSTIVE_SPACE_LIMIT}: use local_search"
             )

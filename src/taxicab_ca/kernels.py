@@ -8,7 +8,7 @@ float32 GEMMs, and confirms the best end in float64.  Each bound is proved
 once, in the docstring of the function whose bound it is;
 ``certificate_slack`` proves the float64 slack of every certificate that the
 taxicab and tensor modules check.  Other modules use only ``BLOCK_BYTES``,
-``ENUM_LIMIT``, ``enum_width``, ``sign_grid``, ``enumerate_best``,
+``ENUM_LIMIT``, ``over_budget``, ``sign_grid``, ``enumerate_best``,
 ``reference_walk``, ``best_restart``, ``rounding_margin``,
 ``certificate_slack``, ``block_sums``, ``check_block_sums``,
 ``EnumerationBudgetError`` and ``InvariantError``.
@@ -68,6 +68,19 @@ def enum_width(shape: tuple[int, ...]) -> int:
     """Sign coordinates an exact search enumerates on an array of ``shape``: the
     sum of its d - 1 smallest mode sizes, min(n, m) for a matrix."""
     return sum(sorted(shape)[:-1])
+
+
+def over_budget(shape: tuple[int, ...], heuristic: str) -> EnumerationBudgetError | None:
+    """The refusal of an exact search on an array of ``shape``, or None within budget.
+
+    The search is refused when its ``enum_width`` exceeds ``ENUM_LIMIT``; the
+    refusal names both and ``heuristic``, the solver to use instead.  Exact
+    solvers raise it, and solver pickers take ``heuristic`` when it is given.
+    """
+    if (width := enum_width(shape)) <= ENUM_LIMIT:
+        return None
+    return EnumerationBudgetError(f"exact search over {width} sign coordinates exceeds "
+                                  f"the enumeration limit {ENUM_LIMIT}: use {heuristic}")
 
 
 def sign_grid(width: int, start: int, stop: int) -> np.ndarray:

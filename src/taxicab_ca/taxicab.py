@@ -25,7 +25,7 @@ import numpy as np
 
 from .dispersion import HEAVYWEIGHT_TOL, sign_pm
 from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart, block_sums,
-                      certificate_slack, check_block_sums, enum_width, enumerate_best,
+                      certificate_slack, check_block_sums, enumerate_best, over_budget,
                       reference_walk)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
@@ -98,7 +98,10 @@ class TcaDecomposition:
     axes: tuple[TaxicabAxis, ...]
     row_masses: np.ndarray
     col_masses: np.ndarray
-    rank_used: int
+
+    @property
+    def rank_used(self) -> int:
+        return len(self.axes)
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,10 @@ def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
 
     Enumerates 2^(q-1) sign vectors on the smaller side q = min(n, m); the
     other side follows from the transition formulas.  Requires q <=
-    ``ENUM_LIMIT``.
+    ``ENUM_LIMIT``; past it ``kernels.over_budget``'s refusal is raised.
     """
-    if (width := enum_width(X.shape)) > ENUM_LIMIT:
-        raise EnumerationBudgetError(
-            f"min dimension {width} exceeds exhaustive budget {ENUM_LIMIT}: "
-            "use norm_heuristic"
-        )
+    if refusal := over_budget(X.shape, "norm_heuristic"):
+        raise refusal
     x = X.x
     if x.shape[1] <= x.shape[0]:
         _, _, u0 = enumerate_best([x[None]])
@@ -236,7 +236,7 @@ def _best_axis(X: ResidualMatrix, solver: str = "auto") -> TaxicabAxis:
     wrapper bound to that name sees every axis.
     """
     if solver == "auto":
-        solver = "exact" if enum_width(X.shape) <= ENUM_LIMIT else "heuristic"
+        solver = "heuristic" if over_budget(X.shape, "norm_heuristic") else "exact"
     if solver == "exact":
         return norm_exact(X)
     if solver == "heuristic":
@@ -285,12 +285,7 @@ def tca(
         axes.append(axis)
         if len(axes) < cap:
             X = deflate(X, axis)
-    return TcaDecomposition(
-        axes=tuple(axes),
-        row_masses=P.row_masses,
-        col_masses=P.col_masses,
-        rank_used=len(axes),
-    )
+    return TcaDecomposition(axes=tuple(axes), row_masses=P.row_masses, col_masses=P.col_masses)
 
 
 def _grouped_order(signs: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
@@ -325,17 +320,22 @@ def cut_norm_matrix(X: ResidualMatrix) -> SeriationReport:
     return _seriation_from_axis(_best_axis(X))
 
 
+def _axis(decomposition: TcaDecomposition, axis_index: int) -> TaxicabAxis:
+    """The 1-based axis ``axis_index``; one the decomposition lacks raises ``ValueError``."""
+    if not 1 <= axis_index <= len(decomposition.axes):
+        raise ValueError(f"axis {axis_index} not computed")
+    return decomposition.axes[axis_index - 1]
+
+
 def rc_axis(decomposition: TcaDecomposition, axis_index: int) -> AxisContributions:
     """Relative contributions |a|/delta, |b|/delta for 1-based axis ``axis_index``.
 
     Each contribution is at most 1/2; rows/columns attaining the bound are
     heavyweights, and a cell is heavyweight (contributing exactly 1/4) when
-    both its row and column are.
+    both its row and column are.  An axis the decomposition lacks raises
+    ``ValueError``.
     """
-    axes = decomposition.axes
-    if not 1 <= axis_index <= len(axes):
-        raise ValueError(f"axis {axis_index} not computed")
-    axis = axes[axis_index - 1]
+    axis = _axis(decomposition, axis_index)
     rc_rows = np.abs(axis.a) / axis.delta
     rc_cols = np.abs(axis.b) / axis.delta
     heavy_rows = tuple(np.flatnonzero(np.abs(rc_rows - 0.5) <= HEAVYWEIGHT_TOL).tolist())
@@ -354,16 +354,9 @@ def seriate(decomposition: TcaDecomposition, axis_index: int) -> SeriationReport
     """Seriation report for 1-based axis ``axis_index`` of a decomposition.
 
     Rows are ordered by descending factor score within v-sign groups
-    (positive group first), columns likewise within u-sign groups.  An empty
-    decomposition yields a degenerate all-empty report for axis 1.
+    (positive group first), columns likewise within u-sign groups.  An axis
+    the decomposition lacks raises ``ValueError``, axis 1 of an empty
+    decomposition (a table that fits the independence model) included.
     """
-    axes = decomposition.axes
-    if not axes and axis_index == 1:
-        return SeriationReport(
-            s_opt=(), t_opt=(), block_sums=(0.0, 0.0, 0.0, 0.0),
-            cut_norm=0.0, row_order=(), col_order=(),
-        )
-    if not 1 <= axis_index <= len(axes):
-        raise ValueError(f"axis {axis_index} not computed")
-    axis = axes[axis_index - 1]
+    axis = _axis(decomposition, axis_index)
     return _seriation_from_axis(axis, row_scores=axis.f, col_scores=axis.g)

@@ -79,19 +79,17 @@ def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     Sign symmetry pins the first entry of both enumerated vectors to +1; the
     third mode's optimal signs follow from the contracted fiber sums.  On
     ties the lexicographically first (first-mode, second-mode) pair wins.
-    The two smallest mode sizes must sum to at most ``kernels.ENUM_LIMIT``.
+    The two smallest mode sizes must sum to at most ``kernels.ENUM_LIMIT``;
+    past it ``kernels.over_budget``'s refusal is raised.
     The first mode's contractions reach ``kernels.enumerate_best`` in stacks
     of ``kernels.BLOCK_BYTES``, each built once.
     """
+    if refusal := kernels.over_budget(X.shape, "tensor_norm_heuristic"):
+        raise refusal
     x = X.x
     dims = x.shape
     e1, e2, free = sorted(range(3), key=lambda ax: (dims[ax], ax))
     q1, q2, q3 = dims[e1], dims[e2], dims[free]
-    if (width := kernels.enum_width(dims)) > kernels.ENUM_LIMIT:
-        raise kernels.EnumerationBudgetError(
-            f"two smallest mode sizes sum to {width}, over budget "
-            f"{kernels.ENUM_LIMIT}: use tensor_norm_heuristic"
-        )
     xp = np.transpose(x, (e1, e2, free))
     flat = xp.reshape(q1, q2 * q3)
     count = 1 << (q1 - 1)
@@ -151,9 +149,9 @@ def tensor_norm_heuristic(X: Tensor3) -> TensorAxis:
 def tensor_norm(X: Tensor3) -> TensorAxis:
     """Tensor sign norm, exact when the two smallest mode sizes sum to at most
     ``kernels.ENUM_LIMIT`` and the heuristic lower bound otherwise."""
-    if kernels.enum_width(X.shape) <= kernels.ENUM_LIMIT:
-        return tensor_norm_exact(X)
-    return tensor_norm_heuristic(X)
+    if kernels.over_budget(X.shape, "tensor_norm_heuristic"):
+        return tensor_norm_heuristic(X)
+    return tensor_norm_exact(X)
 
 
 def octant_report(X: Tensor3, axis: TensorAxis) -> OctantReport:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxicab_ca import ca_classic
 from taxicab_ca.ca_classic import ca, compare_ca_tca, jacobi_svd
 from taxicab_ca.residual import from_counts
 from taxicab_ca.taxicab import tca
@@ -216,10 +219,26 @@ class TestCompareCaTca:
             compare_ca_tca(asbestos_P, 0)
 
     def test_independence_empty(self):
+        # neither analysis has an axis at independence: the comparison is refused
         r = np.array([0.6, 0.4])
         c = np.array([0.5, 0.5])
-        cmp = compare_ca_tca(from_counts(np.outer(r, c) * 10), 1)
-        assert cmp.empty
+        with pytest.raises(ValueError, match="^axis 1 not computed$"):
+            compare_ca_tca(from_counts(np.outer(r, c) * 10), 1)
+
+    def test_axis_past_the_rank(self, asbestos_P):
+        assert ca(asbestos_P).n_axes == len(tca(asbestos_P).axes) == 3
+        with pytest.raises(ValueError, match="^axis 4 not computed$"):
+            compare_ca_tca(asbestos_P, 4)
+
+    def test_tca_side_refuses_an_axis_it_lacks(self, monkeypatch, asbestos_P):
+        def one_axis_fewer(P, max_axes=None, solver="auto"):
+            dec = tca(P, max_axes=max_axes, solver=solver)
+            return replace(dec, axes=dec.axes[:-1])
+
+        monkeypatch.setattr(ca_classic, "tca", one_axis_fewer)
+        assert ca(asbestos_P, max_axes=2).n_axes == 2
+        with pytest.raises(ValueError, match="^axis 2 not computed$"):
+            compare_ca_tca(asbestos_P, 2)
 
     @pytest.mark.parametrize("row_labels, col_labels, message", [
         (("a", "b"), ("x",), "expected 5 row labels, got 2"),

@@ -182,6 +182,28 @@ class TestSeriateCommand:
         assert not out.exists()
 
 
+class TestMissingAxis:
+    """``compare`` and ``seriate`` refuse an axis the decomposition lacks alike."""
+
+    @pytest.mark.parametrize("command", ["compare", "seriate"])
+    def test_axis_past_the_rank_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        code = run([command, "--dataset", "asbestos", "--axis", "9", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: axis 9 not computed\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "seriate"])
+    def test_independence_table_exit_2(self, tmp_path, capsys, command):
+        src, out = tmp_path / "t.csv", tmp_path / "r.json"
+        counts = np.outer([0.6, 0.4], [0.5, 0.5]) * 10
+        src.write_text(_csv_text(counts.astype(int)))
+        code = run([command, str(src), "--axis", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: axis 1 not computed\n")
+        assert not out.exists()
+
+
 class TestClusterCommand:
     def test_asbestos_2x2(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -22,7 +22,7 @@ from taxicab_ca.residual import (
     correspondence_residual,
     from_counts,
 )
-from taxicab_ca.taxicab import norm_exact
+from taxicab_ca.taxicab import EnumerationBudgetError, norm_exact
 
 
 def _rand_residual(rng, n, m) -> ResidualMatrix:
@@ -119,6 +119,9 @@ class TestMaximize:
         X = _rand_residual(np.random.default_rng(54), 30, 4)  # S(30, 2) S(4, 2) > 10**7
         limit = clustering.EXHAUSTIVE_SPACE_LIMIT
         with pytest.raises(ValueError, match=f"exceeds exhaustive limit {limit}: use local_search"):
+            maximize(X, 2, 2, method="exhaustive")
+        # the type behind the CLI's exit 3, as for every refused exhaustive search
+        with pytest.raises(EnumerationBudgetError):
             maximize(X, 2, 2, method="exhaustive")
 
     def test_unknown_method_is_refused(self):

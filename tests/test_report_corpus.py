@@ -6,9 +6,9 @@ of a pinned report fails here, whatever tolerance the other tests allow.
 
 The pinned reports are those whose bytes were the same under OpenBLAS's
 default, Haswell and Sandybridge kernels (``OPENBLAS_CORETYPE``) and with
-two BLAS threads: ``cluster`` on both datasets at p = 1 and 2, ``seriate``
-and ``dispersion`` on asbestos, ``dispersion`` on americas, and ``tensor``
-on four seeded files.  CI runs this file under each of those.  At p = 1.5
+two BLAS threads: ``cluster`` on both datasets and on a seeded 40 x 30
+table at p = 1 and 2, ``seriate`` and ``dispersion`` on asbestos,
+``dispersion`` on americas, and ``tensor`` on four seeded files.  CI runs this file under each of those.  At p = 1.5
 the ``cluster`` objective goes through numpy's SIMD-dispatched ``power``,
 whose last bit was not compared across CPUs, so those reports pin the
 partition exactly and the objective to a relative 1e-12.
@@ -20,8 +20,9 @@ key, label, integer, sign, partition and index set is pinned exactly, and
 each float to a relative 1e-9 of the largest magnitude in its list (of
 itself, outside a list); the kernels moved none by more than 1e-12.  The
 rows and columns of the americas seriations tie in score (its table is
-binary), and tied entries swap between kernels, so those orders are pinned
-as sorts of the pinned ``tca`` scores of the axis, ties to the same 1e-9.
+binary), as rows 9 and 31 of the seeded table's first axis do, and tied
+entries swap between kernels, so those orders are pinned as sorts of the
+pinned ``tca`` scores of the axis, ties to the same 1e-9.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ REPORT_SHA256 = {
         "11e7dabf37784c0b4baf5cbcf664584a08be006cdec0d9fd2e76f44b18bbfb7f",
     "seriate --dataset asbestos --axis 2":
         "fb9592bef0afddd7658fb6964e4c3bb4d7d0326925c19adb30d97da6569aad22",
+    "cluster table40x30.csv --r 2 --c 2 --p 1":
+        "8bf2770f9a4d44a1b6b563d52cf3de56aec2170b1a107f960c8b5d66e57be513",
+    "cluster table40x30.csv --r 3 --c 2 --p 2":
+        "af5ddef3b09671f1ce46f4d233f2390226b45570aea101179c6ba6a7719eec13",
     "dispersion --dataset asbestos --column G1":
         "c2a5ff454bcf9d91d1bd3f3e94350dfacc9d74d8d6bdf873f4d21de7d6464c44",
     "dispersion --dataset americas --column MERCOSUR":
@@ -123,7 +128,8 @@ NEAR_REPORTS = json.loads((Path(__file__).parent / "report_corpus.json").read_te
 
 # seriation reports whose orders are pinned as sorts of the tca scores of their axis
 SERIATIONS = {"seriate --dataset americas --axis 1": ("tca --dataset americas", 1),
-              "seriate --dataset americas --axis 2": ("tca --dataset americas", 2)}
+              "seriate --dataset americas --axis 2": ("tca --dataset americas", 2),
+              "seriate table40x30.csv --axis 1": ("tca table40x30.csv --heuristic --axes 2", 1)}
 
 
 def _write_inputs() -> None:

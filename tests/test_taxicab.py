@@ -183,6 +183,21 @@ class TestNormExact:
         with pytest.raises(EnumerationBudgetError, match="norm_heuristic"):
             norm_exact(X)
 
+    def test_one_refusal_for_every_exact_search(self):
+        # the solvers raise it and the pickers read it: both change at one place
+        for shape in ((22, 22), (40, 22), (11, 11, 72), (2, 20, 5)):
+            assert kernels.over_budget(shape, "norm_heuristic") is None
+        X = _rand_residual(np.random.default_rng(3), 24, 23)
+        T = Tensor3(x=np.zeros((12, 11, 30)))
+        for solve, arg, heuristic in ((norm_exact, X, "norm_heuristic"),
+                                      (tensor_norm_exact, T, "tensor_norm_heuristic")):
+            refusal = kernels.over_budget(arg.shape, heuristic)
+            message = ("exact search over 23 sign coordinates exceeds the enumeration "
+                       f"limit 22: use {heuristic}")
+            assert type(refusal) is EnumerationBudgetError and str(refusal) == message
+            with pytest.raises(EnumerationBudgetError, match=f"^{message}$"):
+                solve(arg)
+
 
 class TestEnumerationKernel:
     """The blocked sign-enumeration kernel against one-at-a-time scans."""
@@ -1538,6 +1553,13 @@ class TestRcAxis:
         with pytest.raises(ValueError, match="axis 2"):
             rc_axis(dec, 2)
 
+    @pytest.mark.parametrize("read", [rc_axis, seriate])
+    def test_every_axis_outside_the_decomposition_raises(self, asbestos_P, americas_P, read):
+        for dec in (tca(asbestos_P), tca(americas_P, max_axes=2), tca(asbestos_P, max_axes=0)):
+            for k in (0, -1, len(dec.axes) + 1):
+                with pytest.raises(ValueError, match=f"^axis {k} not computed$"):
+                    read(dec, k)
+
 
 class TestSeriate:
     def test_asbestos_axis1_blocks(self, asbestos_P):
@@ -1563,13 +1585,13 @@ class TestSeriate:
             )
 
     def test_zero_matrix_degenerate(self):
+        # an empty decomposition has no axis 1, like any other missing axis
         r = np.array([0.5, 0.5])
         c = np.array([0.5, 0.5])
         dec = tca(from_counts(np.outer(r, c)))
-        report = seriate(dec, 1)
-        assert report.s_opt == () and report.t_opt == ()
-        assert report.block_sums == (0.0, 0.0, 0.0, 0.0)
-        assert report.row_order == ()
+        assert dec.axes == () and dec.rank_used == 0
+        with pytest.raises(ValueError, match="^axis 1 not computed$"):
+            seriate(dec, 1)
 
     def test_orders_are_permutations_grouped_by_sign(self, asbestos_P):
         dec = tca(asbestos_P)
