@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "LabeledMatrix",
+    "decode_utf8",
     "format_tensor",
     "load_counts_csv",
     "load_tensor",

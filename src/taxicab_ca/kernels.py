@@ -4,14 +4,11 @@
 float32 screen and a float64 confirmation.  ``reference_walk`` is the
 float64 alternating sign iteration of a matrix, and ``best_restart(x,
 starts)`` walks it from each of its caller's starts at once, in certified
-float32 GEMMs, and confirms the best end in float64.  Each bound is proved
-once, in the docstring of the function whose bound it is;
-``certificate_slack`` proves the float64 slack of every certificate that the
-taxicab and tensor modules check.  Other modules use only ``BLOCK_BYTES``,
-``ENUM_LIMIT``, ``over_budget``, ``sign_grid``, ``enumerate_best``,
-``reference_walk``, ``best_restart``, ``rounding_margin``,
-``certificate_slack``, ``block_sums``, ``check_block_sums``,
-``EnumerationBudgetError`` and ``InvariantError``.
+float32 GEMMs, and confirms the best end in float64.  ``exact_signs`` is
+the one exact sign search of a matrix or a 3-way array, on top of
+``enumerate_best``.  Each bound is proved once, in the docstring of the
+function whose bound it is; ``certificate_slack`` proves the float64 slack
+of every certificate that the taxicab and tensor modules check.
 """
 
 from __future__ import annotations
@@ -27,7 +24,11 @@ import numpy as np
 
 from .dispersion import sign_pm
 
-BLOCK_BYTES = 1 << 20  # working set of one enumeration block: fills a 1 MiB per-core L2
+# the names other modules of the package import or read
+__all__ = ["ENUM_LIMIT", "EnumerationBudgetError", "InvariantError", "best_restart", "block_sums",
+           "certificate_slack", "check_block_sums", "exact_signs", "over_budget", "reference_walk"]
+
+BLOCK_BYTES = 1 << 20  # working set of one enumeration block, in bytes
 ENUM_LIMIT = 22  # most sign coordinates an exact search enumerates (``enum_width``)
 # threads that may screen or walk at once: one per CPU this process may run on
 _SCREEN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -559,6 +560,47 @@ def _reference_scan(M: np.ndarray) -> Callable[[int], tuple[float, int]]:
         return float(scores[j]), (prefix << k) | j
 
     return scan
+
+
+def exact_signs(x: np.ndarray, heuristic: str) -> tuple[np.ndarray, ...]:
+    """Sign vectors, one per mode of x, that maximize the form of a matrix or a 3-way array.
+
+    The form is v'x u of an n x m matrix, returned as (v, u), and sum
+    x_ijk u_i v_j w_k of a 3-way array, returned as (u, v, w).  A search
+    past the budget raises ``over_budget(x.shape, heuristic)``'s refusal.
+
+    A matrix is searched as its 1 x m x n view x'[None].  The modes are
+    ordered by (size, index).  The smallest is enumerated as a sign grid
+    (``sign_grid``): x contracted with each grid row is a matrix, and the
+    matrices are built once, in stacks of at most ``BLOCK_BYTES`` (one
+    matrix at least); ``enumerate_best`` searches the second-smallest mode
+    over every matrix of the stacks; and the largest takes the signs of its
+    fiber, x contracted with the other two, with sign(0) = +1.  A matrix's
+    view thus enumerates its columns when m <= n and its rows otherwise,
+    and its one-entry grid mode makes one stack, a view of x.  Flipping the
+    signs of two modes leaves the form as it is, so the first entry of each
+    enumerated vector is pinned to +1, and on ties the lexicographically
+    first (smallest-mode, second-mode) pair wins, +1 before -1 at every
+    position.
+    """
+    if refusal := over_budget(x.shape, heuristic):
+        raise refusal
+    view = x.T[None] if x.ndim == 2 else x
+    modes = sorted(range(3), key=lambda mode: (view.shape[mode], mode))
+    xp = view.transpose(modes)
+    q1, q2, q3 = xp.shape
+    if q1 == 1:
+        stacks = [xp[0].T[None]]
+    else:
+        flat = xp.reshape(q1, q2 * q3)
+        count = 1 << (q1 - 1)
+        block = max(1, BLOCK_BYTES // (8 * q2 * q3))
+        stacks = ((sign_grid(q1, start, min(start + block, count)) @ flat)
+                  .reshape(-1, q2, q3).transpose(0, 2, 1) for start in range(0, count, block))
+    _, index, s2 = enumerate_best(stacks)
+    s1 = sign_grid(q1, index, index + 1)[0]
+    signs = dict(zip(modes, (s1, s2, sign_pm(np.einsum("ijk,i,j->k", xp, s1, s2)))))
+    return tuple(signs[mode] for mode in ((2, 1) if x.ndim == 2 else range(3)))
 
 
 def _sign_bands(x: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import HEAVYWEIGHT_TOL, sign_pm
+from .dispersion import HEAVYWEIGHT_TOL
 from .kernels import (ENUM_LIMIT, EnumerationBudgetError, InvariantError, best_restart, block_sums,
-                      certificate_slack, check_block_sums, enumerate_best, over_budget,
-                      reference_walk)
+                      certificate_slack, check_block_sums, exact_signs, over_budget, reference_walk)
 from .residual import CorrespondenceMatrix, ResidualMatrix, correspondence_residual
 
 __all__ = [
@@ -189,18 +188,13 @@ def _axis_from_state(
 def norm_exact(X: ResidualMatrix) -> TaxicabAxis:
     """Globally optimal taxicab norm by exhaustive sign enumeration.
 
-    Enumerates 2^(q-1) sign vectors on the smaller side q = min(n, m); the
-    other side follows from the transition formulas.  Requires q <=
-    ``ENUM_LIMIT``; past it ``kernels.over_budget``'s refusal is raised.
+    ``kernels.exact_signs`` enumerates 2^(q-1) sign vectors on the smaller
+    side q = min(n, m), and the walk starts from its column signs.
+    Requires q <= ``ENUM_LIMIT``; past it ``kernels.over_budget``'s refusal
+    is raised.
     """
-    if refusal := over_budget(X.shape, "norm_heuristic"):
-        raise refusal
     x = X.x
-    if x.shape[1] <= x.shape[0]:
-        _, _, u0 = enumerate_best([x[None]])
-    else:
-        _, _, v0 = enumerate_best([x.T[None]])
-        u0 = sign_pm(x.T @ v0)
+    _, u0 = exact_signs(x, "norm_heuristic")
     margin, slack = certificate_slack(x)
     state = reference_walk(x, u0, margin)
     return _axis_from_state(x, _canonical_state(x, state, margin), slack, exact=True)

@@ -76,32 +76,12 @@ def _axis_from_signs(x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
 def tensor_norm_exact(X: Tensor3) -> TensorAxis:
     """Globally optimal tensor sign norm by enumerating the two smallest modes.
 
-    Sign symmetry pins the first entry of both enumerated vectors to +1; the
-    third mode's optimal signs follow from the contracted fiber sums.  On
-    ties the lexicographically first (first-mode, second-mode) pair wins.
-    The two smallest mode sizes must sum to at most ``kernels.ENUM_LIMIT``;
-    past it ``kernels.over_budget``'s refusal is raised.
-    The first mode's contractions reach ``kernels.enumerate_best`` in stacks
-    of ``kernels.BLOCK_BYTES``, each built once.
+    ``kernels.exact_signs`` finds the signs, and states the pinning and the
+    tie rule.  The two smallest mode sizes must sum to at most
+    ``kernels.ENUM_LIMIT``; past it ``kernels.over_budget``'s refusal is raised.
     """
-    if refusal := kernels.over_budget(X.shape, "tensor_norm_heuristic"):
-        raise refusal
     x = X.x
-    dims = x.shape
-    e1, e2, free = sorted(range(3), key=lambda ax: (dims[ax], ax))
-    q1, q2, q3 = dims[e1], dims[e2], dims[free]
-    xp = np.transpose(x, (e1, e2, free))
-    flat = xp.reshape(q1, q2 * q3)
-    count = 1 << (q1 - 1)
-    block = max(1, kernels.BLOCK_BYTES // (8 * q2 * q3))
-    _, index, s2 = kernels.enumerate_best(
-        (kernels.sign_grid(q1, start, min(start + block, count)) @ flat)
-        .reshape(-1, q2, q3).transpose(0, 2, 1) for start in range(0, count, block))
-    s1 = kernels.sign_grid(q1, index, index + 1)[0]
-    fiber = np.einsum("ijk,i,j->k", xp, s1, s2)
-    s3 = sign_pm(fiber)
-    by_mode: dict[int, np.ndarray] = {e1: s1, e2: s2, free: s3}
-    return _axis_from_signs(x, by_mode[0], by_mode[1], by_mode[2], exact=True,
+    return _axis_from_signs(x, *kernels.exact_signs(x, "tensor_norm_heuristic"), exact=True,
                             slack=kernels.certificate_slack(x)[1])
 
 

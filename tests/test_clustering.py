@@ -541,3 +541,27 @@ class TestScreenedSearch:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs an extended-precision long double for the reference")
+@pytest.mark.parametrize("p", [1.0 + 2.0**-20, 1.5, 2.0, 3.0, 7.3, 64.0, 1000.0])
+def test_power_is_within_four_units(p):
+    # _screen_tol takes numpy's power of bases in (0, 1) to be within 4
+    # units in the last place: a relative 8 u and an absolute 4 eta.  The
+    # SIMD path numpy picks depends on the CPU, so check it where the tests
+    # run, against the 64-bit-mantissa long double power of the same bases
+    rng = np.random.default_rng(52)
+    tiny, eta = np.finfo(float).tiny, np.finfo(float).smallest_subnormal
+    bases = np.concatenate([
+        rng.uniform(0.0, 1.0, 6000),
+        np.exp2(-rng.uniform(0.0, 1074.0, 3000)),      # every binade down to subnormal
+        np.exp2(-rng.uniform(1022.0, 1074.0, 1000) / p),  # results in the subnormal range
+    ])
+    assert bases.size == 10**4 and ((bases > 0.0) & (bases < 1.0)).all()
+    got = np.power(bases, p)
+    assert ((got > 0.0) & (got < tiny)).sum() >= 100
+    reference = np.power(bases.astype(np.longdouble), np.longdouble(p))
+    error = np.abs(got.astype(np.longdouble) - reference)
+    bound = 8 * np.longdouble(2.0**-53) * reference + 4 * np.longdouble(eta)
+    assert (error <= bound).all(), float((error / bound).max())

@@ -1,9 +1,11 @@
 """No module of the package imports or reads another module's private names,
-and importing the package loads no network or XML stack."""
+or a name missing from that module's ``__all__``, and importing the package
+loads no network or XML stack."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -28,8 +30,8 @@ def _package_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
-def foreign_private_names(source: str) -> list[str]:
-    """``module._name`` for each private name of another package module that ``source`` reads."""
+def foreign_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each name of another package module that ``source`` imports or reads."""
     tree = ast.parse(source)
     aliases: dict[str, str] = {}  # local name -> package module it is bound to
     found = []
@@ -37,19 +39,31 @@ def foreign_private_names(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and (module := _package_module(node)) is not None:
             for alias in node.names:
                 if module:
-                    if _private(alias.name):
-                        found.append(f"{module}.{alias.name}")
+                    found.append((module, alias.name))
                 elif alias.name in MODULES:
                     aliases[alias.asname or alias.name] = alias.name
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and _private(node.attr):
+        if isinstance(node, ast.Attribute):
             owner = node.value
             if isinstance(owner, ast.Name) and owner.id in aliases:
-                found.append(f"{aliases[owner.id]}.{node.attr}")
+                found.append((aliases[owner.id], node.attr))
             elif (isinstance(owner, ast.Attribute) and owner.attr in MODULES
                   and isinstance(owner.value, ast.Name) and owner.value.id == "taxicab_ca"):
-                found.append(f"{owner.attr}.{node.attr}")
+                found.append((owner.attr, node.attr))
     return found
+
+
+def foreign_private_names(source: str) -> list[str]:
+    """``module._name`` for each private name of another package module that ``source`` reads."""
+    return [f"{module}.{name}" for module, name in foreign_names(source) if _private(name)]
+
+
+def names_outside_all(source: str) -> list[str]:
+    """``module.name`` for each public name that ``source`` takes from another
+    package module whose ``__all__`` lacks it (or that has no ``__all__``)."""
+    return [f"{module}.{name}" for module, name in foreign_names(source)
+            if not name.startswith("_")
+            and name not in getattr(importlib.import_module(f"taxicab_ca.{module}"), "__all__", ())]
 
 
 def test_checker_finds_each_form():
@@ -70,6 +84,21 @@ def test_checker_finds_each_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_module_reads_no_private_name_of_another(path):
     assert foreign_private_names(path.read_text()) == []
+
+
+def test_all_checker_finds_each_form():
+    source = (
+        "from .taxicab import INDETERMINATE_TOL, norm_exact, _axis\n"
+        "from . import kernels, tensor\n"
+        "kernels.sign_grid, kernels.over_budget, tensor.tensor_norm, tensor.__name__\n"
+    )
+    assert names_outside_all(source) == ["taxicab.INDETERMINATE_TOL", "kernels.sign_grid"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_module_takes_only_names_in_the_others_all(path):
+    # a module's __all__ lists every name the other modules import or read
+    assert names_outside_all(path.read_text()) == []
 
 
 # Modules the package never calls, each with its submodules: importing

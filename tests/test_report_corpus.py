@@ -8,7 +8,8 @@ The pinned reports are those whose bytes were the same under OpenBLAS's
 default, Haswell and Sandybridge kernels (``OPENBLAS_CORETYPE``) and with
 two BLAS threads: ``cluster`` on both datasets and on a seeded 40 x 30
 table at p = 1 and 2, ``seriate`` and ``dispersion`` on asbestos,
-``dispersion`` on americas, and ``tensor`` on four seeded files.  CI runs this file under each of those.  At p = 1.5
+``dispersion`` on americas, ``seriate`` on a seeded 15 x 15 table, and
+``tensor`` on five seeded files.  CI runs this file under each of those.  At p = 1.5
 the ``cluster`` objective goes through numpy's SIMD-dispatched ``power``,
 whose last bit was not compared across CPUs, so those reports pin the
 partition exactly and the objective to a relative 1e-12.
@@ -20,9 +21,14 @@ key, label, integer, sign, partition and index set is pinned exactly, and
 each float to a relative 1e-9 of the largest magnitude in its list (of
 itself, outside a list); the kernels moved none by more than 1e-12.  The
 rows and columns of the americas seriations tie in score (its table is
-binary), as rows 9 and 31 of the seeded table's first axis do, and tied
-entries swap between kernels, so those orders are pinned as sorts of the
-pinned ``tca`` scores of the axis, ties to the same 1e-9.
+binary), as rows 9 and 31 of the seeded 40 x 30 table's first axis and
+columns 0 and 28 of the seeded 12 x 40 table's do, and tied entries swap
+between kernels, so those orders are pinned as sorts of the pinned ``tca``
+scores of the axis, ties to the same 1e-9.
+
+The seeded 12 x 40 table is wide, so its exact search enumerates the
+rows; the 15 x 15 table is square, so its search enumerates the columns,
+and the 10 x 12 x 12 tensor ties in its two largest modes.
 """
 
 from __future__ import annotations
@@ -104,6 +110,8 @@ REPORT_SHA256 = {
         "11e7dabf37784c0b4baf5cbcf664584a08be006cdec0d9fd2e76f44b18bbfb7f",
     "seriate --dataset asbestos --axis 2":
         "fb9592bef0afddd7658fb6964e4c3bb4d7d0326925c19adb30d97da6569aad22",
+    "seriate table15x15.csv --axis 1":
+        "b95eea5e15c5226a04e64f241be4e55bfec450104ac8dc712c24e92006e26bee",
     "cluster table40x30.csv --r 2 --c 2 --p 1":
         "8bf2770f9a4d44a1b6b563d52cf3de56aec2170b1a107f960c8b5d66e57be513",
     "cluster table40x30.csv --r 3 --c 2 --p 2":
@@ -112,10 +120,13 @@ REPORT_SHA256 = {
         "c2a5ff454bcf9d91d1bd3f3e94350dfacc9d74d8d6bdf873f4d21de7d6464c44",
     "dispersion --dataset americas --column MERCOSUR":
         "a2216eff5eb0d709e81d5d1f28fd2c259f8610a0c2d6568047857458011d1673",
-    # the tensors that ``_write_inputs`` writes: 5 x 6 x 7 and 11 x 11 x 12
-    # are solved exactly, 12 x 12 x 13 and 20 x 24 x 30 by the heuristic
+    # the tensors that ``_write_inputs`` writes: 5 x 6 x 7, 10 x 12 x 12 and
+    # 11 x 11 x 12 are solved exactly, 12 x 12 x 13 and 20 x 24 x 30 by the
+    # heuristic
     "tensor tensor5x6x7.txt":
         "6d0c663829a32680f3c1e45d3e9409cf414fe043492ef10f1239ac015b36a5ef",
+    "tensor tensor10x12x12.txt":
+        "a912847750f8dd9b65825fca52be2935c100dd3a7de2cf3652d63c460ede2665",
     "tensor tensor11x11x12.txt":
         "3b30a5fed5640fcb747043b944af65bc392b915bd4d8f57e0bae43152e840966",
     "tensor tensor12x12x13.txt":
@@ -129,16 +140,18 @@ NEAR_REPORTS = json.loads((Path(__file__).parent / "report_corpus.json").read_te
 # seriation reports whose orders are pinned as sorts of the tca scores of their axis
 SERIATIONS = {"seriate --dataset americas --axis 1": ("tca --dataset americas", 1),
               "seriate --dataset americas --axis 2": ("tca --dataset americas", 2),
-              "seriate table40x30.csv --axis 1": ("tca table40x30.csv --heuristic --axes 2", 1)}
+              "seriate table40x30.csv --axis 1": ("tca table40x30.csv --heuristic --axes 2", 1),
+              "seriate table12x40.csv --axis 1": ("tca table12x40.csv --axes 3", 1)}
 
 
 def _write_inputs() -> None:
     """The seeded inputs, under the relative names the reports record."""
-    counts = np.random.default_rng(40).poisson(3.0, size=(40, 30)) + 1
-    lines = ["," + ",".join(f"c{j}" for j in range(30))]
-    lines += [f"r{i}," + ",".join(map(str, row.tolist())) for i, row in enumerate(counts)]
-    Path("table40x30.csv").write_text("\n".join(lines) + "\n")
-    for shape in ((5, 6, 7), (11, 11, 12), (12, 12, 13), (20, 24, 30)):
+    for rows, cols in ((40, 30), (15, 15), (12, 40)):
+        counts = np.random.default_rng(rows).poisson(3.0, size=(rows, cols)) + 1
+        lines = ["," + ",".join(f"c{j}" for j in range(cols))]
+        lines += [f"r{i}," + ",".join(map(str, row.tolist())) for i, row in enumerate(counts)]
+        Path(f"table{rows}x{cols}.csv").write_text("\n".join(lines) + "\n")
+    for shape in ((5, 6, 7), (10, 12, 12), (11, 11, 12), (12, 12, 13), (20, 24, 30)):
         values = np.random.default_rng(sum(shape)).poisson(4.0, size=shape).astype(float)
         Path("tensor{}x{}x{}.txt".format(*shape)).write_text(format_tensor(values))
 

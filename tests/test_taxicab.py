@@ -266,6 +266,26 @@ class TestEnumerationKernel:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("shape", [(5000, 14), (14, 5000)])
+    def test_norm_exact_copies_no_matrix(self, shape):
+        # the search reads x through a view: norm_exact's peak is the
+        # kernel's on that view plus a few vectors, where one copy of x
+        # would add x.nbytes (0.53 MiB) to a peak near 4.4 MiB
+        X = _rand_residual(np.random.default_rng(9), *shape)
+        x = X.x
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        search = peak(lambda: kernels.enumerate_best([x[None] if x.shape[1] <= x.shape[0]
+                                                      else x.T[None]]))
+        assert peak(lambda: norm_exact(X)) < search + x.nbytes / 2
+
     def test_tensor_working_memory_is_bounded(self):
         # 1024 x 1024 (first-mode, second-mode) pairs: a score array over
         # them would take 4 MiB in float32 and 8 MiB in float64
@@ -278,6 +298,51 @@ class TestEnumerationKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestExactSignsEnumeration:
+    """``kernels.exact_signs`` searches a matrix as its 1 x m x n view: the
+    columns when m <= n, else the rows, the other side from its fiber."""
+
+    @staticmethod
+    def _tie_prone(rng, n: int, m: int) -> np.ndarray:
+        """Small integers with a zero row and column and a duplicate row and column."""
+        x = rng.integers(-3, 4, size=(n, m)).astype(float)
+        x[:, m - 1] = x[:, 0]
+        x[n - 1] = x[0]
+        x[:, 1] = 0.0
+        x[1] = 0.0
+        return x
+
+    @pytest.mark.parametrize("shape", [(12, 6), (7, 7), (9, 9), (6, 12), (3, 17)])
+    def test_first_maximizer_and_fiber_signs(self, shape):
+        # integer sums are exact in float64, in any order of summation
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(10):
+            x = self._tie_prone(rng, *shape)
+            v, u = kernels.exact_signs(x, "norm_heuristic")
+            if x.shape[1] <= x.shape[0]:
+                np.testing.assert_array_equal(u, lexicographic_first_max(x)[1])
+                np.testing.assert_array_equal(v, sign_pm(x @ u))
+            else:
+                np.testing.assert_array_equal(v, lexicographic_first_max(x.T)[1])
+                np.testing.assert_array_equal(u, sign_pm(x.T @ v))
+
+    @pytest.mark.parametrize("shape", [(12, 6), (7, 7), (6, 12)])
+    def test_matrix_is_searched_without_a_copy(self, shape):
+        x = np.random.default_rng(3).normal(size=shape)
+        seen = []
+        real = kernels.enumerate_best
+
+        def kernel(stacks):
+            stacks = list(stacks)
+            seen.extend(stacks)
+            return real(stacks)
+
+        with mock.patch.object(kernels, "enumerate_best", kernel):
+            kernels.exact_signs(x, "norm_heuristic")
+        stack, = seen
+        assert stack.shape == (1, max(shape), min(shape)) and np.shares_memory(stack, x)
 
 
 class TestScreenedKernel:
@@ -1470,7 +1535,7 @@ class TestTca:
         def refuse(stacks):
             raise AssertionError("auto enumerated past ENUM_LIMIT")
 
-        monkeypatch.setattr(taxicab, "enumerate_best", refuse)
+        monkeypatch.setattr(kernels, "enumerate_best", refuse)
         auto = tca(P)
         assert len(auto.axes) == len(heur.axes) > 1
         for got, want in zip(auto.axes, heur.axes):
